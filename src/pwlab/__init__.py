@@ -18,7 +18,6 @@ from .geometry import (
     box,
     chebyshev_ball,
     disc_containment_check,
-    membership,
     polar_dual,
     pyramid_ball_check,
     solve_certificate,

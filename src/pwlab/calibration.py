@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .geometry import GeometryError, disc_containment_check
-from .omega import disc_lens
+from .omega import disc_sup_on_ball
 
 
 @dataclass(frozen=True)
@@ -59,14 +59,11 @@ DEFAULT_CALIBRATION = CalibrationBlock(
 def max_omega_over_bump_ratio(C: float, C1: float, eps_list) -> float:
     """max over eps of sup w / eps^3 on the doubled bump supports 2B(x_eps, r).
 
-    w of the disc is radially decreasing, so the sup sits at the point of the
-    support ball closest to the origin, |x| = 2(1 - C eps^2) - 2 C1 eps^2.
+    The supports are the balls of radius 2 C1 eps^2 centred at distance
+    2(1 - C eps^2) from the origin.
     """
-    best = 0.0
-    for eps in eps_list:
-        smin = 2.0 - 2.0 * (C + C1) * eps * eps
-        best = max(best, float(disc_lens(np.array([smin]))[0]) / eps ** 3)
-    return best
+    return max((disc_sup_on_ball(2.0 * (1.0 - C * eps * eps), 2.0 * C1 * eps * eps) / eps ** 3
+                for eps in eps_list), default=0.0)
 
 
 def calibrate(samples: int = 10 ** 6, seed: int = 20240601,

@@ -167,6 +167,23 @@ def quad_integral(fn, spec: GridSpec) -> float:
     return math.fsum(vals) * spec.weight
 
 
+def scaled_ball_grid(center, radius: float, per_axis: int
+                     ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Midpoint grid of the cube around B(center, radius), per_axis cells a side.
+
+    Returns the nodes as a (dim, per_axis, ..., per_axis) array, their
+    scaled distances |x - center| / radius, and the cell weight.
+    """
+    center = np.asarray(center, dtype=float).reshape(-1)
+    n = center.size
+    h = 2.0 / per_axis
+    u = -1.0 + (np.arange(per_axis) + 0.5) * h
+    grids = np.meshgrid(*([u] * n), indexing="ij")
+    rho = np.sqrt(sum(g * g for g in grids))
+    nodes = center.reshape((n,) + (1,) * n) + radius * np.stack(grids)
+    return nodes, rho, (radius * h) ** n
+
+
 # ---------------------------------------------------------------------------
 # synthesis and L1 norms
 # ---------------------------------------------------------------------------
@@ -211,6 +228,38 @@ def synthesize_on_grid(fhat: GridFunction, spatial: GridSpec) -> np.ndarray:
     return F
 
 
+def _l1_by_doubling(box_total, halfwidth: float, half_period: float, rel_tol: float,
+                   max_doublings: int) -> tuple[float, float]:
+    """Grow a box integral by doublings of its half-width until it settles.
+
+    box_total(L) is the integral over the box of half-width L.  The loop
+    stops once the increment over the previous box falls below rel_tol of
+    the total and returns (total, increment).  Trig sums are periodic, so a
+    box beyond the alias half period would integrate alias copies instead of
+    tails; that, a non-finite total and an exhausted budget raise
+    ConvergenceError.
+    """
+    L = float(halfwidth)
+    prev = None
+    for _ in range(max_doublings + 1):
+        if L > half_period * (1.0 + 1e-9):
+            raise ConvergenceError(
+                f"box half-width {L:.3g} exceeds the alias half period {half_period:.3g}; "
+                "refine the frequency grid")
+        total = box_total(L)
+        if not math.isfinite(total):
+            raise ConvergenceError("box integral is not finite")
+        if prev is not None:
+            increment = total - prev
+            if increment < rel_tol * total:
+                return total, max(increment, 0.0)
+        prev = total
+        L *= 2.0
+    raise ConvergenceError(
+        f"L1 box integral did not settle within {max_doublings} doublings "
+        f"(last value {prev:.6g})")
+
+
 def synthesize_l1(fhat: GridFunction, box_halfwidth: float,
                   points_per_unit: float = 20.0, rel_tol: float = 0.005,
                   max_doublings: int = 4) -> tuple[float, float]:
@@ -223,31 +272,14 @@ def synthesize_l1(fhat: GridFunction, box_halfwidth: float,
     n = fhat.spec.dim
     maxfreq = float(np.max(np.abs(np.concatenate([fhat.spec.lower, fhat.spec.upper]))))
     ppu = max(points_per_unit, 8.0 * max(maxfreq, 0.25))
-    # the trig sum is periodic with period 1/spacing per axis; boxes beyond
-    # the half period integrate alias copies instead of tails
-    half_period = 0.5 / float(np.max(fhat.spec.spacing))
-    L = float(box_halfwidth)
-    prev = None
-    for _ in range(max_doublings + 1):
-        if L > half_period * (1.0 + 1e-9):
-            raise ConvergenceError(
-                f"spatial box {L:.3g} exceeds the alias half period {half_period:.3g}; "
-                "refine the frequency grid")
+
+    def box_total(L: float) -> float:
         m = int(math.ceil(2 * L * ppu))
         spatial = GridSpec(lower=-L * np.ones(n), upper=L * np.ones(n), npts=(m,) * n)
-        f = synthesize_on_grid(fhat, spatial)
-        if not np.all(np.isfinite(f.real)) or not np.all(np.isfinite(f.imag)):
-            raise ConvergenceError("synthesis produced non-finite values")
-        total = float(np.sum(np.abs(f)) * spatial.weight)
-        if prev is not None:
-            increment = total - prev
-            if increment < rel_tol * total:
-                return total, max(increment, 0.0)
-        prev = total
-        L *= 2.0
-    raise ConvergenceError(
-        f"L1 box integral did not settle within {max_doublings} doublings "
-        f"(last value {prev:.6g})")
+        return float(np.sum(np.abs(synthesize_on_grid(fhat, spatial))) * spatial.weight)
+
+    half_period = 0.5 / float(np.max(fhat.spec.spacing))
+    return _l1_by_doubling(box_total, box_halfwidth, half_period, rel_tol, max_doublings)
 
 
 def dilate_toward(fhat: GridFunction, z, r: float) -> GridFunction:

@@ -204,11 +204,6 @@ class AffineImage(ConvexBody):
         return imgs.min(axis=0), imgs.max(axis=0)
 
 
-def membership(body: ConvexBody, x) -> bool:
-    """Strict (open-set) membership; boundaries have measure zero anyway."""
-    return body.contains(x)
-
-
 # ---------------------------------------------------------------------------
 # convenience constructors
 # ---------------------------------------------------------------------------
@@ -609,6 +604,79 @@ def disc_containment_check(C: float, eps: float, samples: int, seed: int,
         far = np.linalg.norm(take - x, axis=1) >= eps
         violations += int(np.count_nonzero(in_unit & far))
     return violations
+
+
+# ---------------------------------------------------------------------------
+# interaction regions of ball bodies
+# ---------------------------------------------------------------------------
+
+# Rejection rounds the lens sampler may take before it gives up.
+LENS_MAX_ROUNDS = 64
+
+
+def sample_ball_lens(a: Ball, b: Ball, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform points of the lens a cap b; an empty lens gives no points.
+
+    Rejection runs in the exact bounding box of the lens in a frame along the
+    line of centres: axially from max(-r_a, d - r_b) to min(r_a, d + r_b),
+    and across up to the widest cross-section.  That is the crossing sphere
+    of the two boundaries, unless the smaller ball's great section through
+    its centre lies inside the other ball; then it is that section.  The
+    acceptance rate therefore does not fall however thin the lens gets.
+    Raises GeometryError if LENS_MAX_ROUNDS rounds do not yield `count`
+    points.
+    """
+    n = a.dim
+    axis = b.center - a.center
+    d = float(np.linalg.norm(axis))
+    ra, rb = a.radius, b.radius
+    if d >= ra + rb:
+        return np.empty((0, n))
+    e = axis / d if d > 0.0 else np.eye(n)[0]
+    x_c = (d * d + ra * ra - rb * rb) / (2.0 * d) if d > 0.0 else 0.0
+    half = math.sqrt(ra * ra - x_c * x_c) if 0.0 < x_c < d else min(ra, rb)
+    x_lo, x_hi = max(-ra, d - rb), min(ra, d + rb)
+    perp = np.linalg.svd(e[None, :])[2][1:]      # orthonormal complement of e
+    out, need = [], count
+    for _ in range(LENS_MAX_ROUNDS):
+        m = 4 * need
+        xs = rng.uniform(x_lo, x_hi, size=m)
+        ys = rng.uniform(-half, half, size=(m, n - 1))
+        z = a.center + xs[:, None] * e + ys @ perp
+        z = z[a.contains_batch(z) & b.contains_batch(z)][:need]
+        out.append(z)
+        need -= z.shape[0]
+        if need == 0:
+            return np.concatenate(out)
+    raise GeometryError(f"lens sampler drew only {count - need} of {count} points "
+                        f"in {LENS_MAX_ROUNDS} rejection rounds")
+
+
+def check_ball_interactions_disjoint(body: ConvexBody, supports: list[Ball],
+                                     samples: int, seed: int) -> None:
+    """Raise GeometryError unless the interaction regions
+    D_i = body cap (supp_i - body) are pairwise disjoint on `samples` exact
+    draws from each D_i.
+
+    For a ball body B(c, rho) and a support B(s, R), supp - body is the ball
+    B(s - c, R + rho), so each D_i is a two-ball lens and membership in D_j
+    is exact; every draw is tested against all other supports at once.
+    """
+    if not isinstance(body, Ball):
+        raise GeometryError("interaction regions are computed for ball bodies only")
+    reaches = [Ball(s.center - body.center, s.radius + body.radius) for s in supports]
+    centers = np.array([r.center for r in reaches])
+    radii = np.array([r.radius for r in reaches])
+    rng = np.random.default_rng(seed)
+    for i, reach in enumerate(reaches):
+        pts = sample_ball_lens(body, reach, samples, rng)
+        hit = np.linalg.norm(pts[:, None, :] - centers[None, :, :], axis=2) < radii
+        hit[:, i] = False
+        if np.any(hit):
+            j = int(np.argmax(hit.any(axis=0)))
+            raise GeometryError(
+                f"interaction regions {i} and {j} overlap "
+                f"({int(np.count_nonzero(hit[:, j]))} of {samples} sampled points)")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .fourier import GridSpec
-from .geometry import Ball, ConvexBody, GeometryError
+from .geometry import Ball, ConvexBody, GeometryError, check_ball_interactions_disjoint
 from .omega import OmegaEvaluator
 
 SV_FLOOR_REL = 1e-12  # singular values below this times sigma_max count as zero
@@ -146,12 +146,9 @@ def hs_identity_check(body: ConvexBody, symbol, spacing: float,
     where c = mask * mask is the integer autocorrelation of the inside-node
     mask, computed by FFT and rounded back to integers.
     """
-    lo, hi = body.bounding_box()
     n = body.dim
-    npts = tuple(int(math.ceil((hi[i] - lo[i]) / spacing)) for i in range(n))
-    spec = GridSpec(lower=lo, upper=lo + spacing * np.array(npts), npts=npts)
-    nodes = spec.nodes()
-    mask = body.contains_batch(nodes).reshape(spec.npts).astype(float)
+    _, spec = grid_nodes_inside(body, spacing)
+    mask = body.contains_batch(spec.nodes()).reshape(spec.npts).astype(float)
     counts = np.rint(fftconvolve(mask, mask)).astype(np.int64)
     # node sums live at 2*lower + (k+l+1) h per axis, k+l = 0 .. 2K-2
     sum_axes = [2.0 * spec.lower[i] + (np.arange(2 * spec.npts[i] - 1) + 1.0) * spacing
@@ -163,13 +160,9 @@ def hs_identity_check(body: ConvexBody, symbol, spacing: float,
     vals[nz] = np.abs(np.asarray(symbol(pts[nz]), dtype=complex)) ** 2
     frob = math.sqrt(float(np.sum(vals * counts.ravel())) * spacing ** (2 * n))
 
-    ev = OmegaEvaluator(body)
-    slo, shi = ev.support_box()
-    ispec = GridSpec(lower=slo, upper=shi, npts=(integral_pts,) * n)
-    ipts = ispec.nodes()
-    w = ev.batch(ipts)
+    ipts, cell, w = OmegaEvaluator(body).support_grid(integral_pts)
     f2 = np.abs(np.asarray(symbol(ipts), dtype=complex)) ** 2
-    integral = math.sqrt(float(np.sum(f2 * w)) * ispec.weight)
+    integral = math.sqrt(float(np.sum(f2 * w)) * cell)
     rel = abs(frob - integral) / integral if integral > 0 else float(frob > 0)
     return HSCheck(frobenius=frob, integral=integral, rel_err=rel)
 
@@ -206,69 +199,16 @@ def russo_bound_check(body: ConvexBody, symbol, spacing: float, p: float,
     inner = np.sum(kernel_abs ** pc, axis=0) * weight        # over x, per y
     rhs_mixed = float(np.sum(inner ** (p / pc)) * weight) ** (1.0 / p)
 
-    ev = OmegaEvaluator(body)
-    slo, shi = ev.support_box()
-    ispec = GridSpec(lower=slo, upper=shi, npts=(integral_pts,) * n)
-    ipts = ispec.nodes()
-    w = ev.batch(ipts)
+    ipts, cell, w = OmegaEvaluator(body).support_grid(integral_pts)
     f = np.abs(np.asarray(symbol(ipts), dtype=complex))
-    rhs_cont = float(np.sum(f ** pc * w ** (pc / p)) * ispec.weight) ** (1.0 / pc)
+    rhs_cont = float(np.sum(f ** pc * w ** (pc / p)) * cell) ** (1.0 / pc)
     holds = lhs <= min(rhs_mixed, rhs_cont) * (1.0 + slack)
     return RussoCheck(lhs=lhs, rhs_mixed=rhs_mixed, rhs_continuum=rhs_cont, holds=holds)
 
 
 # ---------------------------------------------------------------------------
-# orthogonal sums for symbols with disjoint interaction regions
+# orthogonal sums for symbols with disjoint interaction regions (ball bodies)
 # ---------------------------------------------------------------------------
-
-def interaction_nodes(body: ConvexBody, support: Ball, nodes: np.ndarray) -> np.ndarray:
-    """Nodes of Omega inside D = Omega cap (supp - Omega), the region where
-    kernel rows can be nonzero.  Exact for ball bodies, conservative otherwise."""
-    if isinstance(body, Ball):
-        reach = body.radius + support.radius
-        mask = np.linalg.norm(nodes - (support.center - body.center), axis=1) < reach
-        return nodes[mask]
-    return nodes
-
-
-def sample_interaction_region(body: ConvexBody, support: Ball, count: int,
-                              rng: np.random.Generator) -> np.ndarray:
-    """Draw points of D = Omega cap (supp - Omega) by the Minkowski recipe:
-    z = w - v with w in supp, v in Omega, accepted when z lands in Omega."""
-    lo, hi = body.bounding_box()
-    out = []
-    need = count
-    while need > 0:
-        m = 4 * need
-        dirs = rng.normal(size=(m, body.dim))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        radii = support.radius * rng.uniform(0.0, 1.0, size=m) ** (1.0 / body.dim)
-        w = support.center + dirs * radii[:, None]
-        v = rng.uniform(lo, hi, size=(m, body.dim))
-        ok = body.contains_batch(v)
-        z = w[ok] - v[ok]
-        z = z[body.contains_batch(z)]
-        out.append(z[:need])
-        need -= min(need, z.shape[0])
-    return np.concatenate(out)
-
-
-def in_interaction_region(body: ConvexBody, support: Ball, pts: np.ndarray,
-                          probes: np.ndarray | None = None) -> np.ndarray:
-    """Membership of points in D = Omega cap (supp - Omega); exact for balls."""
-    pts = np.atleast_2d(pts)
-    inside = body.contains_batch(pts)
-    if isinstance(body, Ball):
-        reach = body.radius + support.radius
-        near = np.linalg.norm(pts - (support.center - body.center), axis=1) < reach
-        return inside & near
-    if probes is None:
-        raise GeometryError("need probe points of the support for non-ball bodies")
-    hit = np.zeros(pts.shape[0], dtype=bool)
-    for w in probes:
-        hit |= body.contains_batch(w - pts)
-    return inside & hit
-
 
 @dataclass
 class OrthoCheck:
@@ -279,18 +219,9 @@ class OrthoCheck:
 
 def check_disjoint_interactions(body: ConvexBody, supports: list[Ball],
                                 samples_per_pair: int = 10_000, seed: int = 0) -> None:
-    """Raise unless the D regions are pairwise disjoint on sampled points."""
-    rng = np.random.default_rng(seed)
-    for i in range(len(supports)):
-        for j in range(len(supports)):
-            if i == j:
-                continue
-            pts = sample_interaction_region(body, supports[i], samples_per_pair, rng)
-            hits = in_interaction_region(body, supports[j], pts)
-            if np.any(hits):
-                raise GeometryError(
-                    f"interaction regions {i} and {j} overlap "
-                    f"({int(np.count_nonzero(hits))} of {samples_per_pair} sampled points)")
+    """Raise unless the regions D = Omega cap (supp - Omega) of a ball body
+    Omega are pairwise disjoint on sampled points; non-ball bodies raise."""
+    check_ball_interactions_disjoint(body, supports, samples_per_pair, seed)
 
 
 def orthogonal_sum_check(body: ConvexBody, symbols: list, supports: list[Ball],
@@ -299,20 +230,19 @@ def orthogonal_sum_check(body: ConvexBody, symbols: list, supports: list[Ball],
     """Singular values of H_{sum phi_i} must equal the sorted multiset union
     of the individual spectra when the interaction regions are disjoint.
 
-    All operators are assembled on the same node cloud, restricted per symbol
-    to its interaction region; entries below SV_FLOOR_REL * sigma_max are
-    ignored in the comparison.
+    The body must be a ball, where the interaction region of a support
+    B(s, R) is exactly the node set within R + rho of s - c.  All operators
+    are assembled on the same node cloud, restricted per symbol to its
+    interaction region; entries below SV_FLOOR_REL * sigma_max are ignored
+    in the comparison.
     """
     check_disjoint_interactions(body, supports, samples_per_pair, seed)
     nodes, _ = grid_nodes_inside(body, spacing)
     union_mask = np.zeros(nodes.shape[0], dtype=bool)
     block_nodes = []
     for supp in supports:
-        if isinstance(body, Ball):
-            reach = body.radius + supp.radius
-            mask = np.linalg.norm(nodes - (supp.center - body.center), axis=1) < reach
-        else:
-            mask = np.ones(nodes.shape[0], dtype=bool)
+        reach = body.radius + supp.radius
+        mask = np.linalg.norm(nodes - (supp.center - body.center), axis=1) < reach
         union_mask |= mask
         block_nodes.append(nodes[mask])
 
@@ -328,7 +258,6 @@ def orthogonal_sum_check(body: ConvexBody, symbols: list, supports: list[Ball],
         parts.append(Hi.significant_singular_values())
         sizes.append(bn.shape[0])
     sv_union = np.sort(np.concatenate(parts))[::-1]
-    k = min(sv_all.size, sv_union.size)
     pad = max(sv_all.size, sv_union.size)
     a = np.zeros(pad)
     b = np.zeros(pad)

@@ -17,10 +17,11 @@ from scipy.signal import fftconvolve
 
 from .calibration import DEFAULT_CALIBRATION
 from .fourier import (
-    ConvergenceError,
     GridFunction,
     GridSpec,
+    _l1_by_doubling,
     bump_profile,
+    scaled_ball_grid,
     smooth_step,
     synthesize_l1,
     synthesize_on_grid,
@@ -86,23 +87,18 @@ def halfline_ratio(ghat_vals: np.ndarray, hhat_vals: np.ndarray, freq_points: in
     numerator = float(np.sum(np.abs(conv) / xs) * h)
 
     spec = GridSpec(lower=[0.0], upper=[1.0], npts=(K,))
-    L = box_halfwidth
-    half_period = 0.5 * K   # spacing 1/K
-    prev = None
-    for _ in range(max_doublings + 1):
-        if L > half_period * (1.0 + 1e-9):
-            raise ConvergenceError("spatial box exceeds the alias half period; "
-                                   "refine the frequency grid")
+    ghat = GridFunction(spec=spec, values=ghat_vals)
+    hhat = GridFunction(spec=spec, values=hhat_vals)
+
+    def box_total(L: float) -> float:
         m = int(math.ceil(2 * L * points_per_unit))
         spatial = GridSpec(lower=[-L], upper=[L], npts=(m,))
-        g = synthesize_on_grid(GridFunction(spec=spec, values=ghat_vals), spatial)
-        hh = synthesize_on_grid(GridFunction(spec=spec, values=hhat_vals), spatial)
-        total = float(np.sum(np.abs(g * hh)) * spatial.weight)
-        if prev is not None and total - prev < rel_tol * total:
-            return numerator / total
-        prev = total
-        L *= 2.0
-    raise ConvergenceError("||g h||_1 did not settle; widen the spatial box")
+        g = synthesize_on_grid(ghat, spatial)
+        hh = synthesize_on_grid(hhat, spatial)
+        return float(np.sum(np.abs(g * hh)) * spatial.weight)
+
+    total, _ = _l1_by_doubling(box_total, box_halfwidth, 0.5 * K, rel_tol, max_doublings)
+    return numerator / total
 
 
 def random_halfline_pair(rng: np.random.Generator, freq_points: int = 400,
@@ -160,18 +156,11 @@ def corner_family_ratio(d: float, t: float, quad_points: int = 160,
         raise GeometryError("corner parameter t must lie in (0, 1)")
     root = math.sqrt(t)
     center = 2.0 * (1.0 - root / 2.0) * np.ones(2)   # doubled Chebyshev center
-    radius = root
-    K = quad_points
-    h = 2.0 / K
-    u = -1.0 + (np.arange(K) + 0.5) * h
-    g1, g2 = np.meshgrid(u, u, indexing="ij")
-    rho = np.sqrt(g1 * g1 + g2 * g2)
-    x1 = center[0] + radius * g1
-    x2 = center[1] + radius * g2
-    w = np.maximum(0.0, 1.0 - np.abs(x1 - 1.0)) * np.maximum(0.0, 1.0 - np.abs(x2 - 1.0))
+    x, rho, cell = scaled_ball_grid(center, root, quad_points)
+    w = np.maximum(0.0, 1.0 - np.abs(x[0] - 1.0)) * np.maximum(0.0, 1.0 - np.abs(x[1] - 1.0))
     vals = bump_profile(rho)
     mask = (vals > 0.0) & (w > OMEGA_FLOOR)
-    numerator = float(np.sum(vals[mask] * w[mask] ** (-d)) * (radius * h) ** 2)
+    numerator = float(np.sum(vals[mask] * w[mask] ** (-d)) * cell)
     if bump_l1 is None:
         bump_l1 = canonical_bump_l1()
     return numerator / bump_l1

@@ -26,9 +26,16 @@ from scipy import integrate
 
 from . import hankel
 from .calibration import DEFAULT_CALIBRATION, CalibrationBlock
-from .fourier import ConvergenceError, GridFunction, GridSpec, bump_profile
-from .geometry import Ball, GeometryError
-from .omega import disc_lens
+from .fourier import (
+    ConvergenceError,
+    GridFunction,
+    GridSpec,
+    _l1_by_doubling,
+    bump_profile,
+    scaled_ball_grid,
+)
+from .geometry import Ball, GeometryError, check_ball_interactions_disjoint
+from .omega import disc_lens, disc_sup_on_ball
 
 
 @dataclass(frozen=True)
@@ -106,7 +113,8 @@ class BumpFamily:
 
 
 def build_bumps(y_list: np.ndarray, eps: float, C: float, C1: float,
-                local_grid_points: int = 33, support_pad: float = 1.05) -> BumpFamily:
+                local_grid_points: int = NehariConfig.local_grid_points,
+                support_pad: float = NehariConfig.support_pad) -> BumpFamily:
     """Plant one bump per boundary point; raises if a support leaves 2 Omega
     or if two supports touch."""
     y = np.atleast_2d(np.asarray(y_list, dtype=float))
@@ -152,8 +160,10 @@ def _phase_sum_at(points: np.ndarray, freq_centers: np.ndarray) -> np.ndarray:
 
 
 def modulated_sum_l1(family: BumpFamily, which: np.ndarray | None = None,
-                     halfwidth_env: float = 8.0, cells: int = 48,
-                     samples_per_cell: int = 16, seed: int = 7,
+                     halfwidth_env: float = NehariConfig.envelope_halfwidth,
+                     cells: int = NehariConfig.envelope_cells,
+                     samples_per_cell: int = NehariConfig.envelope_samples,
+                     seed: int = NehariConfig.seed,
                      rel_tol: float = 0.005, max_doublings: int = 4) -> tuple[float, float]:
     """L1 norm of the synthesized psi = sum_i phi_i by stratified two-scale
     quadrature; returns (integral, tail estimate from the last doubling).
@@ -164,51 +174,38 @@ def modulated_sum_l1(family: BumpFamily, which: np.ndarray | None = None,
     the half period; a finer local grid buys more room.
     """
     centers = family.freq_centers if which is None else family.freq_centers[which]
-    K = family.offsets_axes[0].size
     spacing_u = (family.offsets_axes[0][1] - family.offsets_axes[0][0]) / family.support_radius
-    half_period = 0.5 / spacing_u
     if cells % 2:
         cells += 1
     rng = np.random.default_rng(seed)
-    U = halfwidth_env
     total = 0.0
-    for level in range(max_doublings + 1):
-        if U > half_period * (1.0 + 1e-9):
-            raise ConvergenceError(
-                f"envelope box {U:.1f} exceeds the alias half period {half_period:.1f}; "
-                f"increase local_grid_points (currently {K})")
+    first = True
+
+    def box_total(U: float) -> float:
+        nonlocal total, first
         T = U / family.support_radius
         edges = np.linspace(-T, T, cells + 1)
         cell_w = edges[1] - edges[0]
         lo1, lo2 = np.meshgrid(edges[:-1], edges[:-1], indexing="ij")
         base = np.stack([lo1.ravel(), lo2.ravel()], axis=1)
-        if level > 0:
+        if not first:
             # only the shell outside the previous box; quarters align exactly
             inner = np.all((base >= -T / 2 - 1e-12 * T)
                            & (base + cell_w <= T / 2 + 1e-12 * T), axis=1)
             base = base[~inner]
+        first = False
         pts = (np.repeat(base, samples_per_cell, axis=0)
                + rng.uniform(0.0, cell_w, size=(base.shape[0] * samples_per_cell, 2)))
         vals = np.abs(_envelope_at(pts, family) * _phase_sum_at(pts, centers))
-        piece = float(vals.mean() * base.shape[0] * cell_w ** 2)
-        total += piece
-        if level > 0 and piece < rel_tol * total:
-            return total, piece
-        U *= 2.0
-    raise ConvergenceError(
-        f"two-scale L1 did not settle within {max_doublings} doublings (last {total:.6g})")
+        total += float(vals.mean() * base.shape[0] * cell_w ** 2)
+        return total
+
+    return _l1_by_doubling(box_total, halfwidth_env, 0.5 / spacing_u, rel_tol, max_doublings)
 
 
 # ---------------------------------------------------------------------------
 # the Eq.-style ratio and the sweep
 # ---------------------------------------------------------------------------
-
-def reference_bump_l2sq() -> float:
-    """||phi||_2^2 over the unit ball in the plane, 2 pi int_0^1 phi(s)^2 s ds."""
-    val, _ = integrate.quad(lambda s: bump_profile(s) ** 2 * s, 0.0, 1.0,
-                            epsabs=1e-13, epsrel=1e-12)
-    return 2.0 * math.pi * val
-
 
 def reference_bump_power_integral(power: float) -> float:
     """int_{B(0,1)} phi(|u|)^power du for the unit-scale bump."""
@@ -218,72 +215,30 @@ def reference_bump_power_integral(power: float) -> float:
 
 
 def bump_sup_omega(family: BumpFamily) -> float:
-    """Exact sup of the disc autocorrelation over a bump support: w is radial
-    and decreasing, so the sup sits at the inner edge of the support ball."""
-    smin = float(np.linalg.norm(family.freq_centers[0])) - family.support_radius
-    return float(disc_lens(np.array([smin]))[0])
+    """Exact sup of the disc autocorrelation over a bump support."""
+    return disc_sup_on_ball(float(np.linalg.norm(family.freq_centers[0])),
+                            family.support_radius)
 
 
-def denominator_term(family: BumpFamily, p: float, pts_per_axis: int = 128) -> float:
+def denominator_term(family: BumpFamily, p: float,
+                     pts_per_axis: int = NehariConfig.denominator_pts) -> float:
     """||phihat_1 w^(1/p)||_{p'}^p by midpoint quadrature on the local grid,
     with the closed-form disc autocorrelation as the weight."""
     pc = hankel.conjugate_exponent(p)
-    K = pts_per_axis
-    R = family.support_radius
-    h = 2.0 / K
-    u = -1.0 + (np.arange(K) + 0.5) * h
-    g1, g2 = np.meshgrid(u, u, indexing="ij")
-    rho = np.sqrt(g1 * g1 + g2 * g2)
-    x = family.freq_centers[0][:, None, None] + R * np.stack([g1, g2])
+    x, rho, cell = scaled_ball_grid(family.freq_centers[0], family.support_radius,
+                                    pts_per_axis)
     w = disc_lens(np.linalg.norm(x, axis=0))
     integrand = bump_profile(rho) ** pc * w ** (pc / p)
-    inner = float(np.sum(integrand) * (R * h) ** 2)
+    inner = float(np.sum(integrand) * cell)
     return inner ** (p / pc)
-
-
-def sample_interaction_lens(family: BumpFamily, i: int, count: int,
-                            rng: np.random.Generator) -> np.ndarray:
-    """Uniform points of D_i = {z : |z| < 1, |z - 2x_i| < 1 + 2r}.
-
-    The lens is boxed exactly from the two-circle geometry (radial extent
-    [s - R, 1], angular extent the circle crossing), so rejection stays
-    cheap however small the bumps get."""
-    s = float(np.linalg.norm(family.freq_centers[i]))
-    R = 1.0 + family.support_radius
-    cos_cross = np.clip((1.0 + s * s - R * R) / (2.0 * s), -1.0, 1.0)
-    half_width = math.sqrt(max(1.0 - cos_cross * cos_cross, 0.0))
-    x_lo, x_hi = s - R, 1.0
-    e = family.freq_centers[i] / s
-    perp = np.array([-e[1], e[0]])
-    out = []
-    need = count
-    while need > 0:
-        m = 4 * need
-        xs = rng.uniform(x_lo, x_hi, size=m)
-        ys = rng.uniform(-half_width, half_width, size=m)
-        z = xs[:, None] * e + ys[:, None] * perp
-        keep = (np.linalg.norm(z, axis=1) < 1.0) \
-            & (np.linalg.norm(z - family.freq_centers[i], axis=1) < R)
-        z = z[keep][:need]
-        out.append(z)
-        need -= z.shape[0]
-    return np.concatenate(out)
 
 
 def check_interaction_disjointness(family: BumpFamily, samples_per_pair: int = 10_000,
                                    seed: int = 0) -> None:
-    """Sample each D_i = Omega cap (supp_i - Omega) and verify no point lands
-    in any other D_j; membership is exact on the disc."""
-    rng = np.random.default_rng(seed)
-    reach = 1.0 + family.support_radius
-    for i in range(family.count):
-        pts = sample_interaction_lens(family, i, samples_per_pair, rng)
-        d = np.linalg.norm(pts[:, None, :] - family.freq_centers[None, :, :], axis=2)
-        hit = d < reach
-        hit[:, i] = False
-        if np.any(hit):
-            j = int(np.argmax(hit.any(axis=0)))
-            raise GeometryError(f"interaction regions {i} and {j} overlap on samples")
+    """Sample each D_i = Omega cap (supp_i - Omega) on the unit disc and
+    verify no point lands in any other D_j; membership is exact."""
+    check_ball_interactions_disjoint(Ball(np.zeros(2), 1.0), family.supports(),
+                                     samples_per_pair, seed)
 
 
 @dataclass
@@ -321,7 +276,7 @@ def eq5_ratio(config: NehariConfig, eps: float, check_disjointness: bool = True,
     N = family.count
     if check_disjointness:
         check_interaction_disjointness(family, seed=config.seed)
-    numerator = N * family.support_radius ** 2 * reference_bump_l2sq()
+    numerator = N * family.support_radius ** 2 * reference_bump_power_integral(2)
     psi_l1, tail = modulated_sum_l1(
         family, halfwidth_env=config.envelope_halfwidth, cells=config.envelope_cells,
         samples_per_cell=config.envelope_samples, seed=config.seed)

@@ -16,6 +16,7 @@ from scipy import integrate
 from scipy.special import betainc, gamma
 
 from . import geometry
+from .fourier import GridSpec
 from .geometry import (
     AffineImage,
     Ball,
@@ -66,6 +67,13 @@ def disc_lens(s):
     si = np.clip(s[inside], 0.0, 2.0)
     out[inside] = 2.0 * np.arccos(si / 2.0) - (si / 2.0) * np.sqrt(4.0 - si * si)
     return out
+
+
+def disc_sup_on_ball(center_norm: float, radius: float) -> float:
+    """Exact sup of the unit-disc autocorrelation over a ball B(c, radius)
+    with |c| = center_norm: w is radial and decreasing, so the sup sits at
+    the point of the ball closest to the origin."""
+    return float(disc_lens(np.array([center_norm - radius]))[0])
 
 
 def unit_ball_omega_batch(n: int, s: np.ndarray) -> np.ndarray:
@@ -144,10 +152,13 @@ def omega_mc(body: ConvexBody, x, samples: int, seed: int) -> tuple[float, float
 class OmegaEvaluator:
     """Dispatches to the fastest exact autocorrelation path for a body.
 
-    Balls use the slice formula (the closed-form lens in the plane), products
-    multiply factor evaluators, polytopes in dim <= 3 use exact intersection
-    volumes, and affine images pull back through the covariance rule
-    w_{A Omega + v}(x) = |det A| w_Omega(A^{-1}(x - 2v)).
+    Balls use the closed form (the incomplete-beta slice integral, the lens
+    expression in the plane), products multiply factor evaluators, polytopes
+    in dim <= 3 use exact intersection volumes of their H-form, and affine
+    images pull back through the covariance rule
+    w_{A Omega + v}(x) = |det A| w_Omega(A^{-1}(x - 2v)).  The scalar call
+    evaluates a batch of one, so every path has a single dispatch; omega_ball,
+    the adaptive slice quadrature, stays separate as the ball path's oracle.
     """
 
     def __init__(self, body: ConvexBody, mc_samples: int = 200_000, mc_seed: int = 0):
@@ -171,36 +182,17 @@ class OmegaEvaluator:
                 return "exact_affine"
             return "monte_carlo"
         if isinstance(body, (HPolytope, VPolytope)) and body.dim <= 3:
+            self._hform = body if isinstance(body, HPolytope) else geometry.to_hpolytope(body)
             return "exact_polytope"
         return "monte_carlo"
 
-    # -- scalar ----------------------------------------------------------
-
     def __call__(self, x) -> float:
         x = np.asarray(x, dtype=float).reshape(-1)
-        if self.mode == "exact_ball":
-            b: Ball = self.body
-            return omega_ball(b.dim, b.radius, x - 2.0 * b.center)
-        if self.mode == "exact_product":
-            val, k = 1.0, 0
-            for f in self._factors:
-                val *= f(x[k:k + f.body.dim])
-                k += f.body.dim
-            return val
-        if self.mode == "exact_affine":
-            a: AffineImage = self.body
-            u = np.linalg.solve(a.matrix, x - 2.0 * a.shift)
-            return abs(np.linalg.det(a.matrix)) * self._base(u)
-        if self.mode == "exact_polytope":
-            h = self.body if isinstance(self.body, HPolytope) else geometry.to_hpolytope(self.body)
-            return omega_polytope_exact(h, x)
-        return omega_mc(self.body, x, self.mc_samples, self.mc_seed)[0]
-
-    # -- vectorized ------------------------------------------------------
+        return float(self.batch(x[None])[0])
 
     def batch(self, pts: np.ndarray) -> np.ndarray:
-        """Evaluate on an (m, dim) array; vectorized for balls, boxes,
-        products and affine images of those, pointwise otherwise."""
+        """Evaluate on an (m, dim) array; vectorized for balls, products and
+        affine images of those, pointwise for polytopes and Monte Carlo."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.mode == "exact_ball":
             b: Ball = self.body
@@ -216,7 +208,10 @@ class OmegaEvaluator:
             a: AffineImage = self.body
             u = np.linalg.solve(a.matrix, (pts - 2.0 * a.shift).T).T
             return abs(np.linalg.det(a.matrix)) * self._base.batch(u)
-        return np.array([self(p) for p in pts])
+        if self.mode == "exact_polytope":
+            return np.array([omega_polytope_exact(self._hform, p) for p in pts])
+        return np.array([omega_mc(self.body, p, self.mc_samples, self.mc_seed)[0]
+                         for p in pts])
 
     def support_box(self) -> tuple[np.ndarray, np.ndarray]:
         """Inflated bounding box of 2 Omega, the support of the function."""
@@ -224,19 +219,24 @@ class OmegaEvaluator:
         c, half = lo + hi, (hi - lo) * BOX_INFLATION
         return c - half, c + half
 
+    def support_grid(self, per_axis: int) -> tuple[np.ndarray, float, np.ndarray]:
+        """Midpoint nodes of the support box with per_axis cells a side, the
+        cell weight, and w at the nodes."""
+        lo, hi = self.support_box()
+        spec = GridSpec(lower=lo, upper=hi, npts=(per_axis,) * self.body.dim)
+        nodes = spec.nodes()
+        return nodes, spec.weight, self.batch(nodes)
+
     def body_measure(self) -> float:
-        """m(Omega) = w(2 * centroid-ish peak) upper bound via w at twice any
-        center; computed as the integral-free maximum for known bodies."""
+        """m(Omega), an upper bound of w, for bodies with an exact mode."""
         if isinstance(self.body, Ball):
             return unit_ball_volume(self.body.dim) * self.body.radius ** self.body.dim
         if self.mode == "exact_polytope":
-            h = self.body if isinstance(self.body, HPolytope) else geometry.to_hpolytope(self.body)
-            return geometry.polytope_volume(h)
+            return geometry.polytope_volume(self._hform)
         if self.mode == "exact_product":
             return float(np.prod([f.body_measure() for f in self._factors]))
         if self.mode == "exact_affine":
             return abs(np.linalg.det(self.body.matrix)) * self._base.body_measure()
-        est, _ = omega_mc(self.body, 2.0 * np.zeros(self.body.dim), 1, 0)
         raise GeometryError("no exact measure for this body")
 
 
@@ -308,16 +308,9 @@ def omega_inverse_integral(body: ConvexBody, d: float, levels: int = 3,
     stabilize at a resolvable floor.  The caller inspects the sequence.
     """
     ev = OmegaEvaluator(body)
-    lo, hi = ev.support_box()
     values = []
     for level in range(levels):
-        m = base_per_axis * 2 ** level
-        axes = [lo[i] + (np.arange(m) + 0.5) * (hi[i] - lo[i]) / m
-                for i in range(body.dim)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        w = ev.batch(pts)
-        cell = float(np.prod((hi - lo) / m))
+        _, cell, w = ev.support_grid(base_per_axis * 2 ** level)
         keep = w > floor
         values.append(float(np.sum(w[keep] ** (-d)) * cell))
     return values

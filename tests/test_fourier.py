@@ -142,6 +142,14 @@ class TestSynthesis:
             synthesize_l1(tent, box_halfwidth=0.25, max_doublings=1)
 
 
+    def test_alias_half_period_raises(self):
+        # spacing 0.2 puts the alias half period at 2.5, inside the box
+        spec = GridSpec(lower=[-1.0], upper=[1.0], npts=(10,))
+        tent = GridFunction.from_function(spec, lambda p: np.maximum(0, 1 - np.abs(p[:, 0])))
+        with pytest.raises(ConvergenceError, match="alias half period"):
+            synthesize_l1(tent, box_halfwidth=4.0)
+
+
 class TestDilation:
     def test_identity_limit(self):
         spec = GridSpec(lower=[-1.0], upper=[1.0], npts=(100,))

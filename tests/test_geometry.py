@@ -15,9 +15,11 @@ from pwlab.geometry import (
     body_to_json,
     box,
     chebyshev_ball,
+    check_ball_interactions_disjoint,
     disc_containment_check,
     polar_dual,
     pyramid_ball_check,
+    sample_ball_lens,
     solve_certificate,
     support_cone,
     to_hpolytope,
@@ -25,6 +27,7 @@ from pwlab.geometry import (
     vertex_enumerate,
 )
 from pwlab.calibration import DEFAULT_CALIBRATION
+from pwlab.nehari import build_bumps, pack_boundary_disc
 
 
 class TestMembership:
@@ -263,3 +266,67 @@ class TestJsonSchema:
         doc = json.loads(body_to_json(right_triangle))
         assert doc["dim"] == 2
         assert set(doc["halfspaces"][0]) == {"normal", "offset"}
+
+
+def rejection_lens(a, b, count, rng):
+    """Plain rejection from the overlap of the two balls' bounding boxes."""
+    lo = np.maximum(a.center - a.radius, b.center - b.radius)
+    hi = np.minimum(a.center + a.radius, b.center + b.radius)
+    out = np.empty((0, a.dim))
+    while out.shape[0] < count:
+        z = rng.uniform(lo, hi, size=(8 * count, a.dim))
+        out = np.vstack([out, z[a.contains_batch(z) & b.contains_batch(z)]])
+    return out[:count]
+
+
+def thin_boundary_lens():
+    eps = 0.05
+    cal = DEFAULT_CALIBRATION
+    fam = build_bumps(pack_boundary_disc(eps), eps, cal.containment_c, cal.bump_c1)
+    s = fam.supports()[0]
+    return Ball([0.0, 0.0], 1.0), Ball(s.center, s.radius + 1.0)
+
+
+class TestBallLens:
+    @pytest.mark.parametrize("a, b", [
+        thin_boundary_lens(),
+        # the lens holds the centre of a, so its widest section is a's own
+        (Ball([0.3, -0.2], 1.0), Ball([1.1, 0.3], 1.6)),
+        (Ball([0.0, 0.0, 0.2], 1.0), Ball([0.9, -0.6, 0.7], 0.8)),
+    ], ids=["thin-boundary", "contains-centre", "3d"])
+    def test_matches_plain_rejection(self, a, b):
+        count = 20_000
+        lens = sample_ball_lens(a, b, count, np.random.default_rng(31))
+        ref = rejection_lens(a, b, count, np.random.default_rng(32))
+        assert lens.shape == (count, a.dim)
+        assert np.all(a.contains_batch(lens) & b.contains_batch(lens))
+        mid = 0.5 * (ref.min(axis=0) + ref.max(axis=0))
+        for stat in (lambda z: z, lambda z: (z - mid) ** 2):
+            u, v = stat(lens), stat(ref)
+            se = np.sqrt(u.var(axis=0) / count + v.var(axis=0) / count)
+            assert np.all(np.abs(u.mean(axis=0) - v.mean(axis=0)) <= 3.0 * se)
+
+    def test_empty_lens_gives_no_points(self):
+        pts = sample_ball_lens(Ball([0.0, 0.0], 1.0), Ball([3.1, 0.0], 2.1), 100,
+                               np.random.default_rng(0))
+        assert pts.shape == (0, 2)
+
+    def test_rejection_rounds_capped(self):
+        class EdgeOnly:
+            # every draw lands on the lens's far face, outside the open balls
+            def uniform(self, lo, hi, size):
+                return np.full(size, hi, dtype=float)
+
+        with pytest.raises(GeometryError, match="rejection rounds"):
+            sample_ball_lens(Ball([0.0, 0.0], 1.0), Ball([1.5, 0.0], 1.0), 10, EdgeOnly())
+
+    def test_disjoint_and_overlapping_regions(self):
+        body = Ball([0.0, 0.0], 1.0)
+        apart = [Ball([1.8, 0.0], 0.1), Ball([-1.8, 0.0], 0.1)]
+        check_ball_interactions_disjoint(body, apart, 1000, seed=0)
+        with pytest.raises(GeometryError, match="overlap"):
+            check_ball_interactions_disjoint(body, [apart[0], apart[0]], 1000, seed=0)
+
+    def test_non_ball_body_rejected(self):
+        with pytest.raises(GeometryError, match="ball bodies"):
+            check_ball_interactions_disjoint(unit_box(2), [Ball([1.8, 0.0], 0.1)], 10, seed=0)

@@ -167,6 +167,17 @@ class TestOrthogonalSum:
                 spacing=0.04)
 
 
+    def test_empty_interaction_region(self, disc):
+        # the first support is too far for its region to meet the disc
+        hankel.check_disjoint_interactions(
+            disc, [Ball([5.0, 0.0], 0.1), Ball([-1.9, 0.0], 0.05)], 1000)
+
+    def test_non_ball_body_rejected_at_entry(self):
+        with pytest.raises(GeometryError, match="ball bodies"):
+            orthogonal_sum_check(unit_box(2), [centered_bump([1.8, 1.0], 0.1)],
+                                 [Ball([1.8, 1.0], 0.1)], spacing=0.1)
+
+
 class TestSymbolBound:
     def test_bump_symbol(self, disc):
         # phihat >= 0 means sup|phi| = phi(0) = integral of phihat

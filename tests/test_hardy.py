@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pwlab.fourier import ConvergenceError
 from pwlab.geometry import Ball, GeometryError, unit_box
 from pwlab.hardy import (
     adjusted_integrability_report,
@@ -56,6 +57,13 @@ class TestHalflineRatio:
         val = halfline_ratio(g, h, freq_points=g.size, box_halfwidth=64.0,
                              max_doublings=7)
         assert 2.0 <= val <= math.pi * 1.02
+
+
+    def test_alias_half_period_raises(self, rng):
+        # 40 samples on (0, 1) alias beyond |t| = 20, inside the first box
+        g, h = random_halfline_pair(rng, freq_points=40)
+        with pytest.raises(ConvergenceError, match="alias half period"):
+            halfline_ratio(g, h, freq_points=40, box_halfwidth=32.0)
 
 
 class TestCornerFamily:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pwlab.calibration import DEFAULT_CALIBRATION
-from pwlab.fourier import synthesize_l1
+from pwlab.fourier import ConvergenceError, synthesize_l1
 from pwlab.geometry import GeometryError
 from pwlab.nehari import (
     BumpFamily,
@@ -15,7 +15,7 @@ from pwlab.nehari import (
     eq5_ratio,
     modulated_sum_l1,
     pack_boundary_disc,
-    reference_bump_l2sq,
+    reference_bump_power_integral,
     sweep_and_fit,
 )
 
@@ -97,6 +97,13 @@ class TestTwoScaleIntegral:
                                   points_per_unit=0.25 / fam.support_radius)
         assert abs(two_scale - direct) < 0.02 * direct
 
+    def test_alias_half_period_raises(self):
+        # a 9-point local grid aliases at about 2.1 envelope units, inside the box
+        fam = build_bumps(pack_boundary_disc(0.4), 0.4, CAL.containment_c,
+                          CAL.bump_c1, local_grid_points=9)
+        with pytest.raises(ConvergenceError, match="alias half period"):
+            modulated_sum_l1(fam)
+
     def test_seed_determinism(self):
         cfg = NehariConfig(p=6.0)
         fam = build_bumps(pack_boundary_disc(0.4), 0.4, CAL.containment_c,
@@ -120,7 +127,7 @@ class TestRatioRow:
         cfg = NehariConfig(p=6.0)
         row = eq5_ratio(cfg, 0.3, check_disjointness=False)
         r = CAL.bump_c1 * 0.3 ** 2
-        assert abs(row.numerator - row.N * (2 * r) ** 2 * reference_bump_l2sq()) < 1e-12
+        assert abs(row.numerator - row.N * (2 * r) ** 2 * reference_bump_power_integral(2)) < 1e-12
 
     def test_triangle_inequality(self):
         cfg = NehariConfig(p=6.0)
@@ -135,7 +142,7 @@ class TestRatioRow:
         cfg = NehariConfig(p=6.0)
         fam = build_bumps(pack_boundary_disc(0.3), 0.3, CAL.containment_c,
                           CAL.bump_c1, cfg.local_grid_points)
-        from pwlab.nehari import bump_sup_omega, reference_bump_power_integral
+        from pwlab.nehari import bump_sup_omega
         term = denominator_term(fam, 6.0)
         pc = 1.2
         v = fam.support_radius ** 2 * reference_bump_power_integral(pc)
@@ -152,7 +159,7 @@ class TestRatioRow:
                                      cells=cfg.envelope_cells,
                                      samples_per_cell=cfg.envelope_samples)
             term = denominator_term(fam, 6.0, cfg.denominator_pts)
-            num = fam.support_radius ** 2 * reference_bump_l2sq()
+            num = fam.support_radius ** 2 * reference_bump_power_integral(2)
             vals.append(num / (l1 * term ** (1 / 6.0)))
         assert abs(vals[0] - vals[1]) < 0.01 * max(vals)
 

@@ -137,6 +137,21 @@ class TestEvaluator:
         assert np.allclose(ev.batch(c2 + u), ev.batch(c2 - u), atol=1e-9)
 
 
+    @pytest.mark.parametrize("body", [
+        Ball(np.array([0.3, -0.1]), 0.8),
+        geometry.box([0.0, -1.0], [2.0, 0.5]),
+        Product((Ball([0.5], 0.5), Ball([0.2, 0.1], 0.7))),
+        AffineImage(base=Ball(np.zeros(2), 1.0), matrix=np.array([[1.5, 0.3], [0.0, 0.8]]),
+                    shift=np.array([0.4, -0.2])),
+        geometry.VPolytope([[0.0, 0.0], [1.0, 0.0], [0.2, 0.9]]),
+    ], ids=["ball", "box", "product", "affine", "vpolytope"])
+    def test_scalar_equals_batch(self, body, rng):
+        ev = OmegaEvaluator(body)
+        lo, hi = ev.support_box()
+        for x in rng.uniform(lo, hi, size=(5, body.dim)):
+            assert ev(x) == pytest.approx(ev.batch(x[None])[0], rel=1e-12, abs=1e-15)
+
+
 class TestSublevel:
     def test_interval_exponent_exact_tent(self):
         # m({tent < t}) = 2t exactly, so the fitted slope must be 1
