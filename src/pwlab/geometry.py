@@ -574,6 +574,12 @@ def chebyshev_ball(h: HPolytope) -> tuple[np.ndarray, float]:
 # boundary containment sampler (disc geometry)
 # ---------------------------------------------------------------------------
 
+# Rejection rounds the containment sampler may take before it gives up.  A
+# round draws up to 10^6 points and keeps about pi/4 of them in the plane, so
+# the cap admits some 5 * 10^7 samples per call there.
+CONTAINMENT_MAX_ROUNDS = 64
+
+
 def disc_containment_check(C: float, eps: float, samples: int, seed: int,
                            dim: int = 2) -> int:
     """Count sampled violations of the shrinking-disc containment
@@ -583,6 +589,8 @@ def disc_containment_check(C: float, eps: float, samples: int, seed: int,
     at x = (1, 0, ..., 0).  The Minkowski combination on the left is the open
     ball B(2(1-C eps^2) x, 1 + 2C eps^2); points are drawn uniformly from it
     by rejection from its bounding box.  Returns the violation count.
+    Raises GeometryError if CONTAINMENT_MAX_ROUNDS rounds do not yield
+    `samples` points.
     """
     if C <= 0 or not (0 < eps < 1):
         raise GeometryError("need C > 0 and eps in (0,1)")
@@ -594,7 +602,12 @@ def disc_containment_check(C: float, eps: float, samples: int, seed: int,
     rng = np.random.default_rng(seed)
     violations = 0
     remaining = samples
+    rounds = 0
     while remaining > 0:
+        if rounds == CONTAINMENT_MAX_ROUNDS:
+            raise GeometryError(f"containment sampler drew only {samples - remaining} of "
+                                f"{samples} points in {CONTAINMENT_MAX_ROUNDS} rejection rounds")
+        rounds += 1
         batch = min(4 * remaining, 1_000_000)
         pts = rng.uniform(center - radius, center + radius, size=(batch, dim))
         inside = pts[np.linalg.norm(pts - center, axis=1) < radius]
@@ -660,7 +673,9 @@ def check_ball_interactions_disjoint(body: ConvexBody, supports: list[Ball],
 
     For a ball body B(c, rho) and a support B(s, R), supp - body is the ball
     B(s - c, R + rho), so each D_i is a two-ball lens and membership in D_j
-    is exact; every draw is tested against all other supports at once.
+    is exact.  Only the supports whose reach ball comes within its radius
+    (times 1 + 1e-9, against rounding) of the bounding box of D_i's draws can
+    hold one of them, so the exact test runs on those candidates alone.
     """
     if not isinstance(body, Ball):
         raise GeometryError("interaction regions are computed for ball bodies only")
@@ -670,13 +685,20 @@ def check_ball_interactions_disjoint(body: ConvexBody, supports: list[Ball],
     rng = np.random.default_rng(seed)
     for i, reach in enumerate(reaches):
         pts = sample_ball_lens(body, reach, samples, rng)
-        hit = np.linalg.norm(pts[:, None, :] - centers[None, :, :], axis=2) < radii
-        hit[:, i] = False
+        if pts.shape[0] == 0:
+            continue
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        gap = np.linalg.norm(np.maximum(lo - centers, 0.0) + np.maximum(centers - hi, 0.0),
+                             axis=1)
+        near = gap < radii * (1.0 + 1e-9)
+        near[i] = False
+        cand = np.flatnonzero(near)
+        hit = np.linalg.norm(pts[:, None, :] - centers[None, cand, :], axis=2) < radii[cand]
         if np.any(hit):
-            j = int(np.argmax(hit.any(axis=0)))
+            k = int(np.argmax(hit.any(axis=0)))
             raise GeometryError(
-                f"interaction regions {i} and {j} overlap "
-                f"({int(np.count_nonzero(hit[:, j]))} of {samples} sampled points)")
+                f"interaction regions {i} and {int(cand[k])} overlap "
+                f"({int(np.count_nonzero(hit[:, k]))} of {samples} sampled points)")
 
 
 # ---------------------------------------------------------------------------

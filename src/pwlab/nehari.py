@@ -14,6 +14,12 @@ center 2 x_i, so the synthesized sum factors exactly as psi(t) = E(t) S(t)
 with a common envelope E and the phase sum S(t) = sum_i e^{2 pi i <2 x_i, t>}.
 The L1 norm is integrated by a two-scale rule: midpoint cells on the envelope
 scale, seeded uniform samples inside each cell for the oscillatory |S|.
+
+Both factors are evaluated in real arithmetic.  The local offsets are
+symmetric and the bump is even in each axis, so E is a real cosine sum over
+the non-negative half of the offset grid (off-centre offsets weighted by 2):
+two cosine matrices and one real matrix product.  S is the cosine sum plus i
+times the sine sum of one real phase matrix 2 pi t . 2 x_i.
 """
 
 from __future__ import annotations
@@ -148,15 +154,32 @@ def build_bumps(y_list: np.ndarray, eps: float, C: float, C1: float,
 # ---------------------------------------------------------------------------
 
 def _envelope_at(points: np.ndarray, family: BumpFamily) -> np.ndarray:
-    """E(t) = sum_k v_k e^{2 pi i <xi_k, t>} * h^n at an (m, 2) array of t."""
-    a1 = np.exp(2j * np.pi * np.outer(points[:, 0], family.offsets_axes[0]))
-    a2 = np.exp(2j * np.pi * np.outer(points[:, 1], family.offsets_axes[1]))
-    return np.einsum("pi,ij,pj->p", a1, family.values.astype(complex), a2,
-                     optimize=True) * family.local_weight
+    """E(t) = sum_k v_k e^{2 pi i <xi_k, t>} * h^n at an (m, 2) array of t.
+
+    The offsets are symmetric and the bump is even in each axis, so E is the
+    real sum of v_kl cos(2 pi t_1 xi_k) cos(2 pi t_2 xi_l) over the
+    non-negative offsets, each off-centre offset weighted by 2.
+    """
+    K = family.offsets_axes[0].size
+    half = slice(K // 2, None)
+    w = np.full(K - K // 2, 2.0)
+    if K % 2:
+        w[0] = 1.0                                  # the centre offset is its own mirror
+    c1 = np.cos(2.0 * np.pi * np.outer(points[:, 0], family.offsets_axes[0][half]))
+    c2 = np.cos(2.0 * np.pi * np.outer(points[:, 1], family.offsets_axes[1][half]))
+    v = w[:, None] * family.values[half, half] * w[None, :]
+    return np.einsum("pj,pj->p", c1 @ v, c2) * family.local_weight
 
 
 def _phase_sum_at(points: np.ndarray, freq_centers: np.ndarray) -> np.ndarray:
-    return np.exp(2j * np.pi * points @ freq_centers.T).sum(axis=1)
+    """S(t) = sum_i e^{2 pi i <c_i, t>} from the cosines and sines of one
+    real phase matrix.
+
+    Scaling the points by 2 pi before the product rounds the phases exactly
+    as the complex form exp((2 pi i t) @ c^T) does.
+    """
+    ph = (2.0 * np.pi * points) @ freq_centers.T
+    return np.cos(ph).sum(axis=1) + 1j * np.sin(ph).sum(axis=1)
 
 
 def modulated_sum_l1(family: BumpFamily, which: np.ndarray | None = None,

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pwlab
 from pwlab.cli import builtin_body, run
 from pwlab.geometry import GeometryError
 
@@ -60,6 +65,19 @@ class TestReports:
         doc = json.loads(a.read_text())
         assert len(doc["rows"]) == 4
         assert "log_ratio_vs_log_N_slope" in doc
+
+    def test_nehari_report_independent_of_blas_threads(self, tmp_path):
+        src = str(Path(pwlab.__file__).resolve().parents[1])
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.json"
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-m", "pwlab.cli", "nehari-sweep", "--p", "6",
+                            "--eps", "0.4,0.3,0.2,0.15", "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=600)
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_hardy_tent_report(self, tmp_path, capsys):
         out = tmp_path / "tent.json"

@@ -206,6 +206,22 @@ class TestDiscContainment:
         C = DEFAULT_CALIBRATION.containment_c * 2
         assert disc_containment_check(C, 0.1, 10 ** 6, seed=5) > 0
 
+    def test_rejection_rounds_capped(self, monkeypatch):
+        # 10^6 samples take two rounds of at most 10^6 draws each
+        C = DEFAULT_CALIBRATION.containment_c * 2
+        uncapped = disc_containment_check(C, 0.1, 10 ** 6, seed=5)
+        monkeypatch.setattr(geometry, "CONTAINMENT_MAX_ROUNDS", 2)
+        assert disc_containment_check(C, 0.1, 10 ** 6, seed=5) == uncapped
+        monkeypatch.setattr(geometry, "CONTAINMENT_MAX_ROUNDS", 1)
+        with pytest.raises(GeometryError, match="rejection rounds"):
+            disc_containment_check(C, 0.1, 10 ** 6, seed=5)
+
+    def test_high_dimension_stops(self):
+        # the ball fills about 2.5e-8 of its bounding box in dimension 20
+        C = DEFAULT_CALIBRATION.containment_c
+        with pytest.raises(GeometryError, match="rejection rounds"):
+            disc_containment_check(C, 0.1, 100, seed=5, dim=20)
+
 
 class TestCertificates:
     def test_two_by_two_anchor(self):
@@ -330,3 +346,68 @@ class TestBallLens:
     def test_non_ball_body_rejected(self):
         with pytest.raises(GeometryError, match="ball bodies"):
             check_ball_interactions_disjoint(unit_box(2), [Ball([1.8, 0.0], 0.1)], 10, seed=0)
+
+
+def all_pairs_disjoint(body, supports, samples, seed):
+    """Reference check: every draw of each lens against every other reach ball."""
+    reaches = [Ball(s.center - body.center, s.radius + body.radius) for s in supports]
+    centers = np.array([r.center for r in reaches])
+    radii = np.array([r.radius for r in reaches])
+    rng = np.random.default_rng(seed)
+    for i, reach in enumerate(reaches):
+        pts = sample_ball_lens(body, reach, samples, rng)
+        hit = np.linalg.norm(pts[:, None, :] - centers[None, :, :], axis=2) < radii
+        hit[:, i] = False
+        if np.any(hit):
+            j = int(np.argmax(hit.any(axis=0)))
+            raise GeometryError(
+                f"interaction regions {i} and {j} overlap "
+                f"({int(np.count_nonzero(hit[:, j]))} of {samples} sampled points)")
+
+
+def disjointness_outcome(check, supports, samples):
+    try:
+        check(Ball([0.0, 0.0], 1.0), supports, samples, 0)
+    except GeometryError as err:
+        return str(err)
+    return None
+
+
+class TestPrunedDisjointness:
+    # on the unit disc: FAR sits opposite the others, WIDE's lens covers most
+    # of the disc, TINY's is a sliver at (1, 0) inside WIDE's and NEAR's,
+    # and TURNED's lens overlaps NEAR's
+    FAR = Ball([-1.8, 0.0], 0.1)
+    WIDE = Ball([0.5, 0.0], 0.1)
+    TINY = Ball([1.99, 0.0], 0.005)
+    NEAR = Ball([1.8, 0.0], 0.1)
+    TURNED = Ball([1.8 * math.cos(0.5), 1.8 * math.sin(0.5)], 0.1)
+
+    @pytest.mark.parametrize("supports, samples, pair", [
+        ([FAR, WIDE, TINY], 200, "2 and 1"),
+        ([FAR, NEAR, TURNED, TINY], 1000, "1 and 2"),
+        ([NEAR, FAR, TURNED], 1000, "0 and 2"),
+    ], ids=["j-below-i", "j-above-i-two-candidates", "j-above-i-skipping-one"])
+    def test_overlap_message_matches_all_pairs(self, supports, samples, pair):
+        msg = disjointness_outcome(check_ball_interactions_disjoint, supports, samples)
+        assert msg == disjointness_outcome(all_pairs_disjoint, supports, samples)
+        assert msg.startswith(f"interaction regions {pair} overlap")
+
+    def test_ball_touching_draw_box_without_hits(self):
+        # a reach ball of radius 1.1 over the outer corner of NEAR's draw box
+        touch = Ball([1.0 + 1.05 / math.sqrt(2), 0.54 + 1.05 / math.sqrt(2)], 0.1)
+        pts = sample_ball_lens(Ball([0.0, 0.0], 1.0), Ball(self.NEAR.center, 1.1), 1000,
+                               np.random.default_rng(0))
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        gap = np.linalg.norm(np.maximum(lo - touch.center, 0.0)
+                             + np.maximum(touch.center - hi, 0.0))
+        assert gap < 1.1 <= np.linalg.norm(pts - touch.center, axis=1).min()
+        supports = [self.NEAR, touch]
+        assert disjointness_outcome(check_ball_interactions_disjoint, supports, 1000) is None
+        assert disjointness_outcome(all_pairs_disjoint, supports, 1000) is None
+
+    def test_empty_lens_passes(self):
+        # B(0,1) cap B((3,0), 1.1) is empty
+        supports = [Ball([3.0, 0.0], 0.1), self.NEAR, self.FAR]
+        assert disjointness_outcome(check_ball_interactions_disjoint, supports, 1000) is None
+        assert disjointness_outcome(all_pairs_disjoint, supports, 1000) is None

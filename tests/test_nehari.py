@@ -9,6 +9,8 @@ from pwlab.geometry import GeometryError
 from pwlab.nehari import (
     BumpFamily,
     NehariConfig,
+    _envelope_at,
+    _phase_sum_at,
     build_bumps,
     check_interaction_disjointness,
     denominator_term,
@@ -85,6 +87,49 @@ class TestBumpFamily:
         with pytest.raises(GeometryError):
             build_bumps(pack_boundary_disc(0.3), 0.3, containment_c := 0.0001,
                         2.0)  # huge C1 pushes supports past 2 Omega
+
+
+def envelope_oracle(points, family):
+    """Direct complex sum E(t) = h^2 sum_kl v_kl e^{2 pi i (t_1 xi_k + t_2 xi_l)}."""
+    a1 = np.exp(2j * np.pi * np.outer(points[:, 0], family.offsets_axes[0]))
+    a2 = np.exp(2j * np.pi * np.outer(points[:, 1], family.offsets_axes[1]))
+    return np.einsum("pi,ij,pj->p", a1, family.values.astype(complex), a2,
+                     optimize=True) * family.local_weight
+
+
+def phase_sum_oracle(points, freq_centers):
+    """Direct complex sum S(t) = sum_i e^{2 pi i <c_i, t>}."""
+    return np.exp(2j * np.pi * points @ freq_centers.T).sum(axis=1)
+
+
+def kernel_points(family, count=3000):
+    """Seeded t spread over the largest box modulated_sum_l1 may integrate
+    (the alias half period), plus the origin where |E| peaks."""
+    spacing_u = (family.offsets_axes[0][1] - family.offsets_axes[0][0]) / family.support_radius
+    T = 0.5 / spacing_u / family.support_radius
+    pts = np.random.default_rng(17).uniform(-T, T, size=(count, 2))
+    return np.vstack([np.zeros((1, 2)), pts])
+
+
+class TestKernels:
+    @pytest.mark.parametrize("eps", [0.4, 0.05])
+    @pytest.mark.parametrize("K", [69, 68])
+    def test_envelope_matches_complex_sum(self, eps, K):
+        fam = build_bumps(pack_boundary_disc(eps), eps, CAL.containment_c,
+                          CAL.bump_c1, local_grid_points=K)
+        pts = kernel_points(fam)
+        ref = envelope_oracle(pts, fam)
+        scale = np.abs(ref).max()
+        assert np.abs(ref.imag).max() < 1e-12 * scale
+        assert np.abs(_envelope_at(pts, fam) - ref).max() < 1e-10 * scale
+
+    @pytest.mark.parametrize("eps", [0.4, 0.05])
+    def test_phase_sum_matches_complex_sum(self, eps):
+        fam = build_bumps(pack_boundary_disc(eps), eps, CAL.containment_c, CAL.bump_c1)
+        pts = kernel_points(fam)
+        ref = phase_sum_oracle(pts, fam.freq_centers)
+        assert np.abs(_phase_sum_at(pts, fam.freq_centers) - ref).max() \
+            < 1e-10 * np.abs(ref).max()
 
 
 class TestTwoScaleIntegral:
