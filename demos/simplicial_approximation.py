@@ -10,16 +10,14 @@ approximations of the dual.
 import numpy as np
 
 from pwlab import geometry
-from pwlab.geometry import Pyramid, solve_certificate
+from pwlab.geometry import solve_certificate
 from pwlab.simplicial import dual_pipeline_check, simplicial_sequence
 
 print("=== the certificate system on a 2x2 example ===")
 cert = solve_certificate([0.1, 0.1], [[0.5, 0.5], [0.5, 0.5]], 0)
 print(f"  rho = {cert.rho}  (21/22 and 1/22), residual {cert.residual():.2e}")
 
-pyr = Pyramid(1.0, 1.0, dim=3).hpolytope()
-shift = np.array([0.0, 0.0, -0.3])
-P = geometry.HPolytope(pyr.normals, pyr.offsets + pyr.normals @ shift)
+P = geometry.BUILTIN_BODIES["pyramid"]()
 print()
 print("=== square pyramid, apex height 1, shifted to contain the origin ===")
 print(f"  vertices:\n{np.round(geometry.vertex_enumerate(P), 4)}")

@@ -1,346 +1,263 @@
-"""Fast invariant suites behind `pwlab verify`.
+"""The paper's acceptance criteria, each defined once.
 
-Each suite returns (name, passed, detail) rows and stays within tens of
-seconds; the pytest acceptance suite runs the same properties at the full
-budgets.
+`criterion_NN(fast)` computes criterion NN and returns a CheckResult whose
+detail string carries every margin.  The acceptance tests run each criterion
+at the full budget; `pwlab verify` runs them with `fast=True`, which shrinks
+one count in criteria 1, 6 and 9 to a prefix of the same seeded draws and
+changes nothing else.  SUITES tags each criterion with the module it checks.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry, hankel, hardy, nehari, omega, simplicial
 from .calibration import DEFAULT_CALIBRATION
-from .fourier import GridFunction, GridSpec, bump_hat_batch, bump_profile, quad_integral, synthesize_l1
+from .fourier import bump_hat_batch
+from .geometry import BUILTIN_BODIES, Ball, VPolytope, box
 
 
 @dataclass
 class CheckResult:
-    name: str
+    num: int
+    label: str
     passed: bool
     detail: str = ""
 
-
-def _collect(rows) -> list[CheckResult]:
-    return [r for r in rows if r is not None]
-
-
-def _check(name: str, cond: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name=name, passed=bool(cond), detail=detail)
+    def line(self) -> str:
+        tag = "PASS" if self.passed else "FAIL"
+        suffix = f"  [{self.detail}]" if self.detail else ""
+        return f"[{tag}] criterion {self.num:2d}: {self.label}{suffix}"
 
 
-# ---------------------------------------------------------------------------
-
-def geometry_suite(seed: int = 0) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    rows = []
-
-    cube = geometry.box([-1, -1, -1], [1, 1, 1])
-    octa = geometry.polar_dual(cube)
-    back = geometry.polar_dual(octa)
-    verts = np.sort(geometry.vertex_enumerate(back), axis=0)
-    rows.append(_check("polar involution cube", np.allclose(
-        verts, np.sort(geometry.vertex_enumerate(cube), axis=0), atol=1e-9)))
-
-    for trial in range(5):
-        pts = rng.uniform(-1, 1, size=(3, 2))
-        pts -= pts.mean(axis=0) - rng.uniform(-0.1, 0.1, 2)
-        tri = geometry.VPolytope(pts)
-        if not tri.contains([0.0, 0.0]):
-            continue
-        dd = geometry.polar_dual(geometry.polar_dual(tri))
-        got = dd.vertices if isinstance(dd, geometry.VPolytope) else geometry.vertex_enumerate(dd)
-        match = all(min(np.linalg.norm(got - p, axis=1)) < 1e-9 for p in pts)
-        rows.append(_check(f"polar involution triangle {trial}", match))
-
-    inner = geometry.box([-0.5, -0.5], [0.5, 0.5])
-    outer = geometry.box([-1, -1], [1, 1])
-    d_out = geometry.polar_dual(outer)
-    d_in = geometry.polar_dual(inner)
-    h_in = geometry.to_hpolytope(d_in)
-    ok = np.all(d_out.vertices @ h_in.normals.T <= h_in.offsets + 1e-9)
-    rows.append(_check("duality order reversal", bool(ok)))
-
-    ok = True
-    for _ in range(200):
-        k = int(rng.integers(2, 6))
-        lam = rng.uniform(0.01, 0.99 / k, size=k)
-        mu = rng.uniform(0.1, 1.0, size=(k, k))
-        mu /= mu.sum(axis=1, keepdims=True)
-        cert = geometry.solve_certificate(lam, mu, int(rng.integers(k)))
-        ok &= bool((cert.rho > 0).all() and abs(cert.rho.sum() - 1) <= 1e-10)
-    rows.append(_check("certificate positivity/sum (200 trials)", ok))
-
-    x = rng.uniform(-1, 1, size=(4, 2))
-    lam = rng.uniform(0.01, 0.2 / 4, size=4)
-    mu = rng.uniform(0.1, 1.0, size=(4, 4))
-    mu /= mu.sum(axis=1, keepdims=True)
-    y = (1 + lam)[:, None] * x - lam[:, None] * (mu @ x)
-    cert = geometry.solve_certificate(lam, mu, 2)
-    rows.append(_check("certificate reconstruction",
-                       np.linalg.norm(cert.rho @ y - x[2]) < 1e-8))
-
-    ok = True
-    for alpha in (0.5, 1.0, 2.0):
-        for beta in (0.5, 1.0, 2.0):
-            for t in np.linspace(beta / 2 + 1e-6, beta - 1e-6, 100):
-                ok &= geometry.pyramid_ball_check(alpha, beta, float(t))
-    rows.append(_check("pyramid inscribed balls", ok))
-
-    tri = geometry.HPolytope([[-1, 0], [0, -1], [1, 1]], [0, 0, 1])
-    v = geometry.to_vpolytope(tri)
-    probes = rng.uniform(-0.5, 1.5, size=(1000, 2))
-    rows.append(_check("H/V membership consistency",
-                       bool(np.all(tri.contains_batch(probes) == v.contains_batch(probes)))))
-
-    c, r = geometry.chebyshev_ball(tri)
-    rows.append(_check("triangle incircle radius",
-                       abs(r - (1 - math.sqrt(2) / 2)) < 1e-9, f"r={r}"))
-
-    cal = DEFAULT_CALIBRATION
-    viol = geometry.disc_containment_check(cal.containment_c, 0.1, 100_000, seed=1)
-    rows.append(_check("disc containment at calibrated C", viol == 0, f"violations={viol}"))
-    return _collect(rows)
+def lens_closed_form(s: float) -> float:
+    """Area of the intersection of two unit discs at centre distance s, the
+    oracle of criterion 2, independent of `omega.disc_lens`."""
+    return 2 * math.acos(s / 2) - (s / 2) * math.sqrt(4 - s * s)
 
 
-def omega_suite(seed: int = 0) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    rows = []
-    sq = geometry.unit_box(2)
-    pts = rng.uniform(-0.5, 2.5, size=(50, 2))
-    dev = max(abs(omega.omega_box([1, 1], p) - omega.omega_polytope_exact(sq, p))
-              for p in pts)
-    rows.append(_check("box vs polytope volume", dev < 1e-10, f"max dev {dev:.2e}"))
-
-    tri = geometry.HPolytope([[-1, 0], [0, -1], [1, 1]], [0, 0, 1])
-    ok = True
-    for p in rng.uniform(0, 1.5, size=(5, 2)):
-        ex = omega.omega_polytope_exact(tri, p)
-        mc, se = omega.omega_mc(tri, p, 200_000, seed=3)
-        ok &= abs(ex - mc) <= max(3 * se, 1e-12)
-    rows.append(_check("polytope omega vs MC (3 sigma)", ok))
-
-    s = rng.uniform(0, 2, size=50)
-    lens = omega.disc_lens(s)
-    quad = np.array([omega.omega_ball(2, 1.0, [si, 0.0]) for si in s])
-    rows.append(_check("ball slice quadrature vs lens form",
-                       float(np.abs(lens - quad).max()) < 1e-8))
-
-    ball = geometry.Ball([0.0, 0.0], 1.0)
-    ev = omega.OmegaEvaluator(ball)
-    shifted = geometry.AffineImage(base=ball, matrix=np.eye(2), shift=np.array([0.3, -0.2]))
-    evs = omega.OmegaEvaluator(shifted)
-    probes = rng.uniform(-2, 2, size=(20, 2))
-    dev = float(np.max(np.abs(evs.batch(probes) - ev.batch(probes - 2 * np.array([0.3, -0.2])))))
-    rows.append(_check("translation covariance", dev < 1e-9, f"dev {dev:.2e}"))
-
-    lam_scale = 1.7
-    scaled = geometry.Ball([0.0, 0.0], lam_scale)
-    evl = omega.OmegaEvaluator(scaled)
-    dev = float(np.max(np.abs(evl.batch(probes) - lam_scale ** 2 * ev.batch(probes / lam_scale))))
-    rows.append(_check("dilation scaling", dev < 1e-9, f"dev {dev:.2e}"))
-
-    sq_prod = geometry.Product((geometry.Ball([0.5], 0.5), geometry.Ball([0.5], 0.5)))
-    evp = omega.OmegaEvaluator(sq_prod)
-    probes01 = rng.uniform(0, 2, size=(50, 2))
-    prod_dev = max(abs(evp([a, b]) - omega.omega_box([1], [a]) * omega.omega_box([1], [b]))
-                   for a, b in probes01)
-    rows.append(_check("product rule", prod_dev < 1e-9, f"dev {prod_dev:.2e}"))
-
-    ok = True
-    inner = geometry.Ball([0.5, 0.5], 0.45)
-    for p in rng.uniform(0, 2, size=(20, 2)):
-        ok &= omega.OmegaEvaluator(inner)(p) <= omega.omega_box([1, 1], p) + 1e-12
-    rows.append(_check("monotonicity under inclusion", ok))
-
-    ok = True
-    w0 = ev(np.zeros(2))
-    for _ in range(50):
-        x, y = rng.uniform(-2, 2, size=(2, 2))
-        wx, wy = ev(x), ev(y)
-        if min(wx, wy) <= 0:
-            continue
-        th = rng.uniform(0, 1)
-        wmid = ev(th * x + (1 - th) * y)
-        ok &= wmid ** 0.5 >= th * wx ** 0.5 + (1 - th) * wy ** 0.5 - 1e-8
-    rows.append(_check("1/n-concavity on the support", ok))
-
-    ratio = omega.disc_lens(np.array([1.95]))[0] / (2 - 1.95) ** 1.5
-    rows.append(_check("boundary asymptotic constant 4/3",
-                       abs(ratio - 4 / 3) < 0.05 * 4 / 3, f"ratio {ratio:.4f}"))
-    return _collect(rows)
+def criterion_01(fast: bool = False) -> CheckResult:
+    t0 = time.monotonic()
+    rng = np.random.default_rng(100)
+    square, cube = BUILTIN_BODIES["square"](), BUILTIN_BODIES["cube"]()
+    dev = 0.0
+    for p in rng.uniform(-0.5, 2.5, size=(25, 2)):
+        dev = max(dev, abs(omega.omega_polytope_exact(square, p) - omega.omega_box([1, 1], p)))
+    for p in rng.uniform(-0.5, 2.5, size=(25, 3)):
+        dev = max(dev, abs(omega.omega_polytope_exact(cube, p) - omega.omega_box([1, 1, 1], p)))
+    tri = BUILTIN_BODIES["triangle"]()
+    mc_points = rng.uniform(-0.2, 1.4, size=(20, 2))[:5 if fast else 20]
+    mc_ok = True
+    for i, p in enumerate(mc_points):
+        exact = omega.omega_polytope_exact(tri, p)
+        est, se = omega.omega_mc(tri, p, 10 ** 6, seed=200 + i)
+        mc_ok &= abs(exact - est) <= max(3 * se, 1e-12)
+    elapsed = time.monotonic() - t0
+    note = f", fast: first {len(mc_points)} of 20 MC points" if fast else ""
+    return CheckResult(1, "box/cube volumes to 1e-10 and triangle MC within 3 sigma",
+                       dev < 1e-10 and mc_ok and elapsed < 10.0,
+                       f"max dev {dev:.1e}, {elapsed:.1f}s{note}")
 
 
-def fourier_suite(seed: int = 0) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    rows = []
-    radii = rng.uniform(0, 1.5, size=10_000)
-    vals = bump_profile(radii)
-    ok = bool(np.all(vals[radii <= 0.5] == 1.0) and np.all(vals[radii >= 1.0] == 0.0))
-    order = np.argsort(radii)
-    ok &= bool(np.all(np.diff(vals[order]) <= 1e-12))
-    rows.append(_check("bump profile plateau/support/monotone", ok))
-
-    spec = GridSpec(lower=[0.0, 0.0], upper=[1.0, 1.0], npts=(64, 64))
-    v1 = quad_integral(lambda p: np.ones(p.shape[0]), spec)
-    rows.append(_check("midpoint rule constant", abs(v1 - 1.0) < 1e-12))
-
-    errs = []
-    for m in (50, 100, 200):
-        sp = GridSpec(lower=[0.0], upper=[1.0], npts=(m,))
-        errs.append(abs(quad_integral(lambda p: np.exp(p[:, 0]), sp) - (math.e - 1)))
-    order12 = math.log(errs[0] / errs[1]) / math.log(2)
-    rows.append(_check("midpoint convergence order >= 1.9", order12 >= 1.9,
-                       f"order {order12:.2f}"))
-
-    K = 4000
-    fspec = GridSpec(lower=[-1.0], upper=[1.0], npts=(K,))
-    tent = GridFunction.from_function(fspec, lambda p: np.maximum(0.0, 1 - np.abs(p[:, 0])))
-    l1, tail = synthesize_l1(tent, box_halfwidth=4.0)
-    rows.append(_check("tent L1 within 1 percent", abs(l1 + tail - 1.0) < 0.01,
-                       f"l1 {l1:.5f} tail {tail:.2e}"))
-
-    shifted = GridFunction(spec=GridSpec(lower=[2.0], upper=[4.0], npts=(K,)),
-                           values=tent.values.copy())
-    l1s, _ = synthesize_l1(shifted, box_halfwidth=4.0)
-    rows.append(_check("modulation invariance", abs(l1s - l1) < 1e-6 * l1))
-    return _collect(rows)
+def criterion_02(fast: bool = False) -> CheckResult:
+    radii = np.linspace(0.0, 1.999, 100)
+    dev = max(abs(omega.omega_ball(2, 1.0, [s, 0.0]) - lens_closed_form(s)) for s in radii)
+    ratio = omega.omega_ball(2, 1.0, [1.95, 0.0]) / (2 - 1.95) ** 1.5
+    ratio_ok = abs(ratio - 4 / 3) <= 0.05 * 4 / 3
+    return CheckResult(2, "slice quadrature matches the lens form, 4/3 asymptotic",
+                       dev < 1e-8 and ratio_ok, f"dev {dev:.1e}, ratio {ratio:.4f}")
 
 
-def hankel_suite(seed: int = 0) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    rows = []
-    rows.append(_check("schatten pythagoras", abs(hankel.schatten_norm([3, 4], 2) - 5) < 1e-12))
-    sv = np.sort(rng.uniform(0.1, 2.0, size=12))[::-1]
-    norms = [hankel.schatten_norm(sv, p) for p in (1, 2, 4, 8, math.inf)]
-    rows.append(_check("schatten monotone in p", bool(np.all(np.diff(norms) <= 1e-12))))
-
-    disc = geometry.Ball([0.0, 0.0], 1.0)
-    sym = lambda p: bump_hat_batch(p, center=[0.0, 0.0], radius=0.8)
-    c1 = hankel.hs_identity_check(disc, sym, 0.05)
-    c2 = hankel.hs_identity_check(disc, sym, 0.025)
-    rows.append(_check("HS identity refines", c1.rel_err <= 0.02 and c2.rel_err < c1.rel_err,
-                       f"{c1.rel_err:.4f} -> {c2.rel_err:.4f}"))
-
-    ok = True
-    for _ in range(5):
-        c = rng.uniform(-0.5, 0.5, 2)
-        rad = rng.uniform(0.3, 0.8)
-        chk = hankel.russo_bound_check(
-            disc, lambda p, c=c, rad=rad: bump_hat_batch(p, center=c, radius=rad), 0.08, 6.0)
-        ok &= chk.holds
-    rows.append(_check("Russo bound (5 trials, p=6)", ok))
-
-    r = 0.08
-    c1v = np.array([0.9, 0.0])
-    chk = hankel.orthogonal_sum_check(
-        disc,
-        [lambda p: bump_hat_batch(p, center=2 * c1v, radius=2 * r),
-         lambda p: bump_hat_batch(p, center=-2 * c1v, radius=2 * r)],
-        [geometry.Ball(2 * c1v, 2 * r), geometry.Ball(-2 * c1v, 2 * r)],
-        spacing=0.025, seed=seed)
-    rows.append(_check("orthogonal sum multiset", chk.ok, f"dev {chk.max_rel_dev:.2e}"))
-    return _collect(rows)
+def criterion_03(fast: bool = False) -> CheckResult:
+    t0 = time.monotonic()
+    ball = BUILTIN_BODIES["ball2"]()
+    est = omega.sublevel_fit(ball, 1e-4, 1e-2, 8, 10 ** 6, seed=11)
+    ball_ok = abs(est.fitted_exponent - 0.667) <= 0.07
+    interval = BUILTIN_BODIES["halfline-model"]()
+    est_i = omega.sublevel_fit(interval, 1e-3, 1e-1, 8, 4 * 10 ** 6, seed=12)
+    int_ok = abs(est_i.fitted_exponent - 1.0) <= 0.02
+    elapsed = time.monotonic() - t0
+    return CheckResult(3, "sublevel exponents 2/(n+1) for the disc and the interval",
+                       ball_ok and int_ok and elapsed < 60.0,
+                       f"disc {est.fitted_exponent:.4f}, interval {est_i.fitted_exponent:.4f}, "
+                       f"{elapsed:.0f}s")
 
 
-def nehari_suite(seed: int = 7) -> list[CheckResult]:
-    rows = []
-    rows.append(_check("packing N(0.5) = 5", nehari.pack_boundary_disc(0.5).shape[0] == 5))
-    y = nehari.pack_boundary_disc(0.2)
-    d = np.linalg.norm(y[:, None] - y[None, :], axis=2)
-    np.fill_diagonal(d, np.inf)
-    rows.append(_check("packing min distance > 2 eps", d.min() > 0.4))
-
-    cfg = nehari.NehariConfig(p=6.0, seed=seed)
-    row = nehari.eq5_ratio(cfg, 0.4)
-    rows.append(_check("eps=0.4 row finite/positive",
-                       row.ratio > 0 and np.isfinite(row.ratio),
-                       f"N={row.N} ratio={row.ratio:.4f}"))
-    rows.append(_check("a_max within calibrated ceiling",
-                       row.a_max <= cfg.calibration.omega_c2 * 0.4 ** 3))
-    fam = nehari.build_bumps(nehari.pack_boundary_disc(0.4), 0.4,
-                             cfg.calibration.containment_c, cfg.calibration.bump_c1,
-                             cfg.local_grid_points)
-    single, _ = nehari.modulated_sum_l1(fam, which=np.array([0]), seed=seed)
-    rows.append(_check("triangle inequality for psi",
-                       row.psi_l1 <= row.N * single * 1.001,
-                       f"psi {row.psi_l1:.3f} vs N*single {row.N*single:.3f}"))
-    return _collect(rows)
+CANONICAL_SYMBOLS = [((0.0, 0.0), 0.8), ((0.4, 0.2), 0.5), ((-0.5, 0.5), 0.4),
+                     ((0.9, 0.0), 0.45), ((0.3, -0.7), 0.35)]
 
 
-def hardy_suite(seed: int = 0) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    rows = []
-    r1 = hardy.tent_ratio(1, freq_points=4000)
-    r2 = hardy.tent_ratio(2, freq_points=4000)
-    rows.append(_check("tent ratio 1-D", abs(r1 - 2) < 0.02, f"{r1:.4f}"))
-    rows.append(_check("tent ratio 2-D", abs(r2 - 4) < 0.04, f"{r2:.4f}"))
-
+def criterion_04(fast: bool = False) -> CheckResult:
+    disc = BUILTIN_BODIES["ball2"]()
     ok = True
     worst = 0.0
-    for _ in range(30):
+    for center, radius in CANONICAL_SYMBOLS:
+        sym = lambda p, c=center, r=radius: bump_hat_batch(p, center=list(c), radius=r)
+        base = hankel.hs_identity_check(disc, sym, 0.05)
+        half = hankel.hs_identity_check(disc, sym, 0.025)
+        ok &= base.rel_err <= 0.02 and half.rel_err < base.rel_err
+        worst = max(worst, base.rel_err)
+    return CheckResult(4, "Hilbert-Schmidt identity at 2 percent, refining", ok,
+                       f"worst base rel err {worst:.4f}")
+
+
+def criterion_05(fast: bool = False) -> CheckResult:
+    t0 = time.monotonic()
+    disc = BUILTIN_BODIES["ball2"]()
+    r = 0.08
+    c = np.array([0.9, 0.0])
+    chk = hankel.orthogonal_sum_check(
+        disc,
+        [lambda p: bump_hat_batch(p, center=2 * c, radius=2 * r),
+         lambda p: bump_hat_batch(p, center=-2 * c, radius=2 * r)],
+        [Ball(2 * c, 2 * r), Ball(-2 * c, 2 * r)],
+        spacing=0.018, seed=5)
+    elapsed = time.monotonic() - t0
+    return CheckResult(5, "singular-value multiset union for disjoint boundary bumps",
+                       chk.ok and chk.max_rel_dev <= 1e-6 and max(chk.block_sizes) <= 2000
+                       and elapsed < 30.0,
+                       f"dev {chk.max_rel_dev:.1e}, blocks {chk.block_sizes}, {elapsed:.1f}s")
+
+
+def criterion_06(fast: bool = False) -> CheckResult:
+    disc = BUILTIN_BODIES["ball2"]()
+    rng = np.random.default_rng(600)
+    count = 5 if fast else 50
+    ok = True
+    for _ in range(count):
+        center = rng.uniform(-0.6, 0.6, size=2)
+        radius = rng.uniform(0.25, 0.8)
+        amp = rng.normal() + 1j * rng.normal()
+        sym = lambda p, c=center, r=radius, a=amp: a * bump_hat_batch(p, center=c, radius=r)
+        for p in (3.0, 6.0):
+            chk = hankel.russo_bound_check(disc, sym, 0.1, p, integral_pts=200)
+            ok &= chk.holds
+    return CheckResult(6, "mixed-norm Schatten bound with 1e-9 slack, 50 symbols, p in {3,6}",
+                       ok, f"fast: first {count} of 50 symbols" if fast else "")
+
+
+def criterion_07(fast: bool = False) -> CheckResult:
+    # The full ladder even when fast: the slope signs need N = 7..62.
+    t0 = time.monotonic()
+    rep6 = nehari.sweep_and_fit(nehari.NehariConfig(p=6.0), orthogonality_eps=None)
+    rep3 = nehari.sweep_and_fit(nehari.NehariConfig(p=3.0), check_disjointness=False)
+    elapsed = time.monotonic() - t0
+    counts = [row.N for row in rep6.rows]
+    return CheckResult(7, "counterexample ratio grows for p=6 and decays for p=3",
+                       min(counts) == 7 and max(counts) == 62
+                       and rep6.slope >= 0.05 and rep3.slope <= -0.10 and elapsed < 600.0,
+                       f"slopes {rep6.slope:+.3f}/{rep3.slope:+.3f}, "
+                       f"N {min(counts)}..{max(counts)}, {elapsed:.0f}s")
+
+
+def criterion_08(fast: bool = False) -> CheckResult:
+    r1 = hardy.tent_ratio(1)
+    r2 = hardy.tent_ratio(2)
+    return CheckResult(8, "tent ratios hit the exact anchors 2 and 4",
+                       abs(r1 - 2.0) <= 0.02 and abs(r2 - 4.0) <= 0.04,
+                       f"{r1:.4f}, {r2:.4f}")
+
+
+def criterion_09(fast: bool = False) -> CheckResult:
+    rng = np.random.default_rng(900)
+    count = 30 if fast else 999
+    worst = 0.0
+    ok = True
+    for _ in range(count):
         g, h = hardy.random_halfline_pair(rng)
-        val = hardy.halfline_ratio(g, h, freq_points=400)
+        val = hardy.halfline_ratio(g, h, freq_points=g.size)
         worst = max(worst, val)
         ok &= val <= math.pi * 1.02
-    rows.append(_check("half-line constant pi (30 trials)", ok, f"max {worst:.4f}"))
-
     g, h = hardy.extremal_halfline_pair()
-    val = hardy.halfline_ratio(g, h, freq_points=g.size, box_halfwidth=64.0, max_doublings=7)
-    rows.append(_check("half-line extremal >= 2", 2.0 <= val <= math.pi * 1.02, f"{val:.4f}"))
-
-    res = hardy.corner_family_sweep(1.5, quad_points=96)
-    rows.append(_check("corner slope at d=1.5", abs(res.slope + 0.5) < 0.15, f"{res.slope:.4f}"))
-    res1 = hardy.corner_family_sweep(1.0, quad_points=96)
-    rows.append(_check("corner bounded at d=1", res1.max_over_min <= 2.0,
-                       f"max/min {res1.max_over_min:.4f}"))
-    return _collect(rows)
+    extremal = hardy.halfline_ratio(g, h, freq_points=g.size, box_halfwidth=64.0,
+                                    max_doublings=7)
+    ok &= extremal <= math.pi * 1.02
+    note = f", fast: first {count} of 999 pairs" if fast else ""
+    return CheckResult(9, "half-line constant pi over 1000 products, extremal above 2",
+                       ok and max(worst, extremal) >= 2.0,
+                       f"max random {worst:.4f}, extremal {extremal:.4f}{note}")
 
 
-def simplicial_suite(seed: int = 11) -> list[CheckResult]:
-    rows = []
-    cert = geometry.solve_certificate([0.1, 0.1], [[0.5, 0.5], [0.5, 0.5]], 0)
-    rows.append(_check("2x2 certificate anchor",
-                       abs(cert.rho[0] - 21 / 22) < 1e-12 and abs(cert.rho[1] - 1 / 22) < 1e-12))
+def criterion_10(fast: bool = False) -> CheckResult:
+    res15 = hardy.corner_family_sweep(1.5)
+    res10 = hardy.corner_family_sweep(1.0)
+    ball = BUILTIN_BODIES["ball2"]()
+    floored = omega.omega_inverse_integral(ball, 0.5, levels=3, base_per_axis=256,
+                                           floor=1e-3)
+    stab = abs(floored[-1] - floored[-2]) / floored[-1]
+    raw = omega.omega_inverse_integral(ball, 0.8, levels=3, base_per_axis=128,
+                                       floor=1e-12)
+    growth = [(raw[i + 1] - raw[i]) / raw[i + 1] for i in range(2)]
+    return CheckResult(10, "corner slopes, bounded d=1 ratios, integrability contrast",
+                       abs(res15.slope + 0.5) <= 0.15 and res10.max_over_min <= 2.0
+                       and stab < 0.01 and min(growth) > 0.10,
+                       f"slope {res15.slope:.3f}, max/min {res10.max_over_min:.3f}, "
+                       f"stab {stab:.4f}, growth {min(growth):.2f}")
 
-    pyr = geometry.Pyramid(1.0, 1.0, dim=3).hpolytope()
-    shift = np.array([0.0, 0.0, -0.3])
-    P = geometry.HPolytope(pyr.normals, pyr.offsets + pyr.normals @ shift)
-    seq = simplicial.simplicial_sequence(P, [0.2, 0.1, 0.05], seed=seed)
-    rows.append(_check("pyramid sequence all predicates",
-                       all(a.all_checks_pass() for a in seq)))
+
+def criterion_11(fast: bool = False) -> CheckResult:
+    seq = simplicial.simplicial_sequence(BUILTIN_BODIES["pyramid"](), [0.2, 0.1, 0.05], seed=11)
+    preds = all(a.all_checks_pass() for a in seq)
     nested = all(simplicial._hull_contains_points(seq[i].hull,
                                                   seq[i + 1].perturbation.perturbed)
                  for i in range(len(seq) - 1))
-    rows.append(_check("pyramid sequence nesting", nested))
-    certs_ok = all((c.rho > 0).all() and abs(c.rho.sum() - 1) <= 1e-10
-                   for a in seq for c in a.perturbation.certificates)
-    rows.append(_check("sequence certificates", certs_ok))
-    chk = simplicial.dual_pipeline_check(P, 0.1, seed=seed)
-    rows.append(_check("dual simple at every vertex", chk.ok()))
-    return _collect(rows)
+    certs = all((c.rho > 0).all() and abs(c.rho.sum() - 1) <= 1e-10
+                for a in seq for c in a.perturbation.certificates)
+    anchor = geometry.solve_certificate([0.1, 0.1], [[0.5, 0.5], [0.5, 0.5]], 0)
+    anchor_ok = (abs(anchor.rho[0] - 21 / 22) <= 1e-12
+                 and abs(anchor.rho[1] - 1 / 22) <= 1e-12)
+    return CheckResult(11, "pyramid sequence: predicates, nesting, certificates, 2x2 anchor",
+                       preds and nested and certs and anchor_ok)
 
 
-SUITES = {
-    "geometry": geometry_suite,
-    "omega": omega_suite,
-    "fourier": fourier_suite,
-    "hankel": hankel_suite,
-    "nehari": nehari_suite,
-    "hardy": hardy_suite,
-    "simplicial": simplicial_suite,
-}
+def criterion_12(fast: bool = False) -> CheckResult:
+    ok = True
+    cube = box([-1, -1, -1], [1, 1, 1])
+    back = geometry.polar_dual(geometry.polar_dual(cube))
+    for p in geometry.vertex_enumerate(cube):
+        ok &= np.min(np.linalg.norm(geometry.vertex_enumerate(back) - p, axis=1)) < 1e-9
+    cross = VPolytope(np.vstack([np.eye(3), -np.eye(3)]))
+    dd = geometry.polar_dual(geometry.polar_dual(cross))
+    for p in cross.vertices:
+        ok &= np.min(np.linalg.norm(dd.vertices - p, axis=1)) < 1e-9
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        pts = rng.uniform(-1, 1, size=(3, 2))
+        pts -= pts.mean(axis=0) * 1.2
+        tri = VPolytope(pts)
+        if not tri.contains([0.0, 0.0]):
+            continue
+        ddt = geometry.polar_dual(geometry.polar_dual(tri))
+        for p in pts:
+            ok &= np.min(np.linalg.norm(ddt.vertices - p, axis=1)) < 1e-9
+    octa = geometry.polar_dual(cube)
+    ok &= simplicial.is_simplicial(octa)
+    ok &= all(c == 3 for c in simplicial.simple_vertex_facet_counts(cube))
+    return CheckResult(12, "polar involution to 1e-9 and simplicial/simple duality", ok)
 
 
-def run_suite(name: str) -> list[CheckResult]:
-    if name == "all":
-        out = []
-        for key in SUITES:
-            out.extend(run_suite(key))
-        return out
-    if name not in SUITES:
-        raise KeyError(f"unknown suite '{name}'; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name]()
+def criterion_13(fast: bool = False) -> CheckResult:
+    ok = True
+    for alpha in (0.5, 1.0, 2.0):
+        for beta in (0.5, 1.0, 2.0):
+            for t in np.linspace(beta / 2 + 1e-9, beta - 1e-9, 100):
+                ok &= geometry.pyramid_ball_check(alpha, beta, float(t))
+    C = DEFAULT_CALIBRATION.containment_c
+    violations = []
+    for i, eps in enumerate((0.1, 0.05, 0.01)):
+        violations.append(geometry.disc_containment_check(C, eps, 10 ** 5, seed=1300 + i))
+    return CheckResult(13, "pyramid inscribed balls and containment at the calibrated constant",
+                       ok and all(v == 0 for v in violations), f"violations {violations}")
+
+
+CRITERIA = {1: criterion_01, 2: criterion_02, 3: criterion_03, 4: criterion_04,
+            5: criterion_05, 6: criterion_06, 7: criterion_07, 8: criterion_08,
+            9: criterion_09, 10: criterion_10, 11: criterion_11, 12: criterion_12,
+            13: criterion_13}
+
+SUITES = {"omega": [1, 2, 3], "hankel": [4, 5, 6], "nehari": [7],
+          "hardy": [8, 9, 10], "simplicial": [11], "geometry": [12, 13]}

@@ -287,6 +287,26 @@ def pyramid_ball_check(alpha: float, beta: float, t: float, tol: float = 1e-12) 
     return bool(np.all(dists >= rho - tol))
 
 
+def _shifted_pyramid() -> HPolytope:
+    pyr = Pyramid(1.0, 1.0, dim=3).hpolytope()
+    shift = np.array([0.0, 0.0, -0.3])
+    return HPolytope(pyr.normals, pyr.offsets + pyr.normals @ shift)
+
+
+# Named bodies shared by the command line, the acceptance criteria and the
+# tests.  The pyramid is shifted so the origin is interior, which the
+# simplicial pipeline needs and the omega paths do not notice.
+BUILTIN_BODIES = {
+    "ball2": lambda: Ball(np.zeros(2), 1.0),
+    "ball3": lambda: Ball(np.zeros(3), 1.0),
+    "square": lambda: unit_box(2),
+    "cube": lambda: unit_box(3),
+    "triangle": lambda: HPolytope([[-1, 0], [0, -1], [1, 1]], [0, 0, 1]),
+    "pyramid": _shifted_pyramid,
+    "halfline-model": lambda: Ball(np.array([0.5]), 0.5),
+}
+
+
 # ---------------------------------------------------------------------------
 # vertex / facet enumeration (dim <= 3, brute force)
 # ---------------------------------------------------------------------------

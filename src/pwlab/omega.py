@@ -107,11 +107,14 @@ def omega_box(edges, x) -> float:
 
 
 def omega_polytope_exact(P: HPolytope, x) -> float:
-    """Exact m(P cap (x - P)) for a bounded H-polytope in dim <= 3."""
+    """Exact m(P cap (x - P)) for a bounded H-polytope in dim <= 3; zero when
+    the intersection is empty or has no interior."""
+    if P.dim > 3:
+        raise GeometryError("exact polytope autocorrelation restricted to dim <= 3")
     inter = geometry.intersect(P, geometry.reflect_translate(P, x))
     try:
         verts = geometry.vertex_enumerate(inter, check_bounded=False)
-    except GeometryError:
+    except GeometryError:  # below dim 4 the only failure is an empty intersection
         return 0.0
     if verts.shape[0] <= P.dim:
         return 0.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pwlab import geometry
+from pwlab.geometry import BUILTIN_BODIES
 
 
 @pytest.fixture
@@ -11,21 +11,19 @@ def rng():
 
 @pytest.fixture
 def disc():
-    return geometry.Ball(np.zeros(2), 1.0)
+    return BUILTIN_BODIES["ball2"]()
 
 
 @pytest.fixture
 def unit_square():
-    return geometry.unit_box(2)
+    return BUILTIN_BODIES["square"]()
 
 
 @pytest.fixture
 def right_triangle():
-    return geometry.HPolytope([[-1, 0], [0, -1], [1, 1]], [0, 0, 1])
+    return BUILTIN_BODIES["triangle"]()
 
 
 @pytest.fixture
 def shifted_pyramid():
-    pyr = geometry.Pyramid(1.0, 1.0, dim=3).hpolytope()
-    shift = np.array([0.0, 0.0, -0.3])
-    return geometry.HPolytope(pyr.normals, pyr.offsets + pyr.normals @ shift)
+    return BUILTIN_BODIES["pyramid"]()

@@ -1,237 +1,35 @@
-"""Acceptance gate: every numbered criterion at its stated tolerance,
-one pass/fail line each.  Run with -s to see the lines as they complete."""
+"""Acceptance gate: every numbered criterion of `pwlab.checks` at its full
+budget, one pass/fail line each.  Run with -s to see the lines as they
+complete; `pwlab verify` runs the same criteria at the fast budget."""
 
-import math
-import time
-
-import numpy as np
 import pytest
 
-from pwlab import geometry, hankel, hardy, nehari, omega, simplicial
-from pwlab.calibration import DEFAULT_CALIBRATION
-from pwlab.fourier import bump_hat_batch
-from pwlab.geometry import Ball, HPolytope, Pyramid, VPolytope, box, unit_box
+from pwlab import checks
 
 
-def report(num: int, label: str, passed: bool, detail: str = "") -> None:
-    tag = "PASS" if passed else "FAIL"
-    suffix = f"  [{detail}]" if detail else ""
-    print(f"[{tag}] criterion {num:2d}: {label}{suffix}")
-    assert passed, f"criterion {num}: {label}{suffix}"
+def gate(num: int) -> None:
+    res = checks.CRITERIA[num](fast=False)
+    print(res.line())
+    assert res.passed, res.line()
 
 
-def lens_closed_form(s: float) -> float:
-    return 2 * math.acos(s / 2) - (s / 2) * math.sqrt(4 - s * s)
+def test_criterion_01_omega_exactness(): gate(1)
+def test_criterion_02_ball_autocorrelation(): gate(2)
+def test_criterion_03_sublevel_exponents(): gate(3)
+def test_criterion_04_hs_identity(): gate(4)
+def test_criterion_05_orthogonal_sum(): gate(5)
+def test_criterion_06_russo_bound(): gate(6)
+def test_criterion_07_nehari_trend(): gate(7)
+def test_criterion_08_tent_anchors(): gate(8)
+def test_criterion_09_halfline_constant(): gate(9)
+def test_criterion_10_adjusted_hardy(): gate(10)
+def test_criterion_11_simplicial_pipeline(): gate(11)
+def test_criterion_12_polar_duality(): gate(12)
+def test_criterion_13_geometry_lemmas(): gate(13)
 
 
-def test_criterion_01_omega_exactness():
-    t0 = time.monotonic()
-    rng = np.random.default_rng(100)
-    square, cube = unit_box(2), unit_box(3)
-    dev = 0.0
-    for p in rng.uniform(-0.5, 2.5, size=(25, 2)):
-        dev = max(dev, abs(omega.omega_polytope_exact(square, p) - omega.omega_box([1, 1], p)))
-    for p in rng.uniform(-0.5, 2.5, size=(25, 3)):
-        dev = max(dev, abs(omega.omega_polytope_exact(cube, p) - omega.omega_box([1, 1, 1], p)))
-    tri = HPolytope([[-1, 0], [0, -1], [1, 1]], [0, 0, 1])
-    mc_ok = True
-    for i, p in enumerate(rng.uniform(-0.2, 1.4, size=(20, 2))):
-        exact = omega.omega_polytope_exact(tri, p)
-        est, se = omega.omega_mc(tri, p, 10 ** 6, seed=200 + i)
-        mc_ok &= abs(exact - est) <= max(3 * se, 1e-12)
-    elapsed = time.monotonic() - t0
-    report(1, "box/cube volumes to 1e-10 and triangle MC within 3 sigma",
-           dev < 1e-10 and mc_ok and elapsed < 10.0,
-           f"max dev {dev:.1e}, {elapsed:.1f}s")
-
-
-def test_criterion_02_ball_autocorrelation():
-    radii = np.linspace(0.0, 1.999, 100)
-    dev = max(abs(omega.omega_ball(2, 1.0, [s, 0.0]) - lens_closed_form(s)) for s in radii)
-    ratio = omega.omega_ball(2, 1.0, [1.95, 0.0]) / (2 - 1.95) ** 1.5
-    ratio_ok = abs(ratio - 4 / 3) <= 0.05 * 4 / 3
-    report(2, "slice quadrature matches the lens form, 4/3 asymptotic",
-           dev < 1e-8 and ratio_ok, f"dev {dev:.1e}, ratio {ratio:.4f}")
-
-
-def test_criterion_03_sublevel_exponents():
-    t0 = time.monotonic()
-    ball = Ball(np.zeros(2), 1.0)
-    est = omega.sublevel_fit(ball, 1e-4, 1e-2, 8, 10 ** 6, seed=11)
-    ball_ok = abs(est.fitted_exponent - 0.667) <= 0.07
-    interval = Ball(np.array([0.5]), 0.5)
-    est_i = omega.sublevel_fit(interval, 1e-3, 1e-1, 8, 4 * 10 ** 6, seed=12)
-    int_ok = abs(est_i.fitted_exponent - 1.0) <= 0.02
-    elapsed = time.monotonic() - t0
-    report(3, "sublevel exponents 2/(n+1) for the disc and the interval",
-           ball_ok and int_ok and elapsed < 60.0,
-           f"disc {est.fitted_exponent:.4f}, interval {est_i.fitted_exponent:.4f}, {elapsed:.0f}s")
-
-
-CANONICAL_SYMBOLS = [
-    ((0.0, 0.0), 0.8),
-    ((0.4, 0.2), 0.5),
-    ((-0.5, 0.5), 0.4),
-    ((0.9, 0.0), 0.45),
-    ((0.3, -0.7), 0.35),
-]
-
-
-def test_criterion_04_hs_identity():
-    disc = Ball(np.zeros(2), 1.0)
-    ok = True
-    worst = 0.0
-    for center, radius in CANONICAL_SYMBOLS:
-        sym = lambda p, c=center, r=radius: bump_hat_batch(p, center=list(c), radius=r)
-        base = hankel.hs_identity_check(disc, sym, 0.05)
-        half = hankel.hs_identity_check(disc, sym, 0.025)
-        ok &= base.rel_err <= 0.02 and half.rel_err < base.rel_err
-        worst = max(worst, base.rel_err)
-    report(4, "Hilbert-Schmidt identity at 2 percent, refining", ok,
-           f"worst base rel err {worst:.4f}")
-
-
-def test_criterion_05_orthogonal_sum():
-    t0 = time.monotonic()
-    disc = Ball(np.zeros(2), 1.0)
-    r = 0.08
-    c = np.array([0.9, 0.0])
-    chk = hankel.orthogonal_sum_check(
-        disc,
-        [lambda p: bump_hat_batch(p, center=2 * c, radius=2 * r),
-         lambda p: bump_hat_batch(p, center=-2 * c, radius=2 * r)],
-        [Ball(2 * c, 2 * r), Ball(-2 * c, 2 * r)],
-        spacing=0.018, seed=5)
-    elapsed = time.monotonic() - t0
-    report(5, "singular-value multiset union for disjoint boundary bumps",
-           chk.ok and chk.max_rel_dev <= 1e-6 and max(chk.block_sizes) <= 2000
-           and elapsed < 30.0,
-           f"dev {chk.max_rel_dev:.1e}, blocks {chk.block_sizes}, {elapsed:.1f}s")
-
-
-def test_criterion_06_russo_bound():
-    disc = Ball(np.zeros(2), 1.0)
-    rng = np.random.default_rng(600)
-    ok = True
-    for _ in range(50):
-        center = rng.uniform(-0.6, 0.6, size=2)
-        radius = rng.uniform(0.25, 0.8)
-        amp = rng.normal() + 1j * rng.normal()
-        sym = lambda p, c=center, r=radius, a=amp: a * bump_hat_batch(p, center=c, radius=r)
-        for p in (3.0, 6.0):
-            chk = hankel.russo_bound_check(disc, sym, 0.1, p, integral_pts=200)
-            ok &= chk.holds
-    report(6, "mixed-norm Schatten bound with 1e-9 slack, 50 symbols, p in {3,6}", ok)
-
-
-def test_criterion_07_nehari_trend():
-    t0 = time.monotonic()
-    cfg6 = nehari.NehariConfig(p=6.0)
-    rep6 = nehari.sweep_and_fit(cfg6, orthogonality_eps=None)
-    cfg3 = nehari.NehariConfig(p=3.0)
-    rep3 = nehari.sweep_and_fit(cfg3, check_disjointness=False)
-    elapsed = time.monotonic() - t0
-    counts = [row.N for row in rep6.rows]
-    report(7, "counterexample ratio grows for p=6 and decays for p=3",
-           min(counts) == 7 and max(counts) == 62
-           and rep6.slope >= 0.05 and rep3.slope <= -0.10 and elapsed < 600.0,
-           f"slopes {rep6.slope:+.3f}/{rep3.slope:+.3f}, N {min(counts)}..{max(counts)}, {elapsed:.0f}s")
-
-
-def test_criterion_08_tent_anchors():
-    r1 = hardy.tent_ratio(1)
-    r2 = hardy.tent_ratio(2)
-    report(8, "tent ratios hit the exact anchors 2 and 4",
-           abs(r1 - 2.0) <= 0.02 and abs(r2 - 4.0) <= 0.04,
-           f"{r1:.4f}, {r2:.4f}")
-
-
-def test_criterion_09_halfline_constant():
-    rng = np.random.default_rng(900)
-    worst = 0.0
-    ok = True
-    for _ in range(999):
-        g, h = hardy.random_halfline_pair(rng)
-        val = hardy.halfline_ratio(g, h, freq_points=g.size)
-        worst = max(worst, val)
-        ok &= val <= math.pi * 1.02
-    g, h = hardy.extremal_halfline_pair()
-    extremal = hardy.halfline_ratio(g, h, freq_points=g.size, box_halfwidth=64.0,
-                                    max_doublings=7)
-    ok &= extremal <= math.pi * 1.02
-    report(9, "half-line constant pi over 1000 products, extremal above 2",
-           ok and max(worst, extremal) >= 2.0,
-           f"max random {worst:.4f}, extremal {extremal:.4f}")
-
-
-def test_criterion_10_adjusted_hardy():
-    res15 = hardy.corner_family_sweep(1.5)
-    res10 = hardy.corner_family_sweep(1.0)
-    ball = Ball(np.zeros(2), 1.0)
-    floored = omega.omega_inverse_integral(ball, 0.5, levels=3, base_per_axis=256,
-                                           floor=1e-3)
-    stab = abs(floored[-1] - floored[-2]) / floored[-1]
-    raw = omega.omega_inverse_integral(ball, 0.8, levels=3, base_per_axis=128,
-                                       floor=1e-12)
-    growth = [(raw[i + 1] - raw[i]) / raw[i + 1] for i in range(2)]
-    report(10, "corner slopes, bounded d=1 ratios, integrability contrast",
-           abs(res15.slope + 0.5) <= 0.15 and res10.max_over_min <= 2.0
-           and stab < 0.01 and min(growth) > 0.10,
-           f"slope {res15.slope:.3f}, max/min {res10.max_over_min:.3f}, "
-           f"stab {stab:.4f}, growth {min(growth):.2f}")
-
-
-def test_criterion_11_simplicial_pipeline(shifted_pyramid):
-    seq = simplicial.simplicial_sequence(shifted_pyramid, [0.2, 0.1, 0.05], seed=11)
-    preds = all(a.all_checks_pass() for a in seq)
-    nested = all(simplicial._hull_contains_points(seq[i].hull,
-                                                  seq[i + 1].perturbation.perturbed)
-                 for i in range(len(seq) - 1))
-    certs = all((c.rho > 0).all() and abs(c.rho.sum() - 1) <= 1e-10
-                for a in seq for c in a.perturbation.certificates)
-    anchor = geometry.solve_certificate([0.1, 0.1], [[0.5, 0.5], [0.5, 0.5]], 0)
-    anchor_ok = (abs(anchor.rho[0] - 21 / 22) <= 1e-12
-                 and abs(anchor.rho[1] - 1 / 22) <= 1e-12)
-    report(11, "pyramid sequence: predicates, nesting, certificates, 2x2 anchor",
-           preds and nested and certs and anchor_ok)
-
-
-def test_criterion_12_polar_duality():
-    ok = True
-    cube = box([-1, -1, -1], [1, 1, 1])
-    back = geometry.polar_dual(geometry.polar_dual(cube))
-    for p in geometry.vertex_enumerate(cube):
-        ok &= np.min(np.linalg.norm(geometry.vertex_enumerate(back) - p, axis=1)) < 1e-9
-    cross = VPolytope(np.vstack([np.eye(3), -np.eye(3)]))
-    dd = geometry.polar_dual(geometry.polar_dual(cross))
-    for p in cross.vertices:
-        ok &= np.min(np.linalg.norm(dd.vertices - p, axis=1)) < 1e-9
-    rng = np.random.default_rng(12)
-    for _ in range(5):
-        pts = rng.uniform(-1, 1, size=(3, 2))
-        pts -= pts.mean(axis=0) * 1.2
-        tri = VPolytope(pts)
-        if not tri.contains([0.0, 0.0]):
-            continue
-        ddt = geometry.polar_dual(geometry.polar_dual(tri))
-        for p in pts:
-            ok &= np.min(np.linalg.norm(ddt.vertices - p, axis=1)) < 1e-9
-    octa = geometry.polar_dual(cube)
-    ok &= simplicial.is_simplicial(octa)
-    ok &= all(c == 3 for c in simplicial.simple_vertex_facet_counts(cube))
-    report(12, "polar involution to 1e-9 and simplicial/simple duality", ok)
-
-
-def test_criterion_13_geometry_lemmas():
-    ok = True
-    for alpha in (0.5, 1.0, 2.0):
-        for beta in (0.5, 1.0, 2.0):
-            for t in np.linspace(beta / 2 + 1e-9, beta - 1e-9, 100):
-                ok &= geometry.pyramid_ball_check(alpha, beta, float(t))
-    C = DEFAULT_CALIBRATION.containment_c
-    violations = []
-    for i, eps in enumerate((0.1, 0.05, 0.01)):
-        violations.append(geometry.disc_containment_check(C, eps, 10 ** 5, seed=1300 + i))
-    report(13, "pyramid inscribed balls and containment at the calibrated constant",
-           ok and all(v == 0 for v in violations),
-           f"violations {violations}")
+@pytest.mark.parametrize("num", [1, 6, 9])
+def test_fast_budget(num):
+    # The only code paths the full gate does not run.
+    res = checks.CRITERIA[num](fast=True)
+    assert res.passed, res.line()

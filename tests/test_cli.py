@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import pwlab
+from pwlab import checks
 from pwlab.cli import builtin_body, run
 from pwlab.geometry import GeometryError
 
@@ -99,6 +101,16 @@ class TestReports:
         assert all(len(r["rho"]) == 5 for r in stage["certificates"])
 
     def test_verify_single_suite(self, capsys):
-        assert run(["verify", "--suite", "fourier"]) == 0
+        assert run(["verify", "--suite", "geometry"]) == 0
         out = capsys.readouterr().out
-        assert "[pass]" in out and "FAIL" not in out
+        assert "[PASS] criterion 12" in out and "[PASS] criterion 13" in out
+        assert "FAIL" not in out and "2/2 criteria passed" in out
+        assert all(re.search(r"  \(\d+\.\ds\)$", line) for line in out.splitlines()[:2])
+
+    def test_verify_failure_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setitem(checks.CRITERIA, 12,
+                            lambda fast=False: checks.CheckResult(12, "forced", False, "margin -1"))
+        assert run(["verify", "--suite", "geometry"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] criterion 12: forced  [margin -1]" in out
+        assert "1/2 criteria passed" in out

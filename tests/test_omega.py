@@ -81,6 +81,10 @@ class TestOmegaPolytope:
     def test_empty_intersection(self, right_triangle):
         assert omega_polytope_exact(right_triangle, [5.0, 5.0]) == 0.0
 
+    def test_dimension_above_three_raises(self):
+        with pytest.raises(GeometryError, match="dim <= 3"):
+            omega_polytope_exact(unit_box(4), [1, 1, 1, 1])
+
 
 class TestOmegaMC:
     def test_disc_center(self, disc):
@@ -150,6 +154,54 @@ class TestEvaluator:
         lo, hi = ev.support_box()
         for x in rng.uniform(lo, hi, size=(5, body.dim)):
             assert ev(x) == pytest.approx(ev.batch(x[None])[0], rel=1e-12, abs=1e-15)
+
+
+class TestInvariances:
+    """Inclusion, concavity, translation, dilation and product properties of
+    w, each at seed 0."""
+
+    def test_monotone_under_inclusion(self):
+        rng = np.random.default_rng(0)
+        inner = OmegaEvaluator(Ball([0.5, 0.5], 0.45))
+        for p in rng.uniform(0, 2, size=(20, 2)):
+            assert inner(p) <= omega_box([1, 1], p) + 1e-12
+
+    def test_square_root_concave_on_support(self, disc):
+        # w^(1/n) is concave where w > 0 (Brunn-Minkowski), n = 2
+        rng = np.random.default_rng(0)
+        ev = OmegaEvaluator(disc)
+        for _ in range(50):
+            x, y = rng.uniform(-2, 2, size=(2, 2))
+            wx, wy = ev(x), ev(y)
+            if min(wx, wy) <= 0:
+                continue
+            th = rng.uniform(0, 1)
+            wmid = ev(th * x + (1 - th) * y)
+            assert wmid ** 0.5 >= th * wx ** 0.5 + (1 - th) * wy ** 0.5 - 1e-8
+
+    def test_translation_covariance(self, disc):
+        # w_{Omega + v}(x) = w_Omega(x - 2v)
+        rng = np.random.default_rng(0)
+        shift = np.array([0.3, -0.2])
+        moved = AffineImage(base=disc, matrix=np.eye(2), shift=shift)
+        probes = rng.uniform(-2, 2, size=(20, 2))
+        dev = OmegaEvaluator(moved).batch(probes) - OmegaEvaluator(disc).batch(probes - 2 * shift)
+        assert np.max(np.abs(dev)) < 1e-9
+
+    def test_dilation_scaling(self, disc):
+        # w_{lam Omega}(x) = lam^n w_Omega(x / lam)
+        rng = np.random.default_rng(0)
+        lam = 1.7
+        probes = rng.uniform(-2, 2, size=(20, 2))
+        dev = (OmegaEvaluator(Ball([0.0, 0.0], lam)).batch(probes)
+               - lam ** 2 * OmegaEvaluator(disc).batch(probes / lam))
+        assert np.max(np.abs(dev)) < 1e-9
+
+    def test_product_rule(self):
+        rng = np.random.default_rng(0)
+        ev = OmegaEvaluator(Product((Ball([0.5], 0.5), Ball([0.5], 0.5))))
+        for a, b in rng.uniform(0, 2, size=(50, 2)):
+            assert abs(ev([a, b]) - omega_box([1], [a]) * omega_box([1], [b])) < 1e-9
 
 
 class TestSublevel:

@@ -11,7 +11,7 @@ import pytest
 from pwlab import hankel, hardy, nehari, omega
 from pwlab.calibration import DEFAULT_CALIBRATION as CAL
 from pwlab.fourier import GridFunction, GridSpec, bump_hat_batch, synthesize_l1
-from pwlab.geometry import Ball, HPolytope, Pyramid, VPolytope, vertex_enumerate
+from pwlab.geometry import BUILTIN_BODIES, Ball, VPolytope, vertex_enumerate
 
 
 def pinned(value):
@@ -80,7 +80,6 @@ def test_evaluator_scalar_disc():
 
 
 def test_evaluator_scalar_vform_pyramid():
-    pyr = Pyramid(1.0, 1.0, dim=3).hpolytope()
-    shifted = HPolytope(pyr.normals, pyr.offsets + pyr.normals @ np.array([0.0, 0.0, -0.3]))
+    shifted = BUILTIN_BODIES["pyramid"]()
     ev = omega.OmegaEvaluator(VPolytope(vertex_enumerate(shifted)))
     assert ev(np.array([0.1, -0.2, 0.2])) == pinned(0.5269999999999998)
