@@ -1,14 +1,15 @@
 """Midpoint tensor grids, smooth bump profiles, and Fourier synthesis.
 
 Functions with compactly supported frequency data are synthesized as plain
-trigonometric sums over midpoint grids; the spatial box for L1 norms grows by
-doublings until the captured mass settles.  No windowing is needed because
-every frequency function used here vanishes inside its grid box.
+trigonometric sums over midpoint grids, axis by axis (a dense exponential
+matrix built from two small tables, or a chirp z-transform when large); the
+spatial box for L1 norms grows by doublings until the captured mass settles.
+No windowing is needed because every frequency function used here vanishes
+inside its grid box.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -102,16 +103,6 @@ class GridFunction:
         vals = np.asarray(fn(spec.nodes()), dtype=complex).reshape(spec.npts)
         return cls(spec=spec, values=vals, side=side, support=support)
 
-    def to_csv(self, path) -> None:
-        """Debug dump: one row per node with coordinates, re, im."""
-        nodes = self.spec.nodes()
-        flat = self.values.ravel()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{i}" for i in range(self.spec.dim)] + ["re", "im"])
-            for node, v in zip(nodes, flat):
-                writer.writerow([repr(float(c)) for c in node] + [repr(v.real), repr(v.imag)])
-
 
 # ---------------------------------------------------------------------------
 # the canonical smooth bump
@@ -191,14 +182,22 @@ def scaled_ball_grid(center, radius: float, per_axis: int
 def _axis_transform(F: np.ndarray, axis: int, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Contract axis `axis` of F with the matrix exp(2 pi i t_j x_k).
 
-    Both node sets are uniform, so the sum is a chirp z-transform; small
-    contractions just build the matrix.
+    Both node sets are uniform, so the sum is a chirp z-transform; when
+    K*M <= 2^21 the matrix is built densely from two tables: with k = K1 a + b,
+    K1 = ceil(sqrt K) and K2 = ceil(K/K1), E[j, k] = A[j, a] B[j, b] for
+    A[j, a] = exp(2 pi i t_j (x_0 + K1 a h)) and B[j, b] = exp(2 pi i t_j b h),
+    so M (K1 + K2) exponentials give all M K entries.
     """
     K, M = xs.size, ts.size
-    if K * M <= 1 << 21:
-        E = np.exp(2j * np.pi * np.outer(ts, xs))
-        return np.moveaxis(np.tensordot(E, F, axes=(1, axis)), 0, axis)
     hx = xs[1] - xs[0] if K > 1 else 0.0
+    if K * M <= 1 << 21:
+        K1 = math.isqrt(K - 1) + 1
+        K2 = -(-K // K1)
+        phase = 2j * np.pi * ts[:, None]
+        A = np.exp(phase * (xs[0] + K1 * hx * np.arange(K2)))
+        B = np.exp(phase * (hx * np.arange(K1)))
+        E = (A[:, :, None] * B[:, None, :]).reshape(M, K1 * K2)[:, :K]
+        return np.moveaxis(np.tensordot(E, F, axes=(1, axis)), 0, axis)
     dt = ts[1] - ts[0] if M > 1 else 0.0
     work = np.moveaxis(F, axis, 0)
     k = np.arange(K)

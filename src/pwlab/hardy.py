@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .calibration import DEFAULT_CALIBRATION
 from .fourier import (
     GridFunction,
     GridSpec,
@@ -26,8 +25,8 @@ from .fourier import (
     synthesize_l1,
     synthesize_on_grid,
 )
-from .geometry import Ball, ConvexBody, GeometryError, HPolytope, unit_box
-from .omega import OmegaEvaluator, omega_box, omega_inverse_integral
+from .geometry import ConvexBody, GeometryError, HPolytope
+from .omega import omega_inverse_integral
 
 OMEGA_FLOOR = 1e-12
 

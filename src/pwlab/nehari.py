@@ -25,7 +25,7 @@ times the sine sum of one real phase matrix 2 pi t . 2 x_i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate

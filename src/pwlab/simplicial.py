@@ -12,14 +12,12 @@ lambda with eps yields a decreasing family squeezing down to P.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
 from .geometry import (
-    CertificateSystem,
     GeometryError,
     HPolytope,
     VPolytope,

@@ -14,6 +14,20 @@ from pwlab.cli import builtin_body, run
 from pwlab.geometry import GeometryError
 
 
+def reports_at_blas_threads(tmp_path, args: list[str]) -> list[bytes]:
+    """The report of `pwlab.cli *args` run in subprocesses at 1 and 2 BLAS threads."""
+    src = str(Path(pwlab.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.json"
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "pwlab.cli", *args, "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=600)
+        reports.append(out.read_bytes())
+    return reports
+
+
 class TestDispatch:
     def test_omega_anchor_output(self, capsys):
         assert run(["omega", "--body", "ball2", "--point", "1,0"]) == 0
@@ -69,16 +83,13 @@ class TestReports:
         assert "log_ratio_vs_log_N_slope" in doc
 
     def test_nehari_report_independent_of_blas_threads(self, tmp_path):
-        src = str(Path(pwlab.__file__).resolve().parents[1])
-        reports = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}.json"
-            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-            subprocess.run([sys.executable, "-m", "pwlab.cli", "nehari-sweep", "--p", "6",
-                            "--eps", "0.4,0.3,0.2,0.15", "--out", str(out)],
-                           env=env, check=True, capture_output=True, timeout=600)
-            reports.append(out.read_bytes())
+        reports = reports_at_blas_threads(tmp_path, ["nehari-sweep", "--p", "6",
+                                                     "--eps", "0.4,0.3,0.2,0.15"])
+        assert reports[0] == reports[1]
+
+    def test_halfline_report_independent_of_blas_threads(self, tmp_path):
+        reports = reports_at_blas_threads(tmp_path, ["hardy", "--family", "halfline_product",
+                                                     "--trials", "20", "--seed", "5"])
         assert reports[0] == reports[1]
 
     def test_hardy_tent_report(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ from pwlab.fourier import (
     ConvergenceError,
     GridFunction,
     GridSpec,
+    _axis_transform,
     bump_hat,
     bump_profile,
     dilate_toward,
@@ -59,15 +60,6 @@ class TestGrids:
         with pytest.raises(GeometryError):
             GridFunction.from_function(spec, lambda p: np.ones(p.shape[0]),
                                        support=Ball(np.zeros(2), 1.0))
-
-    def test_csv_dump(self, tmp_path):
-        spec = GridSpec(lower=[0.0], upper=[1.0], npts=(4,))
-        gf = GridFunction.from_function(spec, lambda p: p[:, 0] + 1j)
-        path = tmp_path / "grid.csv"
-        gf.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x0,re,im"
-        assert len(lines) == 5
 
 
 class TestQuadrature:
@@ -148,6 +140,25 @@ class TestSynthesis:
         tent = GridFunction.from_function(spec, lambda p: np.maximum(0, 1 - np.abs(p[:, 0])))
         with pytest.raises(ConvergenceError, match="alias half period"):
             synthesize_l1(tent, box_halfwidth=4.0)
+
+
+class TestAxisTransform:
+    @pytest.mark.parametrize("K", [1, 2, 7, 400, 401])
+    @pytest.mark.parametrize("M", [1, 5, 1536])
+    @pytest.mark.parametrize("shape, axis", [((None,), 0), ((None, 3), 0), ((3, None), 1)])
+    def test_dense_branch_matches_direct_matrix(self, K, M, shape, axis):
+        xs = GridSpec(lower=[0.0], upper=[1.0], npts=(K,)).axis_nodes(0)
+        # off-centre box, so that a single spatial node is not t = 0
+        ts = GridSpec(lower=[-31.0], upper=[33.0], npts=(M,)).axis_nodes(0)
+        assert K * M <= 1 << 21
+        rng = np.random.default_rng(K * 10_000 + M)
+        dims = tuple(K if s is None else s for s in shape)
+        F = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+        got = _axis_transform(F, axis, xs, ts)
+        E = np.exp(2j * np.pi * np.outer(ts, xs))
+        ref = np.moveaxis(np.tensordot(E, F, axes=(1, axis)), 0, axis)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestDilation:
