@@ -220,10 +220,6 @@ def unit_box(n: int) -> HPolytope:
     return box(np.zeros(n), np.ones(n))
 
 
-def simplex_from_vertices(verts) -> VPolytope:
-    return VPolytope(np.asarray(verts, dtype=float))
-
-
 @dataclass(frozen=True)
 class Pyramid:
     """The pyramid with square (or segment) base of half-width alpha and apex
@@ -334,6 +330,14 @@ def _is_bounded(h: HPolytope) -> bool:
     return True
 
 
+def nonsingular(mats: np.ndarray) -> np.ndarray:
+    """Mask of the (..., n, n) facet systems whose determinant clears DET_TOL
+    relative to their largest entry."""
+    n = mats.shape[-1]
+    dets = np.abs(np.linalg.det(mats))
+    return dets > DET_TOL * np.maximum(1.0, np.abs(mats).max(axis=(-2, -1)) ** n)
+
+
 def vertex_enumerate(h: HPolytope, check_bounded: bool = True) -> np.ndarray:
     """All vertices of a bounded H-polytope, dim <= 3, brute force over facet
     subsets.  Each vertex solves dim active facet equations and satisfies all
@@ -347,11 +351,10 @@ def vertex_enumerate(h: HPolytope, check_bounded: bool = True) -> np.ndarray:
     m = A.shape[0]
     if m < n:
         raise GeometryError("too few halfspaces for a bounded polytope")
-    combos = list(itertools.combinations(range(m), n))
-    mats = A[np.array(combos)]                     # (ncomb, n, n)
-    rhs = b[np.array(combos)]                      # (ncomb, n)
-    dets = np.abs(np.linalg.det(mats))
-    good = dets > DET_TOL * np.maximum(1.0, np.abs(mats).max(axis=(1, 2)) ** n)
+    combos = np.array(list(itertools.combinations(range(m), n)))
+    mats = A[combos]                               # (ncomb, n, n)
+    rhs = b[combos]                                # (ncomb, n)
+    good = nonsingular(mats)
     cands = np.linalg.solve(mats[good], rhs[good][..., None])[..., 0]
     scale = 1.0 + np.abs(b)
     feas = np.all(cands @ A.T <= b + FEAS_TOL * scale, axis=1)

@@ -9,7 +9,6 @@ quantities with the quadrature weight folded in once.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,22 +107,6 @@ class HankelMatrix:
 
     def schatten(self, p: float) -> float:
         return schatten_norm(self.singular_values, p)
-
-    def dump_singular_values(self, path) -> None:
-        """Binary dump: little-endian uint64 count, then float64 values."""
-        sv = self.singular_values
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<Q", sv.size))
-            fh.write(sv.astype("<f8").tobytes())
-
-
-def load_singular_values(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        (count,) = struct.unpack("<Q", fh.read(8))
-        data = np.frombuffer(fh.read(8 * count), dtype="<f8")
-    if data.size != count:
-        raise GeometryError("truncated singular value dump")
-    return data.copy()
 
 
 # ---------------------------------------------------------------------------

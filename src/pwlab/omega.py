@@ -4,10 +4,18 @@ Exact closed forms where they exist (balls via the slice integral, boxes and
 products via tents, low-dimensional polytopes via intersection volumes), a
 Monte Carlo estimator that serves as the oracle for every exact path, and
 sublevel-set measurement utilities.
+
+Polytopes in dim <= 3 are evaluated for a whole batch of points at once.  The
+planes of P cap (x - P) are always [A; -A] and only their offsets [b; b - A x]
+move with x, so the plane tuples that can meet in a vertex, and their
+inverses, are worked out once per body; each point then costs a few small
+array operations.  omega_polytope_exact, vertex enumeration one point at a
+time, is the independent oracle of that batch.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,6 +26,8 @@ from scipy.special import betainc, gamma
 from . import geometry
 from .fourier import GridSpec
 from .geometry import (
+    DEDUP_TOL,
+    FEAS_TOL,
     AffineImage,
     Ball,
     ConvexBody,
@@ -107,18 +117,93 @@ def omega_box(edges, x) -> float:
 
 
 def omega_polytope_exact(P: HPolytope, x) -> float:
-    """Exact m(P cap (x - P)) for a bounded H-polytope in dim <= 3; zero when
-    the intersection is empty or has no interior."""
+    """Exact m(P cap (x - P)) for a bounded H-polytope in dim <= 3, one point
+    at a time through vertex enumeration: the oracle of the evaluator's batch.
+
+    Zero outside int 2P = {A x < 2b}, where the intersection has no interior,
+    and when it has at most dim vertices."""
     if P.dim > 3:
         raise GeometryError("exact polytope autocorrelation restricted to dim <= 3")
-    inter = geometry.intersect(P, geometry.reflect_translate(P, x))
-    try:
-        verts = geometry.vertex_enumerate(inter, check_bounded=False)
-    except GeometryError:  # below dim 4 the only failure is an empty intersection
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if not np.all(P.normals @ x < 2.0 * P.offsets):
         return 0.0
+    inter = geometry.intersect(P, geometry.reflect_translate(P, x))
+    verts = geometry.vertex_enumerate(inter, check_bounded=False)
     if verts.shape[0] <= P.dim:
         return 0.0
     return geometry.polytope_volume(inter, verts)
+
+
+# Points are evaluated in chunks of at most this many point x candidate x
+# plane entries.
+CHUNK_ENTRIES = 1 << 21
+
+
+def _candidate_tuples(P: HPolytope) -> tuple[np.ndarray, np.ndarray]:
+    """Plane tuples whose intersection points include every vertex of
+    P cap (x - P), for every x, and the inverses of their matrices.
+
+    Planes 0..k-1 are those of P, planes k..2k-1 those of x - P (normals -A,
+    offsets b - A x).  A vertex of the intersection is a vertex of P, a vertex
+    of x - P, or a point where a ridge (an (n-2)-face: an edge in 3-D, a facet
+    in 2-D) of one body meets a facet of the other.  Each vertex of P is taken
+    once, through the first nonsingular dim-subset of its incident facets.
+    """
+    A = P.normals
+    k, n = A.shape
+    verts = geometry.vertex_enumerate(P, check_bounded=False)
+    incidence = [set(on) for on in geometry.facet_vertex_incidence(P, verts)]
+    corners = []
+    for v in range(verts.shape[0]):
+        facets = [f for f in range(k) if v in incidence[f]]
+        corners += [sub for sub in itertools.combinations(facets, n)
+                    if geometry.nonsingular(A[list(sub)])][:1]
+    ridges = [] if n == 1 else [
+        r for r in itertools.combinations(range(k), n - 1)
+        if len(set.intersection(*(incidence[f] for f in r))) >= 2]
+    mixed = set()
+    for r in ridges:
+        for f in range(k):
+            mixed.add(tuple(sorted(r + (f + k,))))
+            mixed.add(tuple(sorted((f,) + tuple(i + k for i in r))))
+    planes = np.vstack([A, -A])
+    mixed = np.array(sorted(mixed), dtype=np.intp).reshape(-1, n)
+    mixed = mixed[geometry.nonsingular(planes[mixed])]
+    corners = np.array(corners, dtype=np.intp).reshape(-1, n)
+    tuples = np.vstack([corners, corners + k, mixed])
+    return tuples, np.linalg.inv(planes[tuples])
+
+
+def _polygon_area(uv: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Areas of convex polygons given by unordered vertices: uv is (..., c, 2)
+    and mask (..., c) marks the vertices of each polygon.
+
+    The vertices are sorted by angle around their mean and the masked slots
+    are overwritten with the first sorted vertex, which adds zero to the
+    shoelace sum; repeated vertices add zero too."""
+    count = np.maximum(mask.sum(axis=-1), 1)[..., None]
+    mean = np.where(mask[..., None], uv, 0.0).sum(axis=-2) / count
+    d = uv - mean[..., None, :]
+    ang = np.where(mask, np.arctan2(d[..., 1], d[..., 0]), np.inf)
+    order = np.argsort(ang, axis=-1)
+    d = np.take_along_axis(d, order[..., None], axis=-2)
+    keep = np.take_along_axis(mask, order, axis=-1)
+    d = np.where(keep[..., None], d, d[..., :1, :])
+    x, y = d[..., 0], d[..., 1]
+    cross = x * np.roll(y, -1, axis=-1) - y * np.roll(x, -1, axis=-1)
+    return 0.5 * np.abs(cross.sum(axis=-1))
+
+
+def _dot(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """u @ rows.T over the last axis as explicit products, so the sums do not
+    depend on the BLAS thread count."""
+    return sum(u[..., d, None] * rows[:, d] for d in range(rows.shape[1]))
+
+
+def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """mats[c] @ vecs[m, c] for (c, n, n) matrices and (m, c, n) vectors, as
+    explicit products like _dot."""
+    return sum(mats[:, :, j] * vecs[:, :, None, j] for j in range(mats.shape[2]))
 
 
 def omega_mc(body: ConvexBody, x, samples: int, seed: int) -> tuple[float, float]:
@@ -157,8 +242,9 @@ class OmegaEvaluator:
 
     Balls use the closed form (the incomplete-beta slice integral, the lens
     expression in the plane), products multiply factor evaluators, polytopes
-    in dim <= 3 use exact intersection volumes of their H-form, and affine
-    images pull back through the covariance rule
+    in dim <= 3 use exact intersection volumes of their H-form from candidate
+    vertices precomputed per body, and affine images pull back through the
+    covariance rule
     w_{A Omega + v}(x) = |det A| w_Omega(A^{-1}(x - 2v)).  The scalar call
     evaluates a batch of one, so every path has a single dispatch; omega_ball,
     the adaptive slice quadrature, stays separate as the ball path's oracle.
@@ -186,16 +272,110 @@ class OmegaEvaluator:
             return "monte_carlo"
         if isinstance(body, (HPolytope, VPolytope)) and body.dim <= 3:
             self._hform = body if isinstance(body, HPolytope) else geometry.to_hpolytope(body)
+            self._setup_polytope()
             return "exact_polytope"
         return "monte_carlo"
+
+    def _setup_polytope(self) -> None:
+        """Per-body data of the exact polytope batch: the candidate tuples and
+        their inverses, the planes [A; -A] of P cap (x - P), and in 3-D the
+        in-plane bases and the rules by which coincident planes count once."""
+        A, b = self._hform.normals, self._hform.offsets
+        k = A.shape[0]
+        self._tuples, self._inv = _candidate_tuples(self._hform)
+        self._planes = np.vstack([A, -A])
+        self._norms = np.linalg.norm(self._planes, axis=1)
+        if self._hform.dim != 3:
+            return
+        unit = self._planes / self._norms[:, None]
+        u = np.zeros_like(unit)
+        u[np.arange(2 * k), np.argmin(np.abs(unit), axis=1)] = 1.0
+        e1 = np.cross(unit, u)
+        e1 /= np.linalg.norm(e1, axis=1)[:, None]
+        self._basis = np.stack([e1, np.cross(unit, e1)], axis=1)   # (2k, 2, 3)
+        # planes are keyed as geometry._facet_key keys them: a repeated row
+        # of A repeats a plane of P and of x - P for every x, while a plane of
+        # x - P meets one of P with the same unit normal only at some x
+        keys = [geometry._facet_key(a, o) for a, o in zip(A, b)]
+        first = np.array([keys.index(key) == i for i, key in enumerate(keys)])
+        self._counted = np.concatenate([first, first])
+        normal_keys = [tuple(np.round(a, 9)) for a in unit]
+        self._opposite = [(i, k + j) for i in np.flatnonzero(first)
+                          for j in np.flatnonzero(first)
+                          if normal_keys[i] == normal_keys[k + j]]
+
+    def _polytope_batch(self, pts: np.ndarray) -> np.ndarray:
+        """Exact w for every point at once: zero outside int 2P, else the
+        volume of P cap (x - P) from its feasible candidate vertices."""
+        A, b = self._hform.normals, self._hform.offsets
+        k = A.shape[0]
+        out = np.zeros(pts.shape[0])
+        Ax = _dot(pts, A)
+        inside = np.flatnonzero(np.all(Ax < 2.0 * b, axis=1))
+        step = max(1, CHUNK_ENTRIES // (self._tuples.shape[0] * 2 * k))
+        for lo in range(0, inside.size, step):
+            idx = inside[lo:lo + step]
+            offsets = np.concatenate([np.broadcast_to(b, (idx.size, k)), b - Ax[idx]], axis=1)
+            out[idx] = self._intersection_volume(offsets)
+        return out
+
+    def _intersection_volume(self, O: np.ndarray) -> np.ndarray:
+        """Volumes of the polytopes {planes . y <= O[i]} for an (m, 2k)
+        offset array, through the candidate tuples.
+
+        Feasibility is vertex_enumerate's rule and plane incidence that of
+        facet_vertex_incidence.  In 3-D the volume is the divergence-theorem
+        sum V = 1/3 sum_f h_f area_f over the planes, h_f being the distance
+        from the vertex mean to plane f."""
+        n = self._hform.dim
+        rhs = O[:, self._tuples]                                       # (m, c, n)
+        C = _matvec(self._inv, rhs)
+        # one step of iterative refinement brings the candidates of the
+        # ill-conditioned tuples to the accuracy of a direct solve
+        C = C + _matvec(self._inv, rhs - _matvec(self._planes[self._tuples], C))
+        AC = _dot(C, self._planes)                                     # (m, c, 2k)
+        tol = FEAS_TOL * (1.0 + np.abs(O))[:, None, :]
+        feas = np.all(AC <= O[:, None, :] + tol, axis=2)               # (m, c)
+        count = feas.sum(axis=1)
+        # move the feasible candidates to the front and drop the columns no
+        # point needs
+        order = np.argsort(~feas, axis=1, kind="stable")[:, :max(count.max(), 1)]
+        C = np.take_along_axis(C, order[..., None], axis=1)
+        AC = np.take_along_axis(AC, order[..., None], axis=1)
+        feas = np.take_along_axis(feas, order, axis=1)
+        # merge repeated vertices into their first candidate, as
+        # vertex_enumerate merges them at DEDUP_TOL
+        gap = sum((C[:, :, None, d] - C[:, None, :, d]) ** 2 for d in range(n))
+        earlier = np.tril(np.ones(gap.shape[1:], dtype=bool), -1)
+        feas &= ~np.any((gap <= DEDUP_TOL ** 2) & earlier & feas[:, None, :], axis=2)
+        count = feas.sum(axis=1)
+        if n == 1:
+            x = C[..., 0]
+            vol = np.where(feas, x, -np.inf).max(axis=1) - np.where(feas, x, np.inf).min(axis=1)
+        elif n == 2:
+            vol = _polygon_area(C, feas)
+        else:
+            on = np.abs(AC - O[:, None, :]) <= tol * self._norms
+            mask = (feas[:, :, None] & on).transpose(0, 2, 1)          # (m, 2k, c)
+            uv = sum(C[:, None, :, d, None] * self._basis[None, :, None, :, d]
+                     for d in range(3))                                # (m, 2k, c, 2)
+            area = _polygon_area(uv, mask)
+            centre = np.where(feas[..., None], C, 0.0).sum(axis=1) / np.maximum(count, 1)[:, None]
+            h = (O - _dot(centre, self._planes)) / self._norms
+            counted = np.broadcast_to(self._counted, O.shape).copy()
+            off = np.round(O / self._norms, 9)
+            for i, j in self._opposite:
+                counted[:, j] &= off[:, i] != off[:, j]
+            vol = np.sum(h * area * counted, axis=1) / 3.0
+        return np.where(count > n, vol, 0.0)
 
     def __call__(self, x) -> float:
         x = np.asarray(x, dtype=float).reshape(-1)
         return float(self.batch(x[None])[0])
 
     def batch(self, pts: np.ndarray) -> np.ndarray:
-        """Evaluate on an (m, dim) array; vectorized for balls, products and
-        affine images of those, pointwise for polytopes and Monte Carlo."""
+        """Evaluate on an (m, dim) array; vectorized for balls, polytopes,
+        products and affine images of those, pointwise for Monte Carlo."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.mode == "exact_ball":
             b: Ball = self.body
@@ -212,7 +392,7 @@ class OmegaEvaluator:
             u = np.linalg.solve(a.matrix, (pts - 2.0 * a.shift).T).T
             return abs(np.linalg.det(a.matrix)) * self._base.batch(u)
         if self.mode == "exact_polytope":
-            return np.array([omega_polytope_exact(self._hform, p) for p in pts])
+            return self._polytope_batch(pts)
         return np.array([omega_mc(self.body, p, self.mc_samples, self.mc_seed)[0]
                          for p in pts])
 

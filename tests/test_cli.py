@@ -71,6 +71,14 @@ class TestReports:
         header = csv_path.read_text().splitlines()[0]
         assert header == "t,measure,stderr"
 
+    def test_triangle_sublevel_exponent(self, tmp_path):
+        # polytope sublevel measures sit in the t log(1/t) regime, so the
+        # fitted exponent falls below 1; the report is thread-invariant
+        reports = reports_at_blas_threads(tmp_path, ["sublevel", "--body", "triangle",
+                                                     "--samples", "200000", "--seed", "11"])
+        assert reports[0] == reports[1]
+        assert 0.75 < json.loads(reports[0])["exponent"] < 1.0
+
     def test_nehari_report_byte_identical(self, tmp_path):
         args = ["nehari-sweep", "--p", "6", "--eps", "0.4,0.3,0.2,0.15",
                 "--seed", "7"]

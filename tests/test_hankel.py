@@ -10,7 +10,6 @@ from pwlab.hankel import (
     HankelMatrix,
     conjugate_exponent,
     hs_identity_check,
-    load_singular_values,
     orthogonal_sum_check,
     russo_bound_check,
     schatten_norm,
@@ -63,13 +62,6 @@ class TestMatrixBuild:
         H = HankelMatrix.build(disc, 0.12, centered_bump([0.2, 0.1], 0.7))
         frob2 = float(np.sum(np.abs(H.matrix) ** 2))
         assert abs(schatten_norm(H.singular_values, 2) ** 2 - frob2) <= 1e-8 * frob2
-
-    def test_sv_dump_roundtrip(self, disc, tmp_path):
-        H = HankelMatrix.build(disc, 0.25, centered_bump([0, 0], 0.8))
-        path = tmp_path / "sv.bin"
-        H.dump_singular_values(path)
-        back = load_singular_values(path)
-        assert np.array_equal(back, H.singular_values)
 
     def test_complex_symbol(self, disc):
         sym = lambda p: (1 + 0.5j) * bump_hat_batch(p, center=[0.1, 0.0], radius=0.6)

@@ -1,7 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.spatial import ConvexHull, HalfspaceIntersection
+
+import pwlab
 
 from pwlab import geometry, omega
 from pwlab.geometry import AffineImage, Ball, GeometryError, Product, unit_box
@@ -84,6 +94,154 @@ class TestOmegaPolytope:
     def test_dimension_above_three_raises(self):
         with pytest.raises(GeometryError, match="dim <= 3"):
             omega_polytope_exact(unit_box(4), [1, 1, 1, 1])
+
+    @pytest.mark.parametrize("name", ["triangle", "square", "pyramid"])
+    def test_just_inside_a_vertex_of_the_doubled_body(self, name):
+        P = geometry.BUILTIN_BODIES[name]()
+        verts = geometry.vertex_enumerate(P)
+        centre = 2 * verts.mean(axis=0)
+        for v in 2 * verts:
+            x = v + 1e-13 * (centre - v) / np.linalg.norm(centre - v)
+            w = omega_polytope_exact(P, x)
+            assert np.isfinite(w) and w >= 0.0
+            assert abs(OmegaEvaluator(P)(x) - w) <= 1e-12
+
+    def test_enumeration_failure_propagates(self, right_triangle, monkeypatch):
+        def fail(*args, **kwargs):
+            raise GeometryError("enumeration failed")
+        monkeypatch.setattr(geometry, "vertex_enumerate", fail)
+        assert omega_polytope_exact(right_triangle, [5.0, 5.0]) == 0.0
+        with pytest.raises(GeometryError, match="enumeration failed"):
+            omega_polytope_exact(right_triangle, [2 / 3, 2 / 3])
+
+
+def random_hull(rng, dim: int, count: int) -> geometry.HPolytope:
+    return geometry.to_hpolytope(geometry.VPolytope(rng.uniform(-1, 1, size=(count, dim))))
+
+
+def probe_points(rng, ev: OmegaEvaluator, H: geometry.HPolytope) -> np.ndarray:
+    """Random points of the support box, the vertices of 2H, random points on
+    the facets of 2H, and the origin."""
+    lo, hi = ev.support_box()
+    verts = geometry.vertex_enumerate(H, check_bounded=False)
+    on_facets = [rng.dirichlet(np.ones(len(idx))) @ (2 * verts[idx])
+                 for idx in geometry.facet_vertex_incidence(H, verts) if len(idx) >= H.dim]
+    return np.vstack([rng.uniform(lo, hi, size=(20, H.dim)), 2 * verts, on_facets,
+                      np.zeros((1, H.dim))])
+
+
+def best_time(run, repeats: int = 3) -> float:
+    """Shortest wall time of a few calls of run()."""
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+class TestPolytopeBatch:
+    """The evaluator's batch over all points at once against the per-point
+    oracle omega_polytope_exact."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([2, 3]),
+           count=st.integers(4, 12), form=st.sampled_from(["H", "V", "affine"]))
+    def test_matches_oracle(self, seed, dim, count, form):
+        rng = np.random.default_rng(seed)
+        H = random_hull(rng, dim, count)
+        if form == "H":
+            body, image = H, H
+        elif form == "V":
+            body, image = geometry.VPolytope(geometry.vertex_enumerate(H)), H
+        else:
+            q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+            mat = q @ np.diag(rng.uniform(0.5, 2.0, size=dim))
+            shift = rng.uniform(-1, 1, size=dim)
+            body = AffineImage(base=H, matrix=mat, shift=shift)
+            pulled = H.normals @ np.linalg.inv(mat)
+            image = geometry.HPolytope(pulled, H.offsets + pulled @ shift)
+        ev = OmegaEvaluator(body)
+        assert ev.mode == ("exact_affine" if form == "affine" else "exact_polytope")
+        pts = probe_points(rng, ev, image)
+        got = ev.batch(pts)
+        ref = np.array([omega_polytope_exact(image, x) for x in pts])
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([2, 3]),
+           count=st.integers(4, 12))
+    @example(seed=43, dim=3, count=11)
+    @example(seed=53, dim=3, count=12)
+    @example(seed=259, dim=3, count=11)
+    def test_matches_halfspace_intersection_where_vertices_meet(self, seed, dim, count):
+        # at x = v + u a vertex of x - H lies on the vertex v of H, and many
+        # planes meet there; scipy's halfspace intersection is the reference
+        H = random_hull(np.random.default_rng(seed), dim, count)
+        verts = geometry.vertex_enumerate(H)
+        pts = (verts[:, None] + verts[None]).reshape(-1, dim)
+        pts = pts[np.all(pts @ H.normals.T < 2 * H.offsets - 1e-6, axis=1)]
+        got = OmegaEvaluator(H).batch(pts)
+        planes = np.vstack([H.normals, -H.normals])
+        for x, w in zip(pts, got):
+            offsets = np.concatenate([H.offsets, H.offsets - H.normals @ x])
+            hs = HalfspaceIntersection(np.hstack([planes, -offsets[:, None]]), x / 2)
+            ref = ConvexHull(hs.intersections).volume
+            assert abs(w - ref) <= 1e-12 * max(1.0, ref)
+
+    def test_coincident_planes_count_once(self):
+        # where x_i = 1 the facets y_i <= 1 of the cube and y_i <= x_i of
+        # x - cube coincide, and so do y_i >= 0 and y_i >= x_i - 1
+        pts = np.array([[1.0, 0.7, 1.2], [1.0, 1.0, 0.4], [1.0, 1.0, 1.0], [0.3, 1.0, 1.9]])
+        got = OmegaEvaluator(unit_box(3)).batch(pts)
+        assert np.allclose(got, [omega_box([1, 1, 1], p) for p in pts], rtol=0, atol=1e-15)
+
+    def test_interval_is_the_tent(self):
+        pts = np.linspace(-0.5, 3.5, 41)[:, None]
+        got = OmegaEvaluator(geometry.box([0.0], [1.5])).batch(pts)
+        assert np.allclose(got, [omega_box([1.5], p) for p in pts], rtol=0, atol=1e-15)
+
+    def test_exact_zero_off_the_interior_of_the_doubled_body(self, shifted_pyramid):
+        ev = OmegaEvaluator(shifted_pyramid)
+        verts = geometry.vertex_enumerate(shifted_pyramid)
+        far = 2 * verts + 0.5 * (verts - verts.mean(axis=0))
+        assert np.all(ev.batch(np.vstack([2 * verts, far])) == 0.0)
+
+    def test_triangle_throughput(self, right_triangle):
+        ev = OmegaEvaluator(right_triangle)
+        lo, hi = ev.support_box()
+        pts = np.random.default_rng(1).uniform(lo, hi, size=(100_000, 2))
+        assert pts.shape[0] / best_time(lambda: ev.batch(pts)) >= 1e5
+
+    @pytest.mark.parametrize("name", ["square", "triangle", "cube", "pyramid", "hull"])
+    def test_not_slower_than_the_pointwise_loop(self, name):
+        rng = np.random.default_rng(3)
+        P = random_hull(rng, 3, 10) if name == "hull" else geometry.BUILTIN_BODIES[name]()
+        ev = OmegaEvaluator(P)
+        pts = probe_points(rng, ev, P)
+        ref = np.array([omega_polytope_exact(P, x) for x in pts])
+        assert np.all(np.abs(ev.batch(pts) - ref) <= 1e-12 * np.maximum(1.0, ref))
+        loop = best_time(lambda: [omega_polytope_exact(P, x) for x in pts])
+        assert best_time(lambda: ev.batch(pts)) <= loop
+
+    def test_independent_of_blas_threads(self):
+        script = (
+            "import hashlib, numpy as np\n"
+            "from pwlab import geometry, omega\n"
+            "rng = np.random.default_rng(5)\n"
+            "for name in ('triangle', 'square', 'cube', 'pyramid'):\n"
+            "    ev = omega.OmegaEvaluator(geometry.BUILTIN_BODIES[name]())\n"
+            "    lo, hi = ev.support_box()\n"
+            "    w = ev.batch(rng.uniform(lo, hi, size=(20000, ev.body.dim)))\n"
+            "    print(name, hashlib.sha256(w.tobytes()).hexdigest())\n")
+        src = str(Path(pwlab.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            outs.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                       capture_output=True, text=True, timeout=600).stdout)
+        assert outs[0] == outs[1] and outs[0].count("\n") == 4
 
 
 class TestOmegaMC:
