@@ -21,9 +21,7 @@ from .geometry import (
     polar_dual,
     pyramid_ball_check,
     solve_certificate,
-    support_cone,
     to_hpolytope,
-    to_vpolytope,
     unit_box,
     vertex_enumerate,
 )

@@ -13,6 +13,7 @@ import csv
 import json
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -99,12 +100,9 @@ def cmd_nehari_sweep(args) -> int:
     if args.out:
         write_json(args.out, doc)
     if args.csv:
-        write_csv(args.csv,
-                  ["eps", "N", "r", "numerator", "psi_l1", "psi_l1_tail",
-                   "schatten_proxy", "ratio", "a_max", "min_pair_distance"],
-                  [[row.eps, row.N, row.r, row.numerator, row.psi_l1,
-                    row.psi_l1_tail, row.schatten_proxy, row.ratio, row.a_max,
-                    row.min_pair_distance] for row in report.rows])
+        names = [f.name for f in fields(nehari.SweepRow)]
+        write_csv(args.csv, names,
+                  [[getattr(row, k) for k in names] for row in report.rows])
     print(f"p={args.p}: slope of log ratio vs log N = {report.slope:+.4f} "
           f"over N in [{report.rows[0].N}, {report.rows[-1].N}]")
     return 0

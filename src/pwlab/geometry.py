@@ -2,8 +2,10 @@
 
 Bodies are immutable tagged values (ball, H-polytope, V-polytope, product,
 affine image) with a strict-inequality membership oracle.  Polytope
-combinatorics (vertex/facet enumeration, hulls, volumes) are brute force and
-restricted to dimension <= 3; everything here is desk scale by design.
+combinatorics are restricted to dimension <= 3 and desk scale by design:
+convex hulls (H-forms of point sets, essential vertices, boundedness) come
+from Qhull, vertices of H-polytopes from a vectorized brute force over facet
+subsets, and volumes from triangulated facets.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy import optimize
+from scipy.spatial import ConvexHull, QhullError
 
 # Shared tolerances: vertex dedup and active-set tests are absolute 1e-9,
 # near-singular facet systems are rejected below 1e-12.
@@ -255,13 +258,6 @@ class Pyramid:
         offs.append(0.0)
         return HPolytope(np.array(rows), np.array(offs))
 
-    def expected_vertices(self) -> np.ndarray:
-        corners = np.array(list(itertools.product(*[(-self.alpha, self.alpha)] * (self.dim - 1))))
-        base = np.hstack([corners, np.zeros((corners.shape[0], 1))])
-        apex = np.zeros((1, self.dim))
-        apex[0, -1] = self.beta
-        return np.vstack([base, apex])
-
     def inscribed_ball_radius(self, t: float) -> float:
         """Radius alpha*(beta-t)/sqrt(alpha^2+beta^2) of the axis ball at height t."""
         return self.alpha * (self.beta - t) / math.hypot(self.alpha, self.beta)
@@ -304,7 +300,7 @@ BUILTIN_BODIES = {
 
 
 # ---------------------------------------------------------------------------
-# vertex / facet enumeration (dim <= 3, brute force)
+# vertex enumeration (brute force) and hulls (Qhull), dim <= 3
 # ---------------------------------------------------------------------------
 
 def _dedupe_points(pts: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
@@ -315,33 +311,40 @@ def _dedupe_points(pts: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
     return np.array(out) if out else np.zeros((0, pts.shape[1]))
 
 
+def _hull(pts: np.ndarray) -> ConvexHull:
+    try:
+        return ConvexHull(pts)
+    except QhullError:
+        raise GeometryError("degenerate point set, no full-dimensional hull") from None
+
+
 def _is_bounded(h: HPolytope) -> bool:
-    # bounded iff max <c, x> over the polyhedron is finite for c = +-e_i
-    for i in range(h.dim):
-        for sign in (1.0, -1.0):
-            c = np.zeros(h.dim)
-            c[i] = -sign  # linprog minimizes
-            res = linprog(c, A_ub=h.normals, b_ub=h.offsets,
-                          bounds=[(None, None)] * h.dim, method="highs")
-            if res.status == 3:  # unbounded
-                return False
-            if not res.success:
-                raise GeometryError(f"boundedness LP failed: {res.message}")
-    return True
+    """A polyhedron {A x <= b} with interior points is bounded iff no d != 0
+    has A d <= 0, that is (Gordan) iff the origin lies strictly inside
+    conv(rows of A); rows of rank < dim or affinely flat leave it unbounded."""
+    A = h.normals
+    if h.dim == 1:
+        return bool(A.min() < 0.0 < A.max())
+    try:
+        offsets = ConvexHull(A).equations[:, -1]
+    except QhullError:
+        return False
+    return bool(np.all(offsets < -DET_TOL * np.linalg.norm(A, axis=1).max()))
 
 
 def nonsingular(mats: np.ndarray) -> np.ndarray:
     """Mask of the (..., n, n) facet systems whose determinant clears DET_TOL
-    relative to their largest entry."""
-    n = mats.shape[-1]
+    relative to the product of their row norms, its Hadamard bound, so the
+    test does not change when a row is rescaled."""
     dets = np.abs(np.linalg.det(mats))
-    return dets > DET_TOL * np.maximum(1.0, np.abs(mats).max(axis=(-2, -1)) ** n)
+    return dets > DET_TOL * np.prod(np.linalg.norm(mats, axis=-1), axis=-1)
 
 
 def vertex_enumerate(h: HPolytope, check_bounded: bool = True) -> np.ndarray:
     """All vertices of a bounded H-polytope, dim <= 3, brute force over facet
-    subsets.  Each vertex solves dim active facet equations and satisfies all
-    halfspaces within FEAS_TOL; duplicates merged at DEDUP_TOL."""
+    subsets.  Each vertex solves dim active facet equations and satisfies
+    every halfspace a . x <= b within FEAS_TOL (|a| + |b|), a window that does
+    not change when a row is rescaled; duplicates merged at DEDUP_TOL."""
     n = h.dim
     if n > 3:
         raise GeometryError("vertex enumeration restricted to dim <= 3")
@@ -356,7 +359,7 @@ def vertex_enumerate(h: HPolytope, check_bounded: bool = True) -> np.ndarray:
     rhs = b[combos]                                # (ncomb, n)
     good = nonsingular(mats)
     cands = np.linalg.solve(mats[good], rhs[good][..., None])[..., 0]
-    scale = 1.0 + np.abs(b)
+    scale = np.linalg.norm(A, axis=1) + np.abs(b)
     feas = np.all(cands @ A.T <= b + FEAS_TOL * scale, axis=1)
     verts = _dedupe_points(cands[feas])
     if verts.shape[0] == 0:
@@ -374,58 +377,42 @@ def _facet_key(a: np.ndarray, b: float) -> tuple:
     return tuple(np.round(np.append(a / nrm, b / nrm), 9))
 
 
+def _facet_keys(h: HPolytope) -> set:
+    return {_facet_key(a, b) for a, b in zip(h.normals, h.offsets)}
+
+
 def to_hpolytope(v: VPolytope) -> HPolytope:
-    """Brute-force convex hull of points in dim <= 3, returned as halfspaces."""
+    """Convex hull of points in dim <= 3, returned as halfspaces.
+
+    Qhull's facet rows n . x + c <= 0 become the halfspaces (n, -c); the
+    triangles it splits a flat facet into merge back into one by _facet_key.
+    """
     pts = v.vertices
     n = v.dim
     if n > 3:
         raise GeometryError("hull restricted to dim <= 3")
-    k = pts.shape[0]
-    if k < n + 1:
+    if pts.shape[0] < n + 1:
         raise GeometryError("need at least dim+1 points for a full hull")
-    centroid = pts.mean(axis=0)
-    seen: dict[tuple, tuple[np.ndarray, float]] = {}
-    for combo in itertools.combinations(range(k), n):
-        sub = pts[list(combo)]
-        if n == 1:
-            a = np.array([1.0])
-            bval = sub[0, 0]
-        else:
-            diffs = sub[1:] - sub[0]
-            if n == 2:
-                d = diffs[0]
-                a = np.array([d[1], -d[0]])
-            else:
-                a = np.cross(diffs[0], diffs[1])
-            if np.linalg.norm(a) < 1e-12:
-                continue
-            bval = float(a @ sub[0])
-        # orient outward (away from centroid)
-        if a @ centroid > bval:
-            a, bval = -a, -bval
-        vals = pts @ a
-        scale = np.linalg.norm(a) * (1.0 + np.abs(bval) / max(np.linalg.norm(a), 1e-300))
-        if np.all(vals <= bval + FEAS_TOL * max(scale, 1.0)):
-            seen.setdefault(_facet_key(a, bval), (a, bval))
-    if not seen:
-        raise GeometryError("degenerate point set, no hull facets found")
-    normals = np.array([a for a, _ in seen.values()])
-    offsets = np.array([b for _, b in seen.values()])
-    return HPolytope(normals, offsets)
-
-
-def to_vpolytope(h: HPolytope) -> VPolytope:
-    return VPolytope(vertex_enumerate(h))
+    if n == 1:
+        lo, hi = pts.min(), pts.max()
+        if lo == hi:
+            raise GeometryError("degenerate point set, no full-dimensional hull")
+        return HPolytope([[1.0], [-1.0]], [hi, -lo])
+    facets: dict[tuple, np.ndarray] = {}
+    for row in _hull(pts).equations:
+        facets.setdefault(_facet_key(row[:-1], -row[-1]), row)
+    rows = np.array(list(facets.values()))
+    return HPolytope(rows[:, :-1], -rows[:, -1])
 
 
 def facet_vertex_incidence(h: HPolytope, verts: np.ndarray | None = None) -> list[list[int]]:
-    """Indices of vertices lying on each facet hyperplane (within FEAS_TOL)."""
+    """Indices of vertices lying on each facet hyperplane a . x = b, within
+    FEAS_TOL (|a| + |b|) as in vertex_enumerate."""
     if verts is None:
         verts = vertex_enumerate(h, check_bounded=False)
     out = []
     for a, b in zip(h.normals, h.offsets):
-        scale = (1.0 + abs(b)) * max(np.linalg.norm(a), 1e-300)
-        on = np.nonzero(np.abs(verts @ a - b) <= FEAS_TOL * scale)[0]
+        on = np.nonzero(np.abs(verts @ a - b) <= FEAS_TOL * (np.linalg.norm(a) + abs(b)))[0]
         out.append(list(on))
     return out
 
@@ -490,23 +477,15 @@ def reflect_translate(h: HPolytope, x) -> HPolytope:
 
 
 # ---------------------------------------------------------------------------
-# polar duality and support cones
+# polar duality
 # ---------------------------------------------------------------------------
 
 def _essential_vertices(pts: np.ndarray) -> np.ndarray:
-    """Drop points lying in the convex hull of the others (LP feasibility)."""
-    keep = []
-    k = pts.shape[0]
-    for i in range(k):
-        others = np.delete(pts, i, axis=0)
-        # is pts[i] a convex combination of the others?
-        A_eq = np.vstack([others.T, np.ones(others.shape[0])])
-        b_eq = np.append(pts[i], 1.0)
-        res = linprog(np.zeros(others.shape[0]), A_eq=A_eq, b_eq=b_eq,
-                      bounds=[(0, None)] * others.shape[0], method="highs")
-        if not res.success:
-            keep.append(i)
-    return pts[keep]
+    """The points that are vertices of their convex hull, in input order; of
+    repeated vertices one copy stays."""
+    if pts.shape[1] == 1:
+        return pts[np.unique([pts.argmin(), pts.argmax()])]
+    return pts[np.sort(_hull(pts).vertices)]
 
 
 def polar_dual(body: ConvexBody) -> ConvexBody:
@@ -518,9 +497,7 @@ def polar_dual(body: ConvexBody) -> ConvexBody:
     """
     if isinstance(body, HPolytope):
         verts = vertex_enumerate(body)  # validates boundedness
-        keys = {_facet_key(a, b) for a, b in
-                zip(body.normals, body.offsets)}
-        if len(keys) < body.normals.shape[0]:
+        if len(_facet_keys(body)) < body.normals.shape[0]:
             raise GeometryError("duplicate halfspaces; normalize first")
         incidence = facet_vertex_incidence(body, verts)
         if np.any(body.offsets <= FEAS_TOL):
@@ -539,38 +516,6 @@ def polar_dual(body: ConvexBody) -> ConvexBody:
     raise GeometryError("polar dual implemented for polytopes only")
 
 
-@dataclass(frozen=True)
-class SupportCone:
-    """Cone of feasible directions at a vertex, spanned by the generators
-    y_j - x for the other vertices y_j."""
-
-    apex: np.ndarray
-    generators: np.ndarray
-
-    def contains(self, direction) -> bool:
-        d = np.asarray(direction, dtype=float).reshape(-1)
-        G = self.generators.T  # (dim, k)
-        res = linprog(np.zeros(G.shape[1]), A_eq=G, b_eq=d,
-                      bounds=[(0, None)] * G.shape[1], method="highs")
-        return bool(res.success)
-
-
-def support_cone(body: ConvexBody, vertex) -> SupportCone:
-    if isinstance(body, HPolytope):
-        verts = vertex_enumerate(body)
-    elif isinstance(body, VPolytope):
-        verts = _essential_vertices(body.vertices)
-    else:
-        raise GeometryError("support cones are defined for polytopes")
-    x = _as_vector(vertex, body.dim)
-    dists = np.linalg.norm(verts - x, axis=1)
-    hit = np.argmin(dists)
-    if dists[hit] > DEDUP_TOL:
-        raise GeometryError("input point is not a vertex of the polytope")
-    gens = np.delete(verts, hit, axis=0) - verts[hit]
-    return SupportCone(apex=verts[hit], generators=gens)
-
-
 # ---------------------------------------------------------------------------
 # inscribed balls
 # ---------------------------------------------------------------------------
@@ -583,8 +528,8 @@ def chebyshev_ball(h: HPolytope) -> tuple[np.ndarray, float]:
     A_ub = np.hstack([h.normals, norms[:, None]])
     c = np.zeros(n + 1)
     c[n] = -1.0
-    res = linprog(c, A_ub=A_ub, b_ub=h.offsets,
-                  bounds=[(None, None)] * n + [(0, None)], method="highs")
+    res = optimize.linprog(c, A_ub=A_ub, b_ub=h.offsets,
+                           bounds=[(None, None)] * n + [(0, None)], method="highs")
     if not res.success:
         raise GeometryError(f"chebyshev LP failed: {res.message}")
     center, radius = res.x[:n], float(res.x[n])

@@ -250,18 +250,3 @@ def orthogonal_sum_check(body: ConvexBody, symbols: list, supports: list[Ball],
     dev = float(np.max(np.abs(a - b)) / scale)
     return OrthoCheck(ok=dev <= rel_tol, max_rel_dev=dev,
                       block_sizes=sizes + [int(np.count_nonzero(union_mask))])
-
-
-# ---------------------------------------------------------------------------
-# bounded-symbol estimate
-# ---------------------------------------------------------------------------
-
-def symbol_bound_check(body: ConvexBody, symbol, spacing: float,
-                       spatial_sup: float, tol: float = 0.05) -> tuple[float, float, bool]:
-    """sigma_max(A) <= (1 + tol) * sup|phi|: the discrete echo of the bound
-    of operator norms by the symbol's sup norm.  spatial_sup is the sup of
-    |phi| over a fine spatial grid, supplied by the caller."""
-    H = HankelMatrix.build(body, spacing, symbol)
-    sv = H.singular_values
-    sigma = float(sv[0]) if sv.size else 0.0
-    return sigma, spatial_sup, sigma <= (1.0 + tol) * spatial_sup

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import fftconvolve
 
+from . import geometry
 from .fourier import (
     GridFunction,
     GridSpec,
@@ -25,7 +26,7 @@ from .fourier import (
     synthesize_l1,
     synthesize_on_grid,
 )
-from .geometry import ConvexBody, GeometryError, HPolytope
+from .geometry import ConvexBody, GeometryError, HPolytope, VPolytope
 from .omega import omega_inverse_integral
 
 OMEGA_FLOOR = 1e-12
@@ -210,16 +211,22 @@ def adjusted_integrability_report(body: ConvexBody, d_list,
     """Numerical evidence table for the weight exponent d.
 
     Polytopes: the corner family decides (bounded ratios for d <= 1,
-    negative slope meaning blow-up for d > 1).  Smooth bounded bodies: the
-    inverse-power integral decides below the dimensional threshold 2/(n+1)
-    (stabilizes at a resolvable floor and does not grow at a tiny floor);
-    above it, divergence of the integral alone proves nothing, so rows
-    without a corner family report inconclusive unless d > 1 grows.
+    negative slope meaning blow-up for d > 1).  That family lives in a
+    corner of the unit square, so any other polytope raises GeometryError.
+    Smooth bounded bodies: the inverse-power integral decides below the
+    dimensional threshold 2/(n+1) (stabilizes at a resolvable floor and
+    does not grow at a tiny floor); above it, divergence of the integral
+    alone proves nothing, so rows without a corner family report
+    inconclusive unless d > 1 grows.
     Verdicts are evidence labels, never proofs.
     """
     rows = []
     n = body.dim
-    is_polytope = isinstance(body, HPolytope)
+    is_polytope = isinstance(body, (HPolytope, VPolytope))
+    if is_polytope:
+        h = body if isinstance(body, HPolytope) else geometry.to_hpolytope(body)
+        if geometry._facet_keys(h) != geometry._facet_keys(geometry.unit_box(2)):
+            raise GeometryError("the integrability corner family covers only the unit square")
     for d in d_list:
         evidence: dict = {}
         if is_polytope:

@@ -25,7 +25,7 @@ times the sine sum of one real phase matrix 2 pi t . 2 x_i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import integrate
@@ -34,8 +34,6 @@ from . import hankel
 from .calibration import DEFAULT_CALIBRATION, CalibrationBlock
 from .fourier import (
     ConvergenceError,
-    GridFunction,
-    GridSpec,
     _l1_by_doubling,
     bump_profile,
     scaled_ball_grid,
@@ -108,14 +106,6 @@ class BumpFamily:
     def symbol(self, i: int):
         c, R = self.freq_centers[i], self.support_radius
         return lambda pts: bump_profile(np.linalg.norm(np.atleast_2d(pts) - c, axis=1) / R)
-
-    def grid_function(self, i: int) -> GridFunction:
-        half = self.offsets_axes[0][-1] + 0.5 * (self.offsets_axes[0][1] - self.offsets_axes[0][0])
-        c = self.freq_centers[i]
-        spec = GridSpec(lower=c - half, upper=c + half,
-                        npts=(self.offsets_axes[0].size,) * c.size)
-        return GridFunction(spec=spec, values=self.values.astype(complex),
-                            side="frequency", support=Ball(c, self.support_radius))
 
 
 def build_bumps(y_list: np.ndarray, eps: float, C: float, C1: float,
@@ -278,9 +268,7 @@ class SweepRow:
     min_pair_distance: float
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("eps", "N", "r", "numerator", "psi_l1", "psi_l1_tail",
-                 "schatten_proxy", "ratio", "a_max", "min_pair_distance")}
+        return asdict(self)
 
 
 def eq5_ratio(config: NehariConfig, eps: float, check_disjointness: bool = True,

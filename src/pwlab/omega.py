@@ -27,7 +27,6 @@ from . import geometry
 from .fourier import GridSpec
 from .geometry import (
     DEDUP_TOL,
-    FEAS_TOL,
     AffineImage,
     Ball,
     ConvexBody,
@@ -137,6 +136,8 @@ def omega_polytope_exact(P: HPolytope, x) -> float:
 # Points are evaluated in chunks of at most this many point x candidate x
 # plane entries.
 CHUNK_ENTRIES = 1 << 21
+# Relative feasibility and incidence window of the batch's candidate vertices.
+BATCH_TOL = 1e-12
 
 
 def _candidate_tuples(P: HPolytope) -> tuple[np.ndarray, np.ndarray]:
@@ -147,17 +148,21 @@ def _candidate_tuples(P: HPolytope) -> tuple[np.ndarray, np.ndarray]:
     offsets b - A x).  A vertex of the intersection is a vertex of P, a vertex
     of x - P, or a point where a ridge (an (n-2)-face: an edge in 3-D, a facet
     in 2-D) of one body meets a facet of the other.  Each vertex of P is taken
-    once, through the first nonsingular dim-subset of its incident facets.
+    once, through the best-conditioned dim-subset of its incident facets.  The
+    tuples come best-conditioned first, so that a vertex several tuples reach
+    is kept at its most accurate candidate.
     """
     A = P.normals
     k, n = A.shape
+    planes = np.vstack([A, -A])
+    unit = planes / np.linalg.norm(planes, axis=1)[:, None]
     verts = geometry.vertex_enumerate(P, check_bounded=False)
     incidence = [set(on) for on in geometry.facet_vertex_incidence(P, verts)]
     corners = []
     for v in range(verts.shape[0]):
         facets = [f for f in range(k) if v in incidence[f]]
-        corners += [sub for sub in itertools.combinations(facets, n)
-                    if geometry.nonsingular(A[list(sub)])][:1]
+        corners.append(min(itertools.combinations(facets, n),
+                           key=lambda sub: np.linalg.cond(unit[list(sub)])))
     ridges = [] if n == 1 else [
         r for r in itertools.combinations(range(k), n - 1)
         if len(set.intersection(*(incidence[f] for f in r))) >= 2]
@@ -166,11 +171,11 @@ def _candidate_tuples(P: HPolytope) -> tuple[np.ndarray, np.ndarray]:
         for f in range(k):
             mixed.add(tuple(sorted(r + (f + k,))))
             mixed.add(tuple(sorted((f,) + tuple(i + k for i in r))))
-    planes = np.vstack([A, -A])
     mixed = np.array(sorted(mixed), dtype=np.intp).reshape(-1, n)
-    mixed = mixed[geometry.nonsingular(planes[mixed])]
     corners = np.array(corners, dtype=np.intp).reshape(-1, n)
     tuples = np.vstack([corners, corners + k, mixed])
+    tuples = tuples[geometry.nonsingular(planes[tuples])]
+    tuples = tuples[np.argsort(np.linalg.cond(unit[tuples]), kind="stable")]
     return tuples, np.linalg.inv(planes[tuples])
 
 
@@ -323,10 +328,16 @@ class OmegaEvaluator:
         """Volumes of the polytopes {planes . y <= O[i]} for an (m, 2k)
         offset array, through the candidate tuples.
 
-        Feasibility is vertex_enumerate's rule and plane incidence that of
-        facet_vertex_incidence.  In 3-D the volume is the divergence-theorem
-        sum V = 1/3 sum_f h_f area_f over the planes, h_f being the distance
-        from the vertex mean to plane f."""
+        A candidate is feasible for, and lies on, plane i within
+        BATCH_TOL (|a_i| + |O_i|), a window of the same geometric width
+        whatever the scale of the row.  It is much tighter than the oracle's
+        FEAS_TOL, so no point where a near-singular tuple meets just outside
+        the body passes.  Where rounding leaves many planes only nearly
+        concurrent, their candidates merge at DEDUP_TOL into the
+        best-conditioned one, which lies on all of them within the window.
+        In 3-D the volume is the divergence-theorem sum V = 1/3 sum_f h_f
+        area_f over the planes, h_f being the distance from the vertex mean to
+        plane f."""
         n = self._hform.dim
         rhs = O[:, self._tuples]                                       # (m, c, n)
         C = _matvec(self._inv, rhs)
@@ -334,7 +345,7 @@ class OmegaEvaluator:
         # ill-conditioned tuples to the accuracy of a direct solve
         C = C + _matvec(self._inv, rhs - _matvec(self._planes[self._tuples], C))
         AC = _dot(C, self._planes)                                     # (m, c, 2k)
-        tol = FEAS_TOL * (1.0 + np.abs(O))[:, None, :]
+        tol = BATCH_TOL * (self._norms + np.abs(O))[:, None, :]
         feas = np.all(AC <= O[:, None, :] + tol, axis=2)               # (m, c)
         count = feas.sum(axis=1)
         # move the feasible candidates to the front and drop the columns no
@@ -355,7 +366,7 @@ class OmegaEvaluator:
         elif n == 2:
             vol = _polygon_area(C, feas)
         else:
-            on = np.abs(AC - O[:, None, :]) <= tol * self._norms
+            on = np.abs(AC - O[:, None, :]) <= tol
             mask = (feas[:, :, None] & on).transpose(0, 2, 1)          # (m, 2k, c)
             uv = sum(C[:, None, :, d, None] * self._basis[None, :, None, :, d]
                      for d in range(3))                                # (m, 2k, c, 2)

@@ -13,6 +13,7 @@ lambda with eps yields a decreasing family squeezing down to P.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -41,14 +42,8 @@ def _polytope_vertices(P) -> np.ndarray:
 
 
 def _all_subsets_affinely_independent(pts: np.ndarray, dim: int) -> bool:
-    from itertools import combinations
-    k = pts.shape[0]
-    for combo in combinations(range(k), dim + 1):
-        sub = pts[list(combo)]
-        mat = sub[1:] - sub[0]
-        if abs(np.linalg.det(mat)) <= AFFINE_INDEPENDENCE_TOL:
-            return False
-    return True
+    sub = pts[np.array(list(combinations(range(pts.shape[0]), dim + 1)))]
+    return bool(np.all(np.abs(np.linalg.det(sub[:, 1:] - sub[:, :1])) > AFFINE_INDEPENDENCE_TOL))
 
 
 @dataclass
@@ -205,9 +200,7 @@ def dual_pipeline_check(P, eps: float, seed: int = 0) -> DualityCheck:
 def simple_vertex_facet_counts(h: HPolytope) -> list:
     """Facet-incidence count of each vertex of an H-polytope."""
     verts = vertex_enumerate(h)
-    counts = []
-    for v in verts:
-        scale = (1.0 + np.abs(h.offsets)) * np.maximum(np.linalg.norm(h.normals, axis=1), 1e-300)
-        active = np.abs(h.normals @ v - h.offsets) <= 1e-9 * scale
-        counts.append(int(np.count_nonzero(active)))
-    return counts
+    counts = np.zeros(verts.shape[0], dtype=int)
+    for on in facet_vertex_incidence(h, verts):
+        counts[on] += 1
+    return counts.tolist()

@@ -107,6 +107,16 @@ class TestReports:
         doc = json.loads(out.read_text())
         assert abs(doc["ratio"] - 4.0) < 0.05
 
+    def test_integrability_only_on_the_square(self, tmp_path, capsys):
+        out = tmp_path / "square.json"
+        assert run(["hardy", "--family", "integrability", "--body", "square",
+                    "--d", "1.5", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["verdict"] == "fails-evidence"
+        capsys.readouterr()
+        assert run(["hardy", "--family", "integrability", "--body", "triangle",
+                    "--d", "1.5"]) == 1
+        assert "corner family covers only the unit square" in capsys.readouterr().err
+
     def test_simplicial_report(self, tmp_path, capsys):
         out = tmp_path / "approx.json"
         assert run(["simplicial", "--poly", "pyramid", "--eps", "0.2,0.1",

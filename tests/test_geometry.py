@@ -21,7 +21,6 @@ from pwlab.geometry import (
     pyramid_ball_check,
     sample_ball_lens,
     solve_certificate,
-    support_cone,
     to_hpolytope,
     unit_box,
     vertex_enumerate,
@@ -48,7 +47,7 @@ class TestMembership:
             Ball([0.0, 0.0], 1.0).contains([1.0, 0.0, 0.0])
 
     def test_hv_consistency_on_probes(self, right_triangle, rng):
-        v = geometry.to_vpolytope(right_triangle)
+        v = VPolytope(vertex_enumerate(right_triangle))
         pts = rng.uniform(-0.5, 1.5, size=(1000, 2))
         assert np.array_equal(right_triangle.contains_batch(pts), v.contains_batch(pts))
 
@@ -83,10 +82,11 @@ class TestVertexEnumeration:
             assert np.min(np.linalg.norm(verts - p, axis=1)) < 1e-9
 
     def test_pyramid_3d_vertices(self):
-        pyr = Pyramid(1.0, 1.0, dim=3)
-        verts = vertex_enumerate(pyr.hpolytope())
+        verts = vertex_enumerate(Pyramid(1.0, 1.0, dim=3).hpolytope())
+        expected = np.array([[-1, -1, 0], [-1, 1, 0], [1, -1, 0], [1, 1, 0], [0, 0, 1]],
+                            dtype=float)
         assert verts.shape == (5, 3)
-        for p in pyr.expected_vertices():
+        for p in expected:
             assert np.min(np.linalg.norm(verts - p, axis=1)) < 1e-9
 
     def test_unbounded_rejected(self):
@@ -97,6 +97,30 @@ class TestVertexEnumeration:
         flat = HPolytope([[0, 1], [0, -1], [1, 0], [-1, 0]], [0, 0, 1, 0])
         with pytest.raises(GeometryError):
             vertex_enumerate(flat)
+
+    def test_strip_is_unbounded(self):
+        # the rows span only one direction
+        with pytest.raises(GeometryError, match="unbounded"):
+            vertex_enumerate(HPolytope([[1, 0], [-1, 0]], [1, 1]))
+
+
+class TestHull:
+    def test_flat_facets_merged(self):
+        # the cube's corners plus its centre and an edge midpoint: six facets,
+        # though the hull triangulates each square face
+        pts = np.vstack([vertex_enumerate(unit_box(3)), [[0.5, 0.5, 0.5], [0.5, 0.0, 0.0]]])
+        h = to_hpolytope(VPolytope(pts))
+        assert geometry._facet_keys(h) == geometry._facet_keys(unit_box(3))
+        assert h.normals.shape == (6, 3)
+
+    def test_flat_point_set_rejected(self):
+        with pytest.raises(GeometryError, match="degenerate"):
+            to_hpolytope(VPolytope([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]))
+
+    def test_interval(self):
+        h = to_hpolytope(VPolytope([[0.5], [-1.0], [2.0]]))
+        assert np.array_equal(h.normals, [[1.0], [-1.0]])
+        assert np.array_equal(h.offsets, [2.0, 1.0])
 
 
 class TestPolarDuality:
@@ -132,18 +156,12 @@ class TestPolarDuality:
         with pytest.raises(GeometryError):
             polar_dual(shifted)
 
-
-class TestSupportCone:
-    def test_square_corner_quadrant(self):
-        cone = support_cone(unit_box(2), [0.0, 0.0])
-        assert cone.contains([1.0, 1.0])
-        assert cone.contains([1.0, 0.0])
-        assert not cone.contains([-1.0, 0.0])
-        assert not cone.contains([0.5, -0.1])
-
-    def test_not_a_vertex(self):
-        with pytest.raises(GeometryError):
-            support_cone(unit_box(2), [0.5, 0.5])
+    def test_repeated_vertex_kept_once(self):
+        # a repeated vertex is not in the hull of the other points, though it
+        # is in the hull of its own copy
+        dual = polar_dual(VPolytope([[-1, -1], [1, -1], [1, 1], [-1, 1], [1, 1]]))
+        assert sorted(map(tuple, dual.normals)) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+        assert np.array_equal(dual.offsets, np.ones(4))
 
 
 class TestChebyshevBall:

@@ -13,7 +13,6 @@ from pwlab.hankel import (
     orthogonal_sum_check,
     russo_bound_check,
     schatten_norm,
-    symbol_bound_check,
 )
 
 
@@ -168,26 +167,3 @@ class TestOrthogonalSum:
         with pytest.raises(GeometryError, match="ball bodies"):
             orthogonal_sum_check(unit_box(2), [centered_bump([1.8, 1.0], 0.1)],
                                  [Ball([1.8, 1.0], 0.1)], spacing=0.1)
-
-
-class TestSymbolBound:
-    def test_bump_symbol(self, disc):
-        # phihat >= 0 means sup|phi| = phi(0) = integral of phihat
-        rad = 0.6
-        sym = centered_bump([0.2, 0.1], rad)
-        from pwlab.fourier import GridSpec, quad_integral
-        spec = GridSpec(lower=[-2, -2], upper=[2, 2], npts=(400, 400))
-        sup_phi = quad_integral(lambda p: sym(p).real if np.iscomplexobj(sym(p)) else sym(p), spec)
-        sigma, sup, holds = symbol_bound_check(disc, sym, 0.08, sup_phi)
-        assert holds
-        assert sigma > 0
-
-    def test_zero_symbol(self, disc):
-        sigma, _, holds = symbol_bound_check(disc, lambda p: np.zeros(len(p)), 0.2, 0.0)
-        assert holds and sigma == 0.0
-
-    def test_scaling(self, disc):
-        sym = centered_bump([0.0, 0.0], 0.5)
-        s1, _, _ = symbol_bound_check(disc, sym, 0.1, 1.0)
-        s2, _, _ = symbol_bound_check(disc, lambda p: 3.0 * sym(p), 0.1, 3.0)
-        assert abs(s2 - 3 * s1) < 1e-9 * max(s2, 1.0)

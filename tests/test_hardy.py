@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pwlab.fourier import ConvergenceError
-from pwlab.geometry import Ball, GeometryError, unit_box
+from pwlab.geometry import Ball, GeometryError, VPolytope, unit_box
 from pwlab.hardy import (
     adjusted_integrability_report,
     canonical_bump_l1,
@@ -101,6 +101,13 @@ class TestIntegrabilityReport:
         verdicts = {r.d: r.verdict for r in rows}
         assert verdicts[1.0] == "holds-evidence"
         assert verdicts[1.5] == "fails-evidence"
+
+    def test_only_the_square_among_polytopes(self):
+        # the corner family is the unit square's, in H- or V-form alike
+        square = VPolytope([[0, 0], [1, 0], [1, 1], [0, 1]])
+        assert adjusted_integrability_report(square, [1.5])[0].verdict == "fails-evidence"
+        with pytest.raises(GeometryError, match="unit square"):
+            adjusted_integrability_report(VPolytope([[0, 0], [1, 0], [0, 1]]), [1.5])
 
     def test_ball_verdicts(self, disc):
         rows = adjusted_integrability_report(disc, [0.5, 0.8])

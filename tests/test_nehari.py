@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pwlab.calibration import DEFAULT_CALIBRATION
-from pwlab.fourier import ConvergenceError, synthesize_l1
-from pwlab.geometry import GeometryError
+from pwlab.fourier import ConvergenceError, GridFunction, GridSpec, synthesize_l1
+from pwlab.geometry import Ball, GeometryError
 from pwlab.nehari import (
     BumpFamily,
     NehariConfig,
@@ -138,7 +138,13 @@ class TestTwoScaleIntegral:
         fam = build_bumps(pack_boundary_disc(0.4), 0.4, CAL.containment_c,
                           CAL.bump_c1, cfg.local_grid_points)
         two_scale, _ = modulated_sum_l1(fam, which=np.array([0]), seed=3)
-        direct, _ = synthesize_l1(fam.grid_function(0), box_halfwidth=8.0 / fam.support_radius,
+        offsets = fam.offsets_axes[0]
+        half = offsets[-1] + 0.5 * (offsets[1] - offsets[0])
+        c = fam.freq_centers[0]
+        bump = GridFunction(spec=GridSpec(lower=c - half, upper=c + half, npts=(offsets.size,) * 2),
+                            values=fam.values.astype(complex), side="frequency",
+                            support=Ball(c, fam.support_radius))
+        direct, _ = synthesize_l1(bump, box_halfwidth=8.0 / fam.support_radius,
                                   points_per_unit=0.25 / fam.support_radius)
         assert abs(two_scale - direct) < 0.02 * direct
 

@@ -189,6 +189,27 @@ class TestPolytopeBatch:
             ref = ConvexHull(hs.intersections).volume
             assert abs(w - ref) <= 1e-12 * max(1.0, ref)
 
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([2, 3]),
+           count=st.integers(4, 12))
+    @example(seed=9, dim=3, count=9)
+    @example(seed=27, dim=3, count=12)
+    @example(seed=51, dim=3, count=11)
+    def test_invariant_under_row_scaling(self, seed, dim, count):
+        # {s_i a_i . y <= s_i b_i} is the same polytope for every s_i > 0
+        rng = np.random.default_rng(seed)
+        H = random_hull(rng, dim, count)
+        s = 10.0 ** rng.uniform(-3, 3, size=H.offsets.size)
+        scaled = geometry.HPolytope(H.normals * s[:, None], H.offsets * s)
+        lo, hi = OmegaEvaluator(H).support_box()
+        verts = geometry.vertex_enumerate(H)
+        i, j = np.triu_indices(verts.shape[0])
+        pts = np.vstack([rng.uniform(lo, hi, size=(20, dim)), verts[i] + verts[j]])
+        for evaluate in (lambda P: OmegaEvaluator(P).batch(pts),
+                         lambda P: np.array([omega_polytope_exact(P, x) for x in pts])):
+            w = evaluate(H)
+            assert np.all(np.abs(evaluate(scaled) - w) <= 1e-12 * np.maximum(1.0, w))
+
     def test_coincident_planes_count_once(self):
         # where x_i = 1 the facets y_i <= 1 of the cube and y_i <= x_i of
         # x - cube coincide, and so do y_i >= 0 and y_i >= x_i - 1
