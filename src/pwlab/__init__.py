@@ -27,7 +27,7 @@ from .geometry import (
 )
 
 from .calibration import DEFAULT_CALIBRATION, CalibrationBlock, calibrate
-from .fourier import GridFunction, GridSpec, bump_hat, quad_integral, synthesize_l1
+from .fourier import GridFunction, GridSpec, synthesize_l1
 from .hankel import HankelMatrix, schatten_norm
 from .hardy import corner_family_sweep, halfline_ratio, tent_ratio
 from .nehari import NehariConfig, pack_boundary_disc, sweep_and_fit

@@ -71,16 +71,14 @@ class GridSpec:
 
 @dataclass
 class GridFunction:
-    """Complex samples of a function on a GridSpec.
+    """Complex frequency-side samples of a function on a GridSpec.
 
-    side is 'frequency' or 'space'; frequency-side functions may declare the
-    convex body supporting them, in which case values at nodes outside the
-    body must vanish to 1e-14.
+    The data may declare the convex body supporting them, in which case
+    values at nodes outside the body must vanish to 1e-14.
     """
 
     spec: GridSpec
     values: np.ndarray
-    side: str = "frequency"
     support: ConvexBody | None = None
 
     def __post_init__(self):
@@ -89,19 +87,17 @@ class GridFunction:
             raise GeometryError(f"values shape {vals.shape} != grid {self.spec.npts}")
         if not np.all(np.isfinite(vals.view(float))):
             raise GeometryError("grid function has non-finite values")
-        if self.side not in ("frequency", "space"):
-            raise GeometryError("side must be 'frequency' or 'space'")
         self.values = vals
-        if self.side == "frequency" and self.support is not None:
+        if self.support is not None:
             outside = ~self.support.contains_batch(self.spec.nodes())
             if np.any(np.abs(vals.ravel()[outside]) > 1e-14):
                 raise GeometryError("frequency data does not vanish outside its declared support")
 
     @classmethod
-    def from_function(cls, spec: GridSpec, fn, side: str = "frequency",
+    def from_function(cls, spec: GridSpec, fn,
                       support: ConvexBody | None = None) -> "GridFunction":
         vals = np.asarray(fn(spec.nodes()), dtype=complex).reshape(spec.npts)
-        return cls(spec=spec, values=vals, side=side, support=support)
+        return cls(spec=spec, values=vals, support=support)
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +127,6 @@ def bump_profile(rho):
     return smooth_step(2.0 * (1.0 - rho))
 
 
-def bump_hat(x) -> float:
-    """The canonical frequency bump evaluated at a point of R^n."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    return float(bump_profile(np.linalg.norm(x)))
-
-
 def bump_hat_batch(pts: np.ndarray, center=None, radius: float = 1.0) -> np.ndarray:
     """Vectorized bump supported on B(center, radius)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -147,16 +137,6 @@ def bump_hat_batch(pts: np.ndarray, center=None, radius: float = 1.0) -> np.ndar
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
-
-def quad_integral(fn, spec: GridSpec) -> float:
-    """Midpoint-rule integral of a real integrand over the grid box.
-
-    The sum runs through math.fsum, which is exact and therefore independent
-    of summation order.
-    """
-    vals = np.asarray(fn(spec.nodes()), dtype=float).ravel()
-    return math.fsum(vals) * spec.weight
-
 
 def scaled_ball_grid(center, radius: float, per_axis: int
                      ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -215,8 +195,6 @@ def synthesize_on_grid(fhat: GridFunction, spatial: GridSpec) -> np.ndarray:
 
     Separable: one uniform-node transform per axis, applied in turn.
     """
-    if fhat.side != "frequency":
-        raise GeometryError("synthesis needs frequency-side data")
     n = fhat.spec.dim
     if spatial.dim != n:
         raise GeometryError("spatial grid dimension mismatch")
@@ -303,5 +281,4 @@ def dilate_toward(fhat: GridFunction, z, r: float) -> GridFunction:
     elif support is not None:
         support = AffineImage(base=support, matrix=r * np.eye(fhat.spec.dim),
                               shift=shift)
-    return GridFunction(spec=spec, values=fhat.values.copy(), side="frequency",
-                        support=support)
+    return GridFunction(spec=spec, values=fhat.values.copy(), support=support)

@@ -109,7 +109,7 @@ class HPolytope(ConvexBody):
         return np.all(pts @ self.normals.T < self.offsets, axis=1)
 
     def bounding_box(self):
-        verts = vertex_enumerate(self, check_bounded=False)
+        verts = vertex_enumerate(self)
         return verts.min(axis=0), verts.max(axis=0)
 
 
@@ -405,11 +405,9 @@ def to_hpolytope(v: VPolytope) -> HPolytope:
     return HPolytope(rows[:, :-1], -rows[:, -1])
 
 
-def facet_vertex_incidence(h: HPolytope, verts: np.ndarray | None = None) -> list[list[int]]:
-    """Indices of vertices lying on each facet hyperplane a . x = b, within
-    FEAS_TOL (|a| + |b|) as in vertex_enumerate."""
-    if verts is None:
-        verts = vertex_enumerate(h, check_bounded=False)
+def facet_vertex_incidence(h: HPolytope, verts: np.ndarray) -> list[list[int]]:
+    """Indices of the vertices verts lying on each facet hyperplane a . x = b,
+    within FEAS_TOL (|a| + |b|) as in vertex_enumerate."""
     out = []
     for a, b in zip(h.normals, h.offsets):
         on = np.nonzero(np.abs(verts @ a - b) <= FEAS_TOL * (np.linalg.norm(a) + abs(b)))[0]
@@ -417,14 +415,12 @@ def facet_vertex_incidence(h: HPolytope, verts: np.ndarray | None = None) -> lis
     return out
 
 
-def polytope_volume(h: HPolytope, verts: np.ndarray | None = None) -> float:
-    """Exact volume of a bounded H-polytope in dim <= 3.
+def polytope_volume(h: HPolytope, verts: np.ndarray) -> float:
+    """Exact volume of a bounded H-polytope in dim <= 3 with vertices verts.
 
     Facet polygons are angle-ordered and triangulated, then cones from the
     vertex centroid are summed; up to linear-algebra roundoff this is exact.
     """
-    if verts is None:
-        verts = vertex_enumerate(h, check_bounded=False)
     n = h.dim
     if verts.shape[0] <= n:
         return 0.0
@@ -510,7 +506,8 @@ def polar_dual(body: ConvexBody) -> ConvexBody:
     if isinstance(body, VPolytope):
         verts = _essential_vertices(body.vertices)
         h = HPolytope(verts, np.ones(verts.shape[0]))
-        if not h.contains(np.zeros(body.dim)):
+        # bounded iff (Gordan) the origin lies strictly inside conv(verts)
+        if not _is_bounded(h):
             raise GeometryError("origin not interior to the polytope")
         return h
     raise GeometryError("polar dual implemented for polytopes only")

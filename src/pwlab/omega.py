@@ -120,7 +120,10 @@ def omega_polytope_exact(P: HPolytope, x) -> float:
     at a time through vertex enumeration: the oracle of the evaluator's batch.
 
     Zero outside int 2P = {A x < 2b}, where the intersection has no interior,
-    and when it has at most dim vertices."""
+    and when it has at most dim vertices.  The intersection is enumerated with
+    check_bounded=False: it is bounded because P is, and near the boundary of
+    2P it can be a sliver with at most dim distinct vertices, which the
+    checked enumeration rejects and this oracle counts as zero."""
     if P.dim > 3:
         raise GeometryError("exact polytope autocorrelation restricted to dim <= 3")
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -156,7 +159,7 @@ def _candidate_tuples(P: HPolytope) -> tuple[np.ndarray, np.ndarray]:
     k, n = A.shape
     planes = np.vstack([A, -A])
     unit = planes / np.linalg.norm(planes, axis=1)[:, None]
-    verts = geometry.vertex_enumerate(P, check_bounded=False)
+    verts = geometry.vertex_enumerate(P)
     incidence = [set(on) for on in geometry.facet_vertex_incidence(P, verts)]
     corners = []
     for v in range(verts.shape[0]):
@@ -239,47 +242,35 @@ def omega_mc(body: ConvexBody, x, samples: int, seed: int) -> tuple[float, float
 
 
 # ---------------------------------------------------------------------------
-# evaluator with per-body exact modes
+# the exact evaluator
 # ---------------------------------------------------------------------------
 
 class OmegaEvaluator:
-    """Dispatches to the fastest exact autocorrelation path for a body.
+    """Exact autocorrelation of a body, dispatched on its type.
 
     Balls use the closed form (the incomplete-beta slice integral, the lens
-    expression in the plane), products multiply factor evaluators, polytopes
-    in dim <= 3 use exact intersection volumes of their H-form from candidate
-    vertices precomputed per body, and affine images pull back through the
-    covariance rule
-    w_{A Omega + v}(x) = |det A| w_Omega(A^{-1}(x - 2v)).  The scalar call
+    expression in the plane), products multiply factor evaluators, bounded
+    full-dimensional polytopes in dim <= 3 use exact intersection volumes of
+    their H-form from candidate vertices precomputed per body, and affine
+    images pull back through the covariance rule
+    w_{A Omega + v}(x) = |det A| w_Omega(A^{-1}(x - 2v)).  Any other body,
+    or a product or affine image containing one, raises GeometryError at
+    construction, as does an unbounded or flat H-form.  The scalar call
     evaluates a batch of one, so every path has a single dispatch; omega_ball,
-    the adaptive slice quadrature, stays separate as the ball path's oracle.
+    the adaptive slice quadrature, and omega_mc stay separate as oracles.
     """
 
-    def __init__(self, body: ConvexBody, mc_samples: int = 200_000, mc_seed: int = 0):
+    def __init__(self, body: ConvexBody):
         self.body = body
-        self.mc_samples = mc_samples
-        self.mc_seed = mc_seed
-        self.mode = self._pick_mode(body)
-
-    def _pick_mode(self, body) -> str:
-        if isinstance(body, Ball):
-            return "exact_ball"
         if isinstance(body, Product):
-            self._factors = [OmegaEvaluator(f, self.mc_samples, self.mc_seed)
-                             for f in body.factors]
-            if all(f.mode.startswith("exact") for f in self._factors):
-                return "exact_product"
-            return "monte_carlo"
-        if isinstance(body, AffineImage):
-            self._base = OmegaEvaluator(body.base, self.mc_samples, self.mc_seed)
-            if self._base.mode.startswith("exact"):
-                return "exact_affine"
-            return "monte_carlo"
-        if isinstance(body, (HPolytope, VPolytope)) and body.dim <= 3:
+            self._factors = [OmegaEvaluator(f) for f in body.factors]
+        elif isinstance(body, AffineImage):
+            self._base = OmegaEvaluator(body.base)
+        elif isinstance(body, (HPolytope, VPolytope)):
             self._hform = body if isinstance(body, HPolytope) else geometry.to_hpolytope(body)
             self._setup_polytope()
-            return "exact_polytope"
-        return "monte_carlo"
+        elif not isinstance(body, Ball):
+            raise GeometryError(f"no exact autocorrelation for {type(body).__name__}")
 
     def _setup_polytope(self) -> None:
         """Per-body data of the exact polytope batch: the candidate tuples and
@@ -385,27 +376,22 @@ class OmegaEvaluator:
         return float(self.batch(x[None])[0])
 
     def batch(self, pts: np.ndarray) -> np.ndarray:
-        """Evaluate on an (m, dim) array; vectorized for balls, polytopes,
-        products and affine images of those, pointwise for Monte Carlo."""
+        """Evaluate on an (m, dim) array, vectorized on every path."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.mode == "exact_ball":
-            b: Ball = self.body
-            s = np.linalg.norm(pts - 2.0 * b.center, axis=1) / b.radius
-            return unit_ball_omega_batch(b.dim, s) * b.radius ** b.dim
-        if self.mode == "exact_product":
+        body = self.body
+        if isinstance(body, Ball):
+            s = np.linalg.norm(pts - 2.0 * body.center, axis=1) / body.radius
+            return unit_ball_omega_batch(body.dim, s) * body.radius ** body.dim
+        if isinstance(body, Product):
             val, k = np.ones(pts.shape[0]), 0
             for f in self._factors:
                 val *= f.batch(pts[:, k:k + f.body.dim])
                 k += f.body.dim
             return val
-        if self.mode == "exact_affine":
-            a: AffineImage = self.body
-            u = np.linalg.solve(a.matrix, (pts - 2.0 * a.shift).T).T
-            return abs(np.linalg.det(a.matrix)) * self._base.batch(u)
-        if self.mode == "exact_polytope":
-            return self._polytope_batch(pts)
-        return np.array([omega_mc(self.body, p, self.mc_samples, self.mc_seed)[0]
-                         for p in pts])
+        if isinstance(body, AffineImage):
+            u = np.linalg.solve(body.matrix, (pts - 2.0 * body.shift).T).T
+            return abs(np.linalg.det(body.matrix)) * self._base.batch(u)
+        return self._polytope_batch(pts)
 
     def support_box(self) -> tuple[np.ndarray, np.ndarray]:
         """Inflated bounding box of 2 Omega, the support of the function."""
@@ -420,18 +406,6 @@ class OmegaEvaluator:
         spec = GridSpec(lower=lo, upper=hi, npts=(per_axis,) * self.body.dim)
         nodes = spec.nodes()
         return nodes, spec.weight, self.batch(nodes)
-
-    def body_measure(self) -> float:
-        """m(Omega), an upper bound of w, for bodies with an exact mode."""
-        if isinstance(self.body, Ball):
-            return unit_ball_volume(self.body.dim) * self.body.radius ** self.body.dim
-        if self.mode == "exact_polytope":
-            return geometry.polytope_volume(self._hform)
-        if self.mode == "exact_product":
-            return float(np.prod([f.body_measure() for f in self._factors]))
-        if self.mode == "exact_affine":
-            return abs(np.linalg.det(self.body.matrix)) * self._base.body_measure()
-        raise GeometryError("no exact measure for this body")
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +429,8 @@ def sublevel_fit(body: ConvexBody, t_min: float, t_max: float, count: int,
     and fit the log-log slope.
 
     One shared sample cloud is used for every t, so the measured curve is
-    nondecreasing in t by construction.  Requires a vectorizable exact mode.
+    nondecreasing in t by construction.  A body OmegaEvaluator does not
+    accept raises GeometryError.
     """
     if not (0 < t_min < t_max) or count < 5:
         raise GeometryError("need 0 < t_min < t_max and at least 5 grid points")

@@ -45,6 +45,15 @@ class TestDispatch:
     def test_unknown_body_is_failure(self, capsys):
         assert run(["omega", "--body", "dodecahedron", "--point", "0,0"]) == 1
 
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_unbounded_body_is_failure(self, tmp_path, capsys, mode):
+        path = tmp_path / "quad.json"
+        path.write_text(json.dumps({"dim": 2, "halfspaces": [
+            {"normal": [-1, 0], "offset": 0}, {"normal": [0, -1], "offset": 0}]}))
+        assert run(["omega", "--body", str(path), "--point", "0.5,0.7", "--mode", mode]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unbounded" in captured.err
+
     def test_builtin_table(self):
         for name in ("ball2", "ball3", "square", "cube", "triangle",
                      "pyramid", "halfline-model"):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -9,10 +7,8 @@ from pwlab.fourier import (
     GridFunction,
     GridSpec,
     _axis_transform,
-    bump_hat,
     bump_profile,
     dilate_toward,
-    quad_integral,
     smooth_step,
     synthesize_l1,
     synthesize_on_grid,
@@ -22,15 +18,15 @@ from pwlab.geometry import Ball, GeometryError
 
 class TestBump:
     def test_plateau(self):
-        assert bump_hat([0.3]) == 1.0
-        assert bump_hat([0.3, 0.2]) == 1.0
+        assert bump_profile(0.3) == 1.0
+        assert bump_profile(np.hypot(0.3, 0.2)) == 1.0
 
     def test_outside_support(self):
-        assert bump_hat([1.2]) == 0.0
+        assert bump_profile(1.2) == 0.0
 
     def test_midpoint_symmetry(self):
         # T(1/2) = 1/2 since g(u)/(g(u)+g(1-u)) is symmetric
-        assert abs(bump_hat([0.75]) - 0.5) < 1e-14
+        assert abs(bump_profile(0.75) - 0.5) < 1e-14
 
     def test_radially_nonincreasing(self, rng):
         r = np.sort(rng.uniform(0, 1.5, size=10_000))
@@ -60,36 +56,6 @@ class TestGrids:
         with pytest.raises(GeometryError):
             GridFunction.from_function(spec, lambda p: np.ones(p.shape[0]),
                                        support=Ball(np.zeros(2), 1.0))
-
-
-class TestQuadrature:
-    def test_constant_over_unit_box(self):
-        spec = GridSpec(lower=[0, 0], upper=[1, 1], npts=(32, 32))
-        assert abs(quad_integral(lambda p: np.ones(len(p)), spec) - 1.0) < 1e-12
-
-    def test_tent_integral(self):
-        spec = GridSpec(lower=[-1.0], upper=[1.0], npts=(256,))
-        val = quad_integral(lambda p: np.maximum(0, 1 - np.abs(p[:, 0])), spec)
-        assert abs(val - 1.0) < 1e-4
-
-    def test_kink_integrand_order_at_least_one(self):
-        # Richardson on |x| over (-0.7, 1.0): the kink costs at most one order
-        exact = 0.5 * (0.7 ** 2 + 1.0 ** 2)
-        errs = []
-        for m in (101, 202, 404):
-            spec = GridSpec(lower=[-0.7], upper=[1.0], npts=(m,))
-            errs.append(abs(quad_integral(lambda p: np.abs(p[:, 0]), spec) - exact))
-        order = math.log(errs[0] / errs[2]) / math.log(4)
-        assert order >= 1.0
-
-    def test_convergence_order(self):
-        errs = []
-        for m in (64, 128, 256):
-            spec = GridSpec(lower=[0.0], upper=[1.0], npts=(m,))
-            errs.append(abs(quad_integral(lambda p: np.sin(p[:, 0]), spec)
-                            - (1 - math.cos(1))))
-        order = math.log(errs[0] / errs[2]) / math.log(4)
-        assert order >= 1.9
 
 
 class TestSynthesis:

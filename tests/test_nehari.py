@@ -142,7 +142,7 @@ class TestTwoScaleIntegral:
         half = offsets[-1] + 0.5 * (offsets[1] - offsets[0])
         c = fam.freq_centers[0]
         bump = GridFunction(spec=GridSpec(lower=c - half, upper=c + half, npts=(offsets.size,) * 2),
-                            values=fam.values.astype(complex), side="frequency",
+                            values=fam.values.astype(complex),
                             support=Ball(c, fam.support_radius))
         direct, _ = synthesize_l1(bump, box_halfwidth=8.0 / fam.support_radius,
                                   points_per_unit=0.25 / fam.support_radius)
