@@ -159,7 +159,7 @@ def cmd_simplicial(args) -> int:
     stages = []
     ok = True
     for approx in seq:
-        hull_h = geometry.to_hpolytope(approx.hull)
+        hull_h = approx.hull.hform
         incidence = geometry.facet_vertex_incidence(hull_h, approx.hull.vertices)
         ok &= approx.all_checks_pass()
         stages.append({

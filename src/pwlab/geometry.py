@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import optimize
@@ -108,9 +109,14 @@ class HPolytope(ConvexBody):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return np.all(pts @ self.normals.T < self.offsets, axis=1)
 
+    @cached_property
+    def _vertices(self) -> np.ndarray:
+        # enumerated once per instance; a raise caches nothing, so an
+        # unbounded or flat H-form raises on every call
+        return vertex_enumerate(self)
+
     def bounding_box(self):
-        verts = vertex_enumerate(self)
-        return verts.min(axis=0), verts.max(axis=0)
+        return self._vertices.min(axis=0), self._vertices.max(axis=0)
 
 
 @dataclass(frozen=True)
@@ -123,14 +129,16 @@ class VPolytope(ConvexBody):
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "dim", v.shape[1])
 
-    def _hform(self) -> HPolytope:
+    @cached_property
+    def hform(self) -> HPolytope:
+        """The Qhull H-form, built once per instance."""
         return to_hpolytope(self)
 
     def contains(self, x) -> bool:
-        return self._hform().contains(x)
+        return self.hform.contains(x)
 
     def contains_batch(self, pts):
-        return self._hform().contains_batch(pts)
+        return self.hform.contains_batch(pts)
 
     def bounding_box(self):
         return self.vertices.min(axis=0), self.vertices.max(axis=0)

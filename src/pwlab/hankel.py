@@ -39,13 +39,40 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-def grid_nodes_inside(body: ConvexBody, spacing: float) -> tuple[np.ndarray, GridSpec]:
-    """Midpoint nodes of the bounding-box grid that lie strictly inside Omega."""
+def _inside_mask(body: ConvexBody, spacing: float) -> tuple[np.ndarray, GridSpec]:
+    """Strict membership of the bounding-box midpoint grid, shaped like the grid."""
     lo, hi = body.bounding_box()
     npts = tuple(int(math.ceil((hi[i] - lo[i]) / spacing)) for i in range(body.dim))
     spec = GridSpec(lower=lo, upper=lo + spacing * np.array(npts), npts=npts)
-    nodes = spec.nodes()
-    return nodes[body.contains_batch(nodes)], spec
+    return body.contains_batch(spec.nodes()).reshape(npts), spec
+
+
+def grid_nodes_inside(body: ConvexBody, spacing: float) -> tuple[np.ndarray, GridSpec]:
+    """Midpoint nodes of the bounding-box grid that lie strictly inside Omega."""
+    mask, spec = _inside_mask(body, spacing)
+    return spec.nodes()[mask.ravel()], spec
+
+
+def _symbol_on_sums(spec: GridSpec, mask: np.ndarray, spacing: float,
+                    symbol) -> tuple[np.ndarray, np.ndarray]:
+    """The symbol at every node sum x_k + x_l of the grid nodes in mask, once per sum.
+
+    Node sums live at 2*lower + (k+l+1) h per axis, k+l = 0 .. 2K-2.  The
+    pair counts c = mask * mask (the integer convolution of the mask, by FFT,
+    rounded back to integers) mark the lattice points some pair reaches, and
+    only those are evaluated.  Returns the values and the counts, both over
+    the lattice in row-major order, with value 0 where no pair reaches.
+    """
+    weights = mask.astype(float)
+    counts = np.rint(fftconvolve(weights, weights)).astype(np.int64)
+    sum_axes = [2.0 * spec.lower[i] + (np.arange(2 * spec.npts[i] - 1) + 1.0) * spacing
+                for i in range(spec.dim)]
+    grids = np.meshgrid(*sum_axes, indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    nz = counts.ravel() > 0
+    vals = np.zeros(pts.shape[0], dtype=complex)
+    vals[nz] = np.asarray(symbol(pts[nz]), dtype=complex)
+    return vals, counts
 
 
 def singular_values(A: np.ndarray) -> np.ndarray:
@@ -72,26 +99,26 @@ class HankelMatrix:
 
     @classmethod
     def build(cls, body: ConvexBody, spacing: float, symbol,
-              nodes: np.ndarray | None = None) -> "HankelMatrix":
+              keep: np.ndarray | None = None) -> "HankelMatrix":
         """Assemble A[i][j] = symbol(x_i + x_j) * spacing^dim.
 
         symbol is a callable mapping an (m, dim) array of frequency points to
-        complex values; restricting `nodes` to a sub-cloud of the grid keeps
-        only the rows/columns where the kernel can be nonzero.
+        complex values.  It is evaluated once per node sum, and the matrix is
+        gathered from those values.  keep, a boolean mask over the inside
+        nodes, keeps only the rows/columns where the kernel can be nonzero.
         """
-        if nodes is None:
-            nodes, _ = grid_nodes_inside(body, spacing)
-        m = nodes.shape[0]
-        weight = spacing ** body.dim
-        A = np.empty((m, m), dtype=complex)
-        chunk = max(1, int(2e6 // max(m, 1)))
-        for start in range(0, m, chunk):
-            block = nodes[start:start + chunk, None, :] + nodes[None, :, :]
-            vals = np.asarray(symbol(block.reshape(-1, body.dim)), dtype=complex)
-            A[start:start + chunk] = vals.reshape(-1, m) * weight
-        if np.allclose(A.imag, 0.0):
-            A = A.real.astype(float)
-        return cls(body=body, nodes=nodes, spacing=spacing, matrix=A)
+        mask, spec = _inside_mask(body, spacing)
+        if keep is not None:
+            inside = np.flatnonzero(mask)
+            mask = np.zeros_like(mask)
+            mask.flat[inside[keep]] = True
+        vals, counts = _symbol_on_sums(spec, mask, spacing, symbol)
+        S = vals * spacing ** body.dim
+        if np.allclose(S.imag, 0.0):
+            S = S.real
+        flat = np.ravel_multi_index(np.nonzero(mask), counts.shape)
+        A = S[flat[:, None] + flat[None, :]]
+        return cls(body=body, nodes=spec.nodes()[mask.ravel()], spacing=spacing, matrix=A)
 
     @property
     def singular_values(self) -> np.ndarray:
@@ -126,22 +153,12 @@ def hs_identity_check(body: ConvexBody, symbol, spacing: float,
 
     The Frobenius side never materializes the matrix: with x_i + x_j living
     on a shifted lattice, sum |A_ij|^2 equals h^{2n} sum_u |phihat(u)|^2 c(u)
-    where c = mask * mask is the integer autocorrelation of the inside-node
-    mask, computed by FFT and rounded back to integers.
+    where c counts the node pairs with sum u.
     """
     n = body.dim
-    _, spec = grid_nodes_inside(body, spacing)
-    mask = body.contains_batch(spec.nodes()).reshape(spec.npts).astype(float)
-    counts = np.rint(fftconvolve(mask, mask)).astype(np.int64)
-    # node sums live at 2*lower + (k+l+1) h per axis, k+l = 0 .. 2K-2
-    sum_axes = [2.0 * spec.lower[i] + (np.arange(2 * spec.npts[i] - 1) + 1.0) * spacing
-                for i in range(n)]
-    grids = np.meshgrid(*sum_axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    nz = counts.ravel() > 0
-    vals = np.zeros(pts.shape[0])
-    vals[nz] = np.abs(np.asarray(symbol(pts[nz]), dtype=complex)) ** 2
-    frob = math.sqrt(float(np.sum(vals * counts.ravel())) * spacing ** (2 * n))
+    mask, spec = _inside_mask(body, spacing)
+    vals, counts = _symbol_on_sums(spec, mask, spacing, symbol)
+    frob = math.sqrt(float(np.sum(np.abs(vals) ** 2 * counts.ravel())) * spacing ** (2 * n))
 
     ipts, cell, w = OmegaEvaluator(body).support_grid(integral_pts)
     f2 = np.abs(np.asarray(symbol(ipts), dtype=complex)) ** 2
@@ -221,25 +238,18 @@ def orthogonal_sum_check(body: ConvexBody, symbols: list, supports: list[Ball],
     """
     check_disjoint_interactions(body, supports, samples_per_pair, seed)
     nodes, _ = grid_nodes_inside(body, spacing)
-    union_mask = np.zeros(nodes.shape[0], dtype=bool)
-    block_nodes = []
-    for supp in supports:
-        reach = body.radius + supp.radius
-        mask = np.linalg.norm(nodes - (supp.center - body.center), axis=1) < reach
-        union_mask |= mask
-        block_nodes.append(nodes[mask])
+    block_masks = [np.linalg.norm(nodes - (supp.center - body.center), axis=1)
+                   < body.radius + supp.radius for supp in supports]
+    union_mask = np.logical_or.reduce(block_masks)
 
     def total_symbol(pts):
         return sum(np.asarray(s(pts), dtype=complex) for s in symbols)
 
-    H_all = HankelMatrix.build(body, spacing, total_symbol, nodes=nodes[union_mask])
+    H_all = HankelMatrix.build(body, spacing, total_symbol, keep=union_mask)
     sv_all = H_all.significant_singular_values()
-    parts = []
-    sizes = []
-    for sym, bn in zip(symbols, block_nodes):
-        Hi = HankelMatrix.build(body, spacing, sym, nodes=bn)
-        parts.append(Hi.significant_singular_values())
-        sizes.append(bn.shape[0])
+    parts = [HankelMatrix.build(body, spacing, sym, keep=keep).significant_singular_values()
+             for sym, keep in zip(symbols, block_masks)]
+    sizes = [int(np.count_nonzero(keep)) for keep in block_masks]
     sv_union = np.sort(np.concatenate(parts))[::-1]
     pad = max(sv_all.size, sv_union.size)
     a = np.zeros(pad)

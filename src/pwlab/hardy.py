@@ -224,7 +224,7 @@ def adjusted_integrability_report(body: ConvexBody, d_list,
     n = body.dim
     is_polytope = isinstance(body, (HPolytope, VPolytope))
     if is_polytope:
-        h = body if isinstance(body, HPolytope) else geometry.to_hpolytope(body)
+        h = body if isinstance(body, HPolytope) else body.hform
         if geometry._facet_keys(h) != geometry._facet_keys(geometry.unit_box(2)):
             raise GeometryError("the integrability corner family covers only the unit square")
     for d in d_list:

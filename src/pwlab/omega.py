@@ -267,7 +267,7 @@ class OmegaEvaluator:
         elif isinstance(body, AffineImage):
             self._base = OmegaEvaluator(body.base)
         elif isinstance(body, (HPolytope, VPolytope)):
-            self._hform = body if isinstance(body, HPolytope) else geometry.to_hpolytope(body)
+            self._hform = body if isinstance(body, HPolytope) else body.hform
             self._setup_polytope()
         elif not isinstance(body, Ball):
             raise GeometryError(f"no exact autocorrelation for {type(body).__name__}")

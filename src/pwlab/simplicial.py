@@ -13,6 +13,7 @@ lambda with eps yields a decreasing family squeezing down to P.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -25,7 +26,6 @@ from .geometry import (
     facet_vertex_incidence,
     polar_dual,
     solve_certificate,
-    to_hpolytope,
     vertex_enumerate,
 )
 
@@ -54,7 +54,7 @@ class Perturbation:
     mu: np.ndarray                # row-stochastic M, row i giving c_i
     certificates: list
 
-    @property
+    @cached_property
     def hull(self) -> VPolytope:
         return VPolytope(self.perturbed)
 
@@ -98,7 +98,7 @@ def verify_strict_containment(P, Q: VPolytope) -> tuple[bool, float]:
     """Every vertex of P strictly inside every facet of Q; returns the
     minimal normalized margin."""
     verts = _polytope_vertices(P)
-    h = to_hpolytope(Q)
+    h = Q.hform
     norms = np.linalg.norm(h.normals, axis=1)
     margins = (h.offsets[None, :] - verts @ h.normals.T) / norms[None, :]
     worst = float(margins.min())
@@ -107,7 +107,7 @@ def verify_strict_containment(P, Q: VPolytope) -> tuple[bool, float]:
 
 def is_simplicial(Q: VPolytope) -> bool:
     """Every facet of the hull carries exactly dim vertices."""
-    h = to_hpolytope(Q)
+    h = Q.hform
     incidence = facet_vertex_incidence(h, Q.vertices)
     return all(len(idx) == Q.dim for idx in incidence)
 
@@ -141,7 +141,7 @@ def build_approximation(P, eps: float, seed: int = 0,
 
 
 def _hull_contains_points(Q: VPolytope, pts: np.ndarray) -> bool:
-    h = to_hpolytope(Q)
+    h = Q.hform
     return bool(np.all(pts @ h.normals.T <= h.offsets[None, :] + 1e-12))
 
 

@@ -123,6 +123,49 @@ class TestHull:
         assert np.array_equal(h.offsets, [2.0, 1.0])
 
 
+def counting(monkeypatch, name: str) -> list:
+    """Wrap geometry.<name> so that every call is recorded; returns the record."""
+    calls = []
+    inner = getattr(geometry, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(geometry, name, wrapper)
+    return calls
+
+
+class TestCachedCombinatorics:
+    def test_vform_hull_built_once(self, monkeypatch, shifted_pyramid, rng):
+        calls = counting(monkeypatch, "to_hpolytope")
+        v = VPolytope(vertex_enumerate(shifted_pyramid))
+        pts = rng.uniform(-1.0, 1.0, size=(200, 3))
+        first = v.contains_batch(pts)
+        for _ in range(4):
+            assert np.array_equal(v.contains_batch(pts), first)
+        assert v.contains(pts[0]) == first[0]
+        assert np.array_equal(first, shifted_pyramid.contains_batch(pts))
+        assert len(calls) == 1
+
+    def test_hform_vertices_enumerated_once(self, monkeypatch, right_triangle):
+        calls = counting(monkeypatch, "vertex_enumerate")
+        boxes = [right_triangle.bounding_box() for _ in range(5)]
+        assert len(calls) == 1
+        for lo, hi in boxes:
+            assert np.allclose(lo, [0.0, 0.0]) and np.allclose(hi, [1.0, 1.0])
+
+    @pytest.mark.parametrize("h, match", [
+        (HPolytope([[-1, 0], [0, -1]], [0, 0]), "unbounded"),
+        (HPolytope([[0, 1], [0, -1], [1, 0], [-1, 0]], [0, 0, 1, 0]), "empty interior"),
+    ])
+    def test_unbounded_or_flat_raise_every_call(self, monkeypatch, h, match):
+        calls = counting(monkeypatch, "vertex_enumerate")
+        for _ in range(3):
+            with pytest.raises(GeometryError, match=match):
+                h.bounding_box()
+        assert len(calls) == 3
+
+
 class TestPolarDuality:
     def test_square_dual_is_cross(self):
         dual = polar_dual(box([-1, -1], [1, 1]))

@@ -5,10 +5,11 @@ import pytest
 
 from pwlab import hankel
 from pwlab.fourier import bump_hat_batch
-from pwlab.geometry import Ball, GeometryError, unit_box
+from pwlab.geometry import BUILTIN_BODIES, Ball, GeometryError, unit_box
 from pwlab.hankel import (
     HankelMatrix,
     conjugate_exponent,
+    grid_nodes_inside,
     hs_identity_check,
     orthogonal_sum_check,
     russo_bound_check,
@@ -52,7 +53,88 @@ class TestSchattenNorm:
         assert abs(conjugate_exponent(6.0) - 1.2) < 1e-15
 
 
+def pairwise_oracle(body, spacing, symbol, keep=None):
+    """The kernel matrix by one symbol call per node pair, in row chunks:
+    A[i][j] = symbol(x_i + x_j) * spacing^dim, real when its imaginary part
+    is all close to 0."""
+    nodes, _ = grid_nodes_inside(body, spacing)
+    if keep is not None:
+        nodes = nodes[keep]
+    m = nodes.shape[0]
+    A = np.empty((m, m), dtype=complex)
+    chunk = max(1, int(2e6 // max(m, 1)))
+    for start in range(0, m, chunk):
+        block = nodes[start:start + chunk, None, :] + nodes[None, :, :]
+        vals = np.asarray(symbol(block.reshape(-1, body.dim)), dtype=complex)
+        A[start:start + chunk] = vals.reshape(-1, m) * spacing ** body.dim
+    if np.allclose(A.imag, 0.0):
+        A = A.real.astype(float)
+    return A
+
+
+# body, spacing, and a symbol centre inside the body's sum set 2*Omega
+BUILD_CASES = {
+    "disc": ("ball2", 0.07, [0.2, -0.1]),
+    "square": ("square", 0.05, [1.1, 0.9]),
+    "triangle": ("triangle", 0.04, [0.6, 0.5]),
+    "ball3": ("ball3", 0.25, [0.1, 0.2, -0.1]),
+}
+
+
+def case_symbol(center, kind):
+    center = np.asarray(center, dtype=float)
+    bump = centered_bump(center, 0.8)
+    if kind == "real":
+        return bump
+    # a phase that varies over the frequency plane, not one shared phase
+    freq = np.arange(1.0, center.size + 1.0)
+    return lambda p: np.exp(1j * (p @ freq)) * bump(p)
+
+
 class TestMatrixBuild:
+    @pytest.mark.parametrize("case", sorted(BUILD_CASES))
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("subset", ["all", "random keep"])
+    def test_matches_pairwise_oracle(self, case, kind, subset):
+        name, spacing, center = BUILD_CASES[case]
+        body = BUILTIN_BODIES[name]()
+        sym = case_symbol(center, kind)
+        keep = None
+        if subset != "all":
+            m = grid_nodes_inside(body, spacing)[0].shape[0]
+            keep = np.random.default_rng(sorted(BUILD_CASES).index(case)).random(m) < 0.4
+        H = HankelMatrix.build(body, spacing, sym, keep=keep)
+        ref = pairwise_oracle(body, spacing, sym, keep)
+        assert H.matrix.dtype == ref.dtype
+        assert H.matrix.dtype == (np.float64 if kind == "real" else np.complex128)
+        assert H.matrix.shape == ref.shape and ref.shape[0] > 50
+        assert np.max(np.abs(H.matrix - ref)) <= 1e-13 * np.max(np.abs(ref))
+        nodes, _ = grid_nodes_inside(body, spacing)
+        assert np.array_equal(H.nodes, nodes if keep is None else nodes[keep])
+
+    @pytest.mark.parametrize("case", sorted(BUILD_CASES))
+    def test_symbol_sees_each_reached_sum_once(self, case):
+        name, spacing, center = BUILD_CASES[case]
+        body = BUILTIN_BODIES[name]()
+        seen = []
+
+        def counting_symbol(pts):
+            seen.append(np.array(pts))
+            return centered_bump(center, 0.8)(pts)
+        H = HankelMatrix.build(body, spacing, counting_symbol)
+        nodes, spec = grid_nodes_inside(body, spacing)
+        pts = np.concatenate(seen)
+        # lattice index of a sum: x_k + x_l = 2 lower + (k + l + 1) h
+        lattice = lambda x: np.rint((x - 2.0 * spec.lower) / spacing - 1.0).astype(int)
+        evaluated = lattice(pts)
+        pair_sums = lattice((nodes[:, None, :] + nodes[None, :, :]).reshape(-1, body.dim))
+        reached = np.unique(pair_sums, axis=0)
+        assert len(seen) == 1
+        assert np.unique(evaluated, axis=0).shape[0] == evaluated.shape[0]
+        assert np.array_equal(np.unique(evaluated, axis=0), reached)
+        assert pts.shape[0] <= math.prod(2 * k - 1 for k in spec.npts)
+        assert pts.shape[0] < H.matrix.size
+
     def test_symmetry(self, disc):
         H = HankelMatrix.build(disc, 0.2, centered_bump([0, 0], 0.8))
         assert np.allclose(H.matrix, H.matrix.T)
@@ -139,6 +221,7 @@ class TestOrthogonalSum:
             spacing=0.03)
         assert chk.ok
         assert chk.max_rel_dev <= 1e-6
+        assert chk.block_sizes == [320, 324, 644]
 
     def test_single_symbol_trivial(self, disc):
         r = 0.1
@@ -146,6 +229,7 @@ class TestOrthogonalSum:
         chk = orthogonal_sum_check(disc, [centered_bump(2 * c, 2 * r)],
                                    [Ball(2 * c, 2 * r)], spacing=0.04)
         assert chk.ok
+        assert chk.block_sizes == [390, 390]
 
     def test_overlapping_supports_rejected(self, disc):
         r = 0.1
