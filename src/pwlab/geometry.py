@@ -609,6 +609,12 @@ def sample_ball_lens(a: Ball, b: Ball, count: int, rng: np.random.Generator) -> 
     of the two boundaries, unless the smaller ball's great section through
     its centre lies inside the other ball; then it is that section.  The
     acceptance rate therefore does not fall however thin the lens gets.
+
+    Each round draws 8/5 of the points still needed, plus one.  A thin lens
+    fills its box like two paraboloid caps: about 2/3 of it in the plane and
+    pi/8 ~ 0.39 in space.  So a 2-D round yields about 16/15 of what it
+    needs, eleven standard deviations above it at 10^4 points, and finishes
+    in one round; a 3-D round leaves about 37 % of its need to the next.
     Raises GeometryError if LENS_MAX_ROUNDS rounds do not yield `count`
     points.
     """
@@ -625,7 +631,7 @@ def sample_ball_lens(a: Ball, b: Ball, count: int, rng: np.random.Generator) -> 
     perp = np.linalg.svd(e[None, :])[2][1:]      # orthonormal complement of e
     out, need = [], count
     for _ in range(LENS_MAX_ROUNDS):
-        m = 4 * need
+        m = need * 8 // 5 + 1
         xs = rng.uniform(x_lo, x_hi, size=m)
         ys = rng.uniform(-half, half, size=(m, n - 1))
         z = a.center + xs[:, None] * e + ys @ perp

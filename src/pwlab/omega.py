@@ -218,7 +218,8 @@ def omega_mc(body: ConvexBody, x, samples: int, seed: int) -> tuple[float, float
     """Hit-ratio estimate of m(Omega cap (x - Omega)) with its standard error.
 
     Points are drawn uniformly from the bounding box of Omega; a hit means the
-    point is in Omega and its reflection x - point is too.
+    point is in Omega and its reflection x - point is too.  The reflection is
+    tested only on the draws inside Omega.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     lo, hi = body.bounding_box()
@@ -232,8 +233,8 @@ def omega_mc(body: ConvexBody, x, samples: int, seed: int) -> tuple[float, float
     while done < samples:
         batch = min(samples - done, 1_000_000)
         pts = rng.uniform(lo, hi, size=(batch, body.dim))
-        inside = body.contains_batch(pts)
-        hits += int(np.count_nonzero(inside & body.contains_batch(x - pts)))
+        inside = pts[body.contains_batch(pts)]
+        hits += int(np.count_nonzero(body.contains_batch(x - inside)))
         done += batch
     p = hits / samples
     est = vol_box * p

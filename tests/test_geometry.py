@@ -6,6 +6,7 @@ import pytest
 from pwlab import geometry
 from pwlab.geometry import (
     Ball,
+    LENS_MAX_ROUNDS,
     GeometryError,
     HPolytope,
     Product,
@@ -365,12 +366,37 @@ def thin_boundary_lens():
     return Ball([0.0, 0.0], 1.0), Ball(s.center, s.radius + 1.0)
 
 
+class CountingRng:
+    """A generator that records the leading size of every uniform draw; the
+    lens sampler draws the axial and the transverse coordinates of each
+    round's candidates in two such calls."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def uniform(self, lo, hi, size):
+        self.sizes.append(int(np.atleast_1d(size)[0]))
+        return self.rng.uniform(lo, hi, size=size)
+
+    @property
+    def rounds(self):
+        return len(self.sizes) // 2
+
+    @property
+    def candidates(self):
+        return sum(self.sizes[::2])
+
+
+LENS_3D = (Ball([0.0, 0.0, 0.2], 1.0), Ball([0.9, -0.6, 0.7], 0.8))
+
+
 class TestBallLens:
     @pytest.mark.parametrize("a, b", [
         thin_boundary_lens(),
         # the lens holds the centre of a, so its widest section is a's own
         (Ball([0.3, -0.2], 1.0), Ball([1.1, 0.3], 1.6)),
-        (Ball([0.0, 0.0, 0.2], 1.0), Ball([0.9, -0.6, 0.7], 0.8)),
+        LENS_3D,
     ], ids=["thin-boundary", "contains-centre", "3d"])
     def test_matches_plain_rejection(self, a, b):
         count = 20_000
@@ -383,6 +409,19 @@ class TestBallLens:
             u, v = stat(lens), stat(ref)
             se = np.sqrt(u.var(axis=0) / count + v.var(axis=0) / count)
             assert np.all(np.abs(u.mean(axis=0) - v.mean(axis=0)) <= 3.0 * se)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_thin_lens_takes_one_round(self, seed):
+        a, b = thin_boundary_lens()
+        rng = CountingRng(seed)
+        assert sample_ball_lens(a, b, 10_000, rng).shape == (10_000, 2)
+        assert rng.rounds == 1
+        assert rng.candidates <= 2 * 10_000
+
+    def test_3d_lens_fills_its_count_within_the_cap(self):
+        rng = CountingRng(31)
+        assert sample_ball_lens(*LENS_3D, 20_000, rng).shape == (20_000, 3)
+        assert rng.rounds < LENS_MAX_ROUNDS
 
     def test_empty_lens_gives_no_points(self):
         pts = sample_ball_lens(Ball([0.0, 0.0], 1.0), Ball([3.1, 0.0], 2.1), 100,
@@ -438,10 +477,12 @@ def disjointness_outcome(check, supports, samples):
 class TestPrunedDisjointness:
     # on the unit disc: FAR sits opposite the others, WIDE's lens covers most
     # of the disc, TINY's is a sliver at (1, 0) inside WIDE's and NEAR's,
-    # and TURNED's lens overlaps NEAR's
+    # and TURNED's lens overlaps NEAR's; TINY is thin enough that WIDE's 200
+    # draws miss it whatever the stream (at radius 0.005 some 15 % of seeds
+    # hit it)
     FAR = Ball([-1.8, 0.0], 0.1)
     WIDE = Ball([0.5, 0.0], 0.1)
-    TINY = Ball([1.99, 0.0], 0.005)
+    TINY = Ball([1.999, 0.0], 0.0005)
     NEAR = Ball([1.8, 0.0], 0.1)
     TURNED = Ball([1.8 * math.cos(0.5), 1.8 * math.sin(0.5)], 0.1)
 

@@ -124,6 +124,17 @@ class TestKernels:
         assert np.abs(_envelope_at(pts, fam) - ref).max() < 1e-10 * scale
 
     @pytest.mark.parametrize("eps", [0.4, 0.05])
+    @pytest.mark.parametrize("K", [69, 68])
+    def test_envelope_rotation_within_rounding(self, eps, K):
+        # the cosines come from a rotation recurrence, whose error grows with
+        # the offset index; it must stay at rounding level over the box
+        fam = build_bumps(pack_boundary_disc(eps), eps, CAL.containment_c,
+                          CAL.bump_c1, local_grid_points=K)
+        pts = kernel_points(fam)
+        ref = envelope_oracle(pts, fam)
+        assert np.abs(_envelope_at(pts, fam) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("eps", [0.4, 0.05])
     def test_phase_sum_matches_complex_sum(self, eps):
         fam = build_bumps(pack_boundary_disc(eps), eps, CAL.containment_c, CAL.bump_c1)
         pts = kernel_points(fam)

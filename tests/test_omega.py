@@ -270,6 +270,34 @@ class TestOmegaMC:
         b = omega_mc(disc, [0.5, 0.2], 100_000, seed=9)
         assert a == b
 
+    @pytest.mark.parametrize("name, x, samples, seed", [
+        ("triangle", [2 / 3, 2 / 3], 1_200_000, 42),
+        ("triangle", [0.3, 1.1], 200_000, 7),
+        ("pyramid", [0.2, -0.1, 0.4], 300_000, 3),
+        ("pyramid", [0.0, 0.0, 1.2], 300_000, 11),
+    ])
+    def test_matches_reflection_of_every_draw(self, name, x, samples, seed):
+        body = geometry.BUILTIN_BODIES[name]()
+        if name == "pyramid":
+            body = geometry.VPolytope(geometry.vertex_enumerate(body))
+        x = np.asarray(x, dtype=float)
+        lo, hi = body.bounding_box()
+        c, half = 0.5 * (lo + hi), 0.5 * (hi - lo) * omega.BOX_INFLATION
+        lo, hi = c - half, c + half
+        rng = np.random.default_rng(seed)
+        hits, done = 0, 0
+        while done < samples:
+            batch = min(samples - done, 1_000_000)
+            pts = rng.uniform(lo, hi, size=(batch, body.dim))
+            hits += int(np.count_nonzero(body.contains_batch(pts)
+                                         & body.contains_batch(x - pts)))
+            done += batch
+        assert hits > 0
+        p = hits / samples
+        vol_box = float(np.prod(hi - lo))
+        ref = (vol_box * p, vol_box * math.sqrt(p * (1.0 - p) / samples))
+        assert omega_mc(body, x, samples, seed) == ref
+
 
 QUADRANT = geometry.HPolytope([[-1, 0], [0, -1]], [0, 0])
 WEDGE = geometry.HPolytope([[-1, 0, 0], [0, -1, 0], [0, 0, -1], [1, 1, 0]], [0, 0, 0, 1])
