@@ -4,6 +4,11 @@ The matrix A[i][j] = phihat(x_i + x_j) h^n over midpoint nodes strictly
 inside Omega is the integral operator with piecewise-constant kernel, so its
 singular values, Schatten norms and mixed norms discretize the continuum
 quantities with the quadrature weight folded in once.
+
+Every such matrix is symmetric, so `singular_values` reads the spectrum of a
+real symbol from one symmetric eigensolve.  A complex symbol of one phase,
+a complex constant times a real symbol, is rotated to real first and takes the
+same eigensolve; only a symbol whose phase varies pays for a full SVD.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import svdvals
 from scipy.signal import fftconvolve
 
 from .fourier import GridSpec
@@ -19,6 +25,8 @@ from .geometry import Ball, ConvexBody, GeometryError, check_ball_interactions_d
 from .omega import OmegaEvaluator
 
 SV_FLOOR_REL = 1e-12  # singular values below this times sigma_max count as zero
+# imaginary part, relative to max|A|, below which a rotated matrix counts as real
+ONE_PHASE_TOL = 4.0 * np.finfo(float).eps
 
 
 def schatten_norm(sv, p: float) -> float:
@@ -76,14 +84,32 @@ def _symbol_on_sums(spec: GridSpec, mask: np.ndarray, spacing: float,
 
 
 def singular_values(A: np.ndarray) -> np.ndarray:
-    """Nonincreasing singular values; real symmetric matrices go through a
-    single Hermitian eigendecomposition, everything else through A^H A."""
-    real = np.isrealobj(A) or np.allclose(A.imag, 0.0)
-    if real and np.allclose(A, A.T):
-        sv = np.abs(np.linalg.eigvalsh(np.real(A)))
+    """Nonincreasing singular values of A, by one of three routes.
+
+    - Real with A = A^T exactly: one symmetric eigensolve, sigma = |eig(A)|.
+      Exact equality, unlike a closeness test, does not depend on the scale
+      of A; HankelMatrix.build gathers A[i][j] and A[j][i] from one value.
+    - Complex of one phase, A = u R with |u| = 1 and R real: rotated to
+      R = Re(conj(u) A) and routed as real.  u is the phase of the
+      largest-modulus entry; the rotation is taken when every
+      |Im(conj(u) A)| <= ONE_PHASE_TOL * max|A|.  It is exact for the
+      spectrum, since u I is unitary and conj(u) scales A[i][j] and A[j][i]
+      alike, and by Weyl's inequality the dropped imaginary part moves each
+      sigma by at most m * ONE_PHASE_TOL * max|A| <= m * ONE_PHASE_TOL * sigma_1.
+    - Everything else (a varying phase, or no exact symmetry):
+      scipy.linalg.svdvals.
+    """
+    if np.iscomplexobj(A) and A.size:
+        modulus = np.abs(A)
+        k = np.argmax(modulus)
+        amax = modulus.flat[k]
+        u = A.flat[k] / amax if amax > 0 else 1.0
+        if np.max(np.abs(u.real * A.imag - u.imag * A.real)) <= ONE_PHASE_TOL * amax:
+            A = u.real * A.real + u.imag * A.imag
+    if np.isrealobj(A) and np.array_equal(A, A.T):
+        sv = np.abs(np.linalg.eigvalsh(A))
     else:
-        gram = A.conj().T @ A
-        sv = np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))
+        sv = svdvals(A)
     return np.sort(sv)[::-1]
 
 
@@ -106,6 +132,8 @@ class HankelMatrix:
         complex values.  It is evaluated once per node sum, and the matrix is
         gathered from those values.  keep, a boolean mask over the inside
         nodes, keeps only the rows/columns where the kernel can be nonzero.
+        The matrix is float64 when every imaginary part is exactly zero and
+        complex otherwise, however small its imaginary part.
         """
         mask, spec = _inside_mask(body, spacing)
         if keep is not None:
@@ -114,7 +142,7 @@ class HankelMatrix:
             mask.flat[inside[keep]] = True
         vals, counts = _symbol_on_sums(spec, mask, spacing, symbol)
         S = vals * spacing ** body.dim
-        if np.allclose(S.imag, 0.0):
+        if not np.any(S.imag):
             S = S.real
         flat = np.ravel_multi_index(np.nonzero(mask), counts.shape)
         A = S[flat[:, None] + flat[None, :]]

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import svdvals
 
 from pwlab import hankel
 from pwlab.fourier import bump_hat_batch
@@ -56,7 +59,7 @@ class TestSchattenNorm:
 def pairwise_oracle(body, spacing, symbol, keep=None):
     """The kernel matrix by one symbol call per node pair, in row chunks:
     A[i][j] = symbol(x_i + x_j) * spacing^dim, real when its imaginary part
-    is all close to 0."""
+    is exactly 0."""
     nodes, _ = grid_nodes_inside(body, spacing)
     if keep is not None:
         nodes = nodes[keep]
@@ -67,7 +70,7 @@ def pairwise_oracle(body, spacing, symbol, keep=None):
         block = nodes[start:start + chunk, None, :] + nodes[None, :, :]
         vals = np.asarray(symbol(block.reshape(-1, body.dim)), dtype=complex)
         A[start:start + chunk] = vals.reshape(-1, m) * spacing ** body.dim
-    if np.allclose(A.imag, 0.0):
+    if not np.any(A.imag):
         A = A.real.astype(float)
     return A
 
@@ -86,6 +89,9 @@ def case_symbol(center, kind):
     bump = centered_bump(center, 0.8)
     if kind == "real":
         return bump
+    if kind == "tiny phase":
+        # an imaginary part far below any absolute tolerance must survive
+        return lambda p: np.exp(1e-6j * p[:, 0]) * bump(p)
     # a phase that varies over the frequency plane, not one shared phase
     freq = np.arange(1.0, center.size + 1.0)
     return lambda p: np.exp(1j * (p @ freq)) * bump(p)
@@ -93,7 +99,7 @@ def case_symbol(center, kind):
 
 class TestMatrixBuild:
     @pytest.mark.parametrize("case", sorted(BUILD_CASES))
-    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("kind", ["real", "complex", "tiny phase"])
     @pytest.mark.parametrize("subset", ["all", "random keep"])
     def test_matches_pairwise_oracle(self, case, kind, subset):
         name, spacing, center = BUILD_CASES[case]
@@ -149,6 +155,45 @@ class TestMatrixBuild:
         H = HankelMatrix.build(disc, 0.2, sym)
         sv = H.singular_values
         assert np.all(sv >= 0) and np.all(np.diff(sv) <= 1e-14)
+
+
+class TestSingularValues:
+    @pytest.fixture(scope="class")
+    def A0(self):
+        return HankelMatrix.build(BUILTIN_BODIES["ball2"](), 0.1,
+                                  centered_bump([0.0, 0.0], 0.8)).matrix
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(theta=st.floats(0.0, 2 * math.pi, exclude_max=True),
+           log_lam=st.floats(-9.0, 9.0))
+    @example(theta=math.pi / 2, log_lam=-7.0)
+    def test_scale_and_phase(self, A0, theta, log_lam):
+        # sigma(lam e^{i theta} A0) = lam sigma(A0), at every scale of the body
+        lam = 10.0 ** log_lam
+        ref = hankel.singular_values(A0)
+        got = hankel.singular_values(lam * np.exp(1j * theta) * A0)
+        assert np.max(np.abs(got - lam * ref)) <= 1e-13 * lam * ref[0]
+
+    def test_small_nonsymmetric_matrix(self, rng):
+        A = 1e-9 * rng.normal(size=(50, 50))
+        ref = svdvals(A)
+        assert np.max(np.abs(hankel.singular_values(A) - ref)) <= 1e-13 * ref[0]
+
+    def test_empty_and_zero(self):
+        for dtype in (float, complex):
+            assert hankel.singular_values(np.zeros((0, 0), dtype=dtype)).size == 0
+            sv = hankel.singular_values(np.zeros((4, 4), dtype=dtype))
+            assert sv.shape == (4,) and np.all(sv == 0.0)
+
+    @pytest.mark.parametrize("phase", [[0.0, 0.0], [3.0, -2.0]],
+                             ids=["one phase", "varying phase"])
+    def test_complex_spectrum_matches_svdvals(self, disc, phase):
+        bump = centered_bump([0.6, 0.2], 0.5)
+        sym = lambda p: (0.6 - 0.8j) * np.exp(1j * (p @ np.array(phase))) * bump(p)
+        A = HankelMatrix.build(disc, 0.05, sym).matrix
+        ref = svdvals(A)
+        assert A.dtype == np.complex128 and A.shape[0] > 1000
+        assert np.max(np.abs(hankel.singular_values(A) - ref)) <= 1e-13 * ref[0]
 
 
 class TestHSIdentity:
