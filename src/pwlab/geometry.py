@@ -3,9 +3,9 @@
 Bodies are immutable tagged values (ball, H-polytope, V-polytope, product,
 affine image) with a strict-inequality membership oracle.  Polytope
 combinatorics are restricted to dimension <= 3 and desk scale by design:
-convex hulls (H-forms of point sets, essential vertices, boundedness) come
-from Qhull, vertices of H-polytopes from a vectorized brute force over facet
-subsets, and volumes from triangulated facets.
+convex hulls (H-forms of point sets, essential vertices, boundedness, hull
+volumes) come from Qhull, and vertices of H-polytopes from a vectorized brute
+force over facet subsets.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ class AffineImage(ConvexBody):
         s = np.asarray(self.shift, dtype=float).reshape(-1)
         if a.shape != (self.base.dim, self.base.dim) or s.size != self.base.dim:
             raise GeometryError("affine image shape mismatch")
-        if abs(np.linalg.det(a)) < DET_TOL:
+        if not nonsingular(a):
             raise GeometryError("affine image matrix must be invertible")
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "shift", s)
@@ -348,7 +348,7 @@ def nonsingular(mats: np.ndarray) -> np.ndarray:
     return dets > DET_TOL * np.prod(np.linalg.norm(mats, axis=-1), axis=-1)
 
 
-def vertex_enumerate(h: HPolytope, check_bounded: bool = True) -> np.ndarray:
+def vertex_enumerate(h: HPolytope) -> np.ndarray:
     """All vertices of a bounded H-polytope, dim <= 3, brute force over facet
     subsets.  Each vertex solves dim active facet equations and satisfies
     every halfspace a . x <= b within FEAS_TOL (|a| + |b|), a window that does
@@ -356,13 +356,10 @@ def vertex_enumerate(h: HPolytope, check_bounded: bool = True) -> np.ndarray:
     n = h.dim
     if n > 3:
         raise GeometryError("vertex enumeration restricted to dim <= 3")
-    if check_bounded and not _is_bounded(h):
+    if not _is_bounded(h):
         raise GeometryError("polytope is unbounded")
     A, b = h.normals, h.offsets
-    m = A.shape[0]
-    if m < n:
-        raise GeometryError("too few halfspaces for a bounded polytope")
-    combos = np.array(list(itertools.combinations(range(m), n)))
+    combos = np.array(list(itertools.combinations(range(A.shape[0]), n)))
     mats = A[combos]                               # (ncomb, n, n)
     rhs = b[combos]                                # (ncomb, n)
     good = nonsingular(mats)
@@ -372,9 +369,9 @@ def vertex_enumerate(h: HPolytope, check_bounded: bool = True) -> np.ndarray:
     verts = _dedupe_points(cands[feas])
     if verts.shape[0] == 0:
         raise GeometryError("polytope has empty interior or is infeasible")
-    if check_bounded and not np.all(np.isfinite(verts)):
+    if not np.all(np.isfinite(verts)):
         raise GeometryError("polytope is unbounded")
-    if check_bounded and verts.shape[0] <= n:
+    if verts.shape[0] <= n:
         # fewer than dim+1 vertices cannot enclose volume
         raise GeometryError("polytope has empty interior")
     return verts
@@ -423,61 +420,10 @@ def facet_vertex_incidence(h: HPolytope, verts: np.ndarray) -> list[list[int]]:
     return out
 
 
-def polytope_volume(h: HPolytope, verts: np.ndarray) -> float:
-    """Exact volume of a bounded H-polytope in dim <= 3 with vertices verts.
-
-    Facet polygons are angle-ordered and triangulated, then cones from the
-    vertex centroid are summed; up to linear-algebra roundoff this is exact.
-    """
-    n = h.dim
-    if verts.shape[0] <= n:
-        return 0.0
-    if n == 1:
-        return float(verts.max() - verts.min())
-    centroid = verts.mean(axis=0)
-    if n == 2:
-        ang = np.arctan2(verts[:, 1] - centroid[1], verts[:, 0] - centroid[0])
-        ordered = verts[np.argsort(ang)]
-        x, y = ordered[:, 0], ordered[:, 1]
-        return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2.0)
-    # n == 3: fan tetrahedra over triangulated facets
-    total = 0.0
-    incidence = facet_vertex_incidence(h, verts)
-    seen_planes = set()
-    for (a, b), idx in zip(zip(h.normals, h.offsets), incidence):
-        if len(idx) < 3:
-            continue
-        key = _facet_key(a, b)
-        if key in seen_planes:
-            continue
-        seen_planes.add(key)
-        face = verts[idx]
-        fc = face.mean(axis=0)
-        # orthonormal basis of the facet plane for angle ordering
-        a_unit = a / np.linalg.norm(a)
-        u = np.zeros(3)
-        u[np.argmin(np.abs(a_unit))] = 1.0
-        e1 = np.cross(a_unit, u)
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(a_unit, e1)
-        ang = np.arctan2((face - fc) @ e2, (face - fc) @ e1)
-        face = face[np.argsort(ang)]
-        kf = face.shape[0]
-        for i in range(kf):
-            p1, p2 = face[i], face[(i + 1) % kf]
-            total += abs(np.linalg.det(np.stack([p1 - centroid, p2 - centroid, fc - centroid]))) / 6.0
-    return float(total)
-
-
-def intersect(h1: HPolytope, h2: HPolytope) -> HPolytope:
-    return HPolytope(np.vstack([h1.normals, h2.normals]),
-                     np.concatenate([h1.offsets, h2.offsets]))
-
-
-def reflect_translate(h: HPolytope, x) -> HPolytope:
-    """The polytope x - P, as halfspaces {-a . y <= b - a . x}."""
-    x = _as_vector(x, h.dim)
-    return HPolytope(-h.normals, h.offsets - h.normals @ x)
+def polytope_volume(pts: np.ndarray) -> float:
+    """Volume of the convex hull of points in dim 2 or 3, from Qhull; the
+    volume step of omega_polytope_exact, which perfbench traces by name."""
+    return float(_hull(pts).volume)
 
 
 # ---------------------------------------------------------------------------

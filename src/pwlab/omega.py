@@ -9,8 +9,8 @@ Polytopes in dim <= 3 are evaluated for a whole batch of points at once.  The
 planes of P cap (x - P) are always [A; -A] and only their offsets [b; b - A x]
 move with x, so the plane tuples that can meet in a vertex, and their
 inverses, are worked out once per body; each point then costs a few small
-array operations.  omega_polytope_exact, vertex enumeration one point at a
-time, is the independent oracle of that batch.
+array operations.  omega_polytope_exact, Qhull's halfspace intersection one
+point at a time, is the independent oracle of that batch.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
+from scipy.spatial import HalfspaceIntersection, QhullError
 from scipy.special import betainc, gamma
 
 from . import geometry
@@ -115,25 +116,36 @@ def omega_box(edges, x) -> float:
     return float(np.prod(tents))
 
 
+# Zero band of omega_polytope_exact at the boundary of 2P, in ulps.
+ZERO_BAND_ULPS = 4096
+
+
 def omega_polytope_exact(P: HPolytope, x) -> float:
     """Exact m(P cap (x - P)) for a bounded H-polytope in dim <= 3, one point
-    at a time through vertex enumeration: the oracle of the evaluator's batch.
-
-    Zero outside int 2P = {A x < 2b}, where the intersection has no interior,
-    and when it has at most dim vertices.  The intersection is enumerated with
-    check_bounded=False: it is bounded because P is, and near the boundary of
-    2P it can be a sliver with at most dim distinct vertices, which the
-    checked enumeration rejects and this oracle counts as zero."""
+    at a time from Qhull's halfspace intersection: the batch's independent
+    oracle.  The intersection is symmetric about x/2, which is interior for x
+    in int 2P.  Zero where 2b_i - a_i . x <= ZERO_BAND_ULPS eps (|a_i . x| +
+    2|b_i|) for a facet i, a scale-free band in which the intersection lies in
+    a slab of width (2b_i - a_i . x)/|a_i|.  1-D bodies take the interval of
+    the 2k planes; any other Qhull failure raises GeometryError."""
     if P.dim > 3:
         raise GeometryError("exact polytope autocorrelation restricted to dim <= 3")
     x = np.asarray(x, dtype=float).reshape(-1)
-    if not np.all(P.normals @ x < 2.0 * P.offsets):
+    A, b = P.normals, P.offsets
+    Ax = A @ x
+    band = ZERO_BAND_ULPS * np.finfo(float).eps * (np.abs(Ax) + 2.0 * np.abs(b))
+    if np.any(2.0 * b - Ax <= band):
         return 0.0
-    inter = geometry.intersect(P, geometry.reflect_translate(P, x))
-    verts = geometry.vertex_enumerate(inter, check_bounded=False)
-    if verts.shape[0] <= P.dim:
-        return 0.0
-    return geometry.polytope_volume(inter, verts)
+    planes = np.vstack([A, -A])
+    offsets = np.concatenate([b, b - Ax])
+    if P.dim == 1:
+        ends = offsets / planes[:, 0]
+        return float(ends[planes[:, 0] > 0].min() - ends[planes[:, 0] < 0].max())
+    try:
+        hs = HalfspaceIntersection(np.hstack([planes, -offsets[:, None]]), x / 2.0)
+    except QhullError as err:
+        raise GeometryError(f"halfspace intersection failed at x = {x}: {err}") from None
+    return geometry.polytope_volume(hs.intersections)
 
 
 # Points are evaluated in chunks of at most this many point x candidate x
@@ -257,8 +269,9 @@ class OmegaEvaluator:
     w_{A Omega + v}(x) = |det A| w_Omega(A^{-1}(x - 2v)).  Any other body,
     or a product or affine image containing one, raises GeometryError at
     construction, as does an unbounded or flat H-form.  The scalar call
-    evaluates a batch of one, so every path has a single dispatch; omega_ball,
-    the adaptive slice quadrature, and omega_mc stay separate as oracles.
+    evaluates a batch of one, so every path has a single dispatch; omega_ball
+    (the adaptive slice quadrature), omega_polytope_exact (Qhull's halfspace
+    intersection) and omega_mc stay separate as oracles.
     """
 
     def __init__(self, body: ConvexBody):
@@ -322,10 +335,10 @@ class OmegaEvaluator:
 
         A candidate is feasible for, and lies on, plane i within
         BATCH_TOL (|a_i| + |O_i|), a window of the same geometric width
-        whatever the scale of the row.  It is much tighter than the oracle's
-        FEAS_TOL, so no point where a near-singular tuple meets just outside
-        the body passes.  Where rounding leaves many planes only nearly
-        concurrent, their candidates merge at DEDUP_TOL into the
+        whatever the scale of the row.  It is much tighter than
+        vertex_enumerate's FEAS_TOL, so no point where a near-singular tuple
+        meets just outside the body passes.  Where rounding leaves many planes
+        only nearly concurrent, their candidates merge at DEDUP_TOL into the
         best-conditioned one, which lies on all of them within the window.
         In 3-D the volume is the divergence-theorem sum V = 1/3 sum_f h_f
         area_f over the planes, h_f being the distance from the vertex mean to

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwlab import geometry
 from pwlab.geometry import (
@@ -103,6 +105,20 @@ class TestVertexEnumeration:
         # the rows span only one direction
         with pytest.raises(GeometryError, match="unbounded"):
             vertex_enumerate(HPolytope([[1, 0], [-1, 0]], [1, 1]))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([2, 3]),
+           count=st.integers(4, 12))
+    def test_permuted_and_repeated_halfspaces(self, seed, dim, count):
+        rng = np.random.default_rng(seed)
+        H = to_hpolytope(VPolytope(rng.uniform(-1, 1, size=(count, dim))))
+        k = H.offsets.size
+        rows = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, size=k // 2)]))
+        verts = vertex_enumerate(H)
+        other = vertex_enumerate(HPolytope(H.normals[rows], H.offsets[rows]))
+        gap = np.linalg.norm(other[:, None] - verts[None], axis=2)
+        assert other.shape == verts.shape
+        assert np.all(gap.min(axis=0) <= geometry.DEDUP_TOL)
 
 
 class TestHull:

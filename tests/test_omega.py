@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.spatial import ConvexHull, HalfspaceIntersection
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 import pwlab
 
@@ -100,11 +100,32 @@ class TestOmegaPolytope:
 
     def test_enumeration_failure_propagates(self, right_triangle, monkeypatch):
         def fail(*args, **kwargs):
-            raise GeometryError("enumeration failed")
-        monkeypatch.setattr(geometry, "vertex_enumerate", fail)
+            raise QhullError("initial simplex is flat")
+        monkeypatch.setattr(omega, "HalfspaceIntersection", fail)
+        # outside 2P, and inside it but within the zero band of the facet
+        # x + y < 2, the value is 0.0 without a Qhull call
+        band = np.array([1.0, 1.0 - 1e-14])
+        assert np.all(right_triangle.normals @ band < 2 * right_triangle.offsets)
         assert omega_polytope_exact(right_triangle, [5.0, 5.0]) == 0.0
-        with pytest.raises(GeometryError, match="enumeration failed"):
+        assert omega_polytope_exact(right_triangle, band) == 0.0
+        with pytest.raises(GeometryError, match="initial simplex is flat"):
             omega_polytope_exact(right_triangle, [2 / 3, 2 / 3])
+
+    def test_interval_is_the_tent(self):
+        for x in np.linspace(-0.5, 3.5, 41):
+            assert abs(omega_polytope_exact(geometry.box([0.0], [1.5]), [x])
+                       - omega_box([1.5], [x])) <= 1e-15
+
+    def test_matches_the_batch_where_vertices_meet(self):
+        # at a vertex sum a vertex of x - P lies on a vertex of P, where
+        # near-singular plane triples meet
+        H = random_hull(np.random.default_rng(859), 3, 8)
+        verts = geometry.vertex_enumerate(H)
+        pts = (verts[:, None] + verts[None]).reshape(-1, 3)
+        ref = OmegaEvaluator(H).batch(pts)
+        got = np.array([omega_polytope_exact(H, x) for x in pts])
+        assert H.normals.shape[0] == 12 and np.any(ref > 0)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, ref))
 
 
 def random_hull(rng, dim: int, count: int) -> geometry.HPolytope:
@@ -115,7 +136,7 @@ def probe_points(rng, ev: OmegaEvaluator, H: geometry.HPolytope) -> np.ndarray:
     """Random points of the support box, the vertices of 2H, random points on
     the facets of 2H, and the origin."""
     lo, hi = ev.support_box()
-    verts = geometry.vertex_enumerate(H, check_bounded=False)
+    verts = geometry.vertex_enumerate(H)
     on_facets = [rng.dirichlet(np.ones(len(idx))) @ (2 * verts[idx])
                  for idx in geometry.facet_vertex_incidence(H, verts) if len(idx) >= H.dim]
     return np.vstack([rng.uniform(lo, hi, size=(20, H.dim)), 2 * verts, on_facets,
@@ -226,15 +247,13 @@ class TestPolytopeBatch:
         assert pts.shape[0] / best_time(lambda: ev.batch(pts)) >= 1e5
 
     @pytest.mark.parametrize("name", ["square", "triangle", "cube", "pyramid", "hull"])
-    def test_not_slower_than_the_pointwise_loop(self, name):
+    def test_matches_the_pointwise_oracle(self, name):
         rng = np.random.default_rng(3)
         P = random_hull(rng, 3, 10) if name == "hull" else geometry.BUILTIN_BODIES[name]()
         ev = OmegaEvaluator(P)
         pts = probe_points(rng, ev, P)
         ref = np.array([omega_polytope_exact(P, x) for x in pts])
         assert np.all(np.abs(ev.batch(pts) - ref) <= 1e-12 * np.maximum(1.0, ref))
-        loop = best_time(lambda: [omega_polytope_exact(P, x) for x in pts])
-        assert best_time(lambda: ev.batch(pts)) <= loop
 
     def test_independent_of_blas_threads(self):
         script = (
@@ -343,6 +362,17 @@ class TestEvaluator:
         est, se = omega_mc(img, x, 400_000, seed=6)
         assert abs(ev(x) - est) <= 3 * se
 
+    def test_invertibility_is_scale_free(self):
+        # det = 1e-15, but the matrix is as well conditioned as the identity
+        img = AffineImage(base=unit_box(3), matrix=1e-5 * np.eye(3), shift=np.zeros(3))
+        pts = np.random.default_rng(0).uniform(-0.5e-5, 2.5e-5, size=(20, 3))
+        ref = [1e-15 * omega_box([1, 1, 1], p / 1e-5) for p in pts]
+        assert np.allclose(OmegaEvaluator(img).batch(pts), ref, rtol=1e-12, atol=0.0)
+        # rank 2; its determinant rounds to 6.7e-16, not to zero
+        with pytest.raises(GeometryError, match="invertible"):
+            AffineImage(base=unit_box(3), matrix=np.arange(1.0, 10.0).reshape(3, 3),
+                        shift=np.zeros(3))
+
     def test_bound_by_body_measure(self, rng, disc):
         ev = OmegaEvaluator(disc)
         pts = rng.uniform(-2.2, 2.2, size=(500, 2))
@@ -380,7 +410,7 @@ class TestEvaluator:
 
 class TestInvariances:
     """Inclusion, concavity, translation, dilation and product properties of
-    w, each at seed 0."""
+    w, each at seed 0, and the affine covariance over random bodies."""
 
     def test_monotone_under_inclusion(self):
         rng = np.random.default_rng(0)
@@ -418,6 +448,35 @@ class TestInvariances:
         dev = (OmegaEvaluator(Ball([0.0, 0.0], lam)).batch(probes)
                - lam ** 2 * OmegaEvaluator(disc).batch(probes / lam))
         assert np.max(np.abs(dev)) < 1e-9
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([2, 3]),
+           count=st.integers(4, 12), log_scale=st.floats(-3, 3), shear=st.booleans())
+    def test_affine_covariance(self, seed, dim, count, log_scale, shear):
+        # w_{lam M P + v}(x) = |det lam M| w_P(M^{-1}(x - 2v)/lam) for a
+        # rotation or a shear M, on the batch through AffineImage and on the
+        # oracle through the pulled-back H-form
+        rng = np.random.default_rng(seed)
+        H = random_hull(rng, dim, count)
+        lam = 10.0 ** log_scale
+        if shear:
+            M = np.eye(dim) + np.triu(rng.uniform(-1, 1, size=(dim, dim)), 1)
+        else:
+            M, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        mat, v = lam * M, lam * rng.uniform(-1, 1, size=dim)
+        ev = OmegaEvaluator(H)
+        lo, hi = ev.support_box()
+        verts = geometry.vertex_enumerate(H)
+        i, j = np.triu_indices(verts.shape[0])
+        u = np.vstack([rng.uniform(lo, hi, size=(10, dim)), verts[i] + verts[j]])
+        x = u @ mat.T + 2 * v
+        det = abs(np.linalg.det(mat))
+        ref = det * ev.batch(u)
+        tol = 1e-12 * np.maximum(det, ref)
+        pulled = H.normals @ np.linalg.inv(mat)
+        image = geometry.HPolytope(pulled, H.offsets + pulled @ v)
+        assert np.all(np.abs(OmegaEvaluator(AffineImage(H, mat, v)).batch(x) - ref) <= tol)
+        assert np.all(np.abs([omega_polytope_exact(image, p) for p in x] - ref) <= tol)
 
     def test_product_rule(self):
         rng = np.random.default_rng(0)
