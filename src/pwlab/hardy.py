@@ -9,6 +9,7 @@ slides into a corner of 2P, separating d < 1, d = 1 and d > 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -166,20 +167,13 @@ def corner_family_ratio(d: float, t: float, quad_points: int = 160,
     return numerator / bump_l1
 
 
-_BUMP_L1_CACHE: dict = {}
-
-
-def canonical_bump_l1(freq_points: int = 96, box_halfwidth: float = 8.0) -> float:
-    """||phi||_1 of the canonical planar bump, synthesized once and cached."""
-    key = (freq_points, box_halfwidth)
-    if key not in _BUMP_L1_CACHE:
-        spec = GridSpec(lower=[-1.05, -1.05], upper=[1.05, 1.05],
-                        npts=(freq_points, freq_points))
-        gf = GridFunction.from_function(
-            spec, lambda p: bump_profile(np.linalg.norm(p, axis=1)))
-        val, _ = synthesize_l1(gf, box_halfwidth=box_halfwidth, points_per_unit=10.0)
-        _BUMP_L1_CACHE[key] = val
-    return _BUMP_L1_CACHE[key]
+@functools.cache
+def canonical_bump_l1() -> float:
+    """||phi||_1 of the canonical planar bump, synthesized once and memoized."""
+    spec = GridSpec(lower=[-1.05, -1.05], upper=[1.05, 1.05], npts=(96, 96))
+    gf = GridFunction.from_function(spec, lambda p: bump_profile(np.linalg.norm(p, axis=1)))
+    val, _ = synthesize_l1(gf, box_halfwidth=8.0, points_per_unit=10.0)
+    return val
 
 
 def corner_family_sweep(d: float, t_values=None, quad_points: int = 160) -> CornerFamilyResult:

@@ -9,8 +9,10 @@ Polytopes in dim <= 3 are evaluated for a whole batch of points at once.  The
 planes of P cap (x - P) are always [A; -A] and only their offsets [b; b - A x]
 move with x, so the plane tuples that can meet in a vertex, and their
 inverses, are worked out once per body; each point then costs a few small
-array operations.  omega_polytope_exact, Qhull's halfspace intersection one
-point at a time, is the independent oracle of that batch.
+array operations.  No distance decides incidence: a vertex lies on the planes
+of the tuples that make it, and parallel planes with the same vertices are one
+face.  omega_polytope_exact, Qhull's halfspace intersection one point at a
+time, is the independent oracle of that batch.
 """
 
 from __future__ import annotations
@@ -151,19 +153,24 @@ def omega_polytope_exact(P: HPolytope, x) -> float:
 # Points are evaluated in chunks of at most this many point x candidate x
 # plane entries.
 CHUNK_ENTRIES = 1 << 21
-# Relative feasibility and incidence window of the batch's candidate vertices.
+# Relative feasibility window of the batch's candidate vertices.
 BATCH_TOL = 1e-12
+# Planes whose unit normals have a larger dot product may coincide.
+PARALLEL_DOT = 1.0 - 1e-9
 
 
-def _candidate_tuples(P: HPolytope) -> tuple[np.ndarray, np.ndarray]:
+def _candidate_tuples(P: HPolytope) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Plane tuples whose intersection points include every vertex of
-    P cap (x - P), for every x, and the inverses of their matrices.
+    P cap (x - P), for every x, the inverses of their matrices, and the
+    planes each tuple's point lies on.
 
     Planes 0..k-1 are those of P, planes k..2k-1 those of x - P (normals -A,
     offsets b - A x).  A vertex of the intersection is a vertex of P, a vertex
     of x - P, or a point where a ridge (an (n-2)-face: an edge in 3-D, a facet
     in 2-D) of one body meets a facet of the other.  Each vertex of P is taken
-    once, through the best-conditioned dim-subset of its incident facets.  The
+    once, through the best-conditioned dim-subset of its incident facets, and
+    lies on every facet incident to it; a corner of x - P lies on the same
+    facets shifted by k; a ridge x facet point lies on its own n planes.  The
     tuples come best-conditioned first, so that a vertex several tuples reach
     is kept at its most accurate candidate.
     """
@@ -171,16 +178,15 @@ def _candidate_tuples(P: HPolytope) -> tuple[np.ndarray, np.ndarray]:
     k, n = A.shape
     planes = np.vstack([A, -A])
     unit = planes / np.linalg.norm(planes, axis=1)[:, None]
-    verts = geometry.vertex_enumerate(P)
-    incidence = [set(on) for on in geometry.facet_vertex_incidence(P, verts)]
-    corners = []
-    for v in range(verts.shape[0]):
-        facets = [f for f in range(k) if v in incidence[f]]
-        corners.append(min(itertools.combinations(facets, n),
-                           key=lambda sub: np.linalg.cond(unit[list(sub)])))
+    verts = P._vertices                                     # cached per body
+    touch = np.zeros((verts.shape[0], k), dtype=bool)       # vertex x facet
+    for f, on in enumerate(geometry.facet_vertex_incidence(P, verts)):
+        touch[on, f] = True
+    corners = [min(itertools.combinations(np.flatnonzero(t), n),
+                   key=lambda sub: np.linalg.cond(unit[list(sub)])) for t in touch]
     ridges = [] if n == 1 else [
         r for r in itertools.combinations(range(k), n - 1)
-        if len(set.intersection(*(incidence[f] for f in r))) >= 2]
+        if np.count_nonzero(touch[:, list(r)].all(axis=1)) >= 2]
     mixed = set()
     for r in ridges:
         for f in range(k):
@@ -189,9 +195,13 @@ def _candidate_tuples(P: HPolytope) -> tuple[np.ndarray, np.ndarray]:
     mixed = np.array(sorted(mixed), dtype=np.intp).reshape(-1, n)
     corners = np.array(corners, dtype=np.intp).reshape(-1, n)
     tuples = np.vstack([corners, corners + k, mixed])
-    tuples = tuples[geometry.nonsingular(planes[tuples])]
-    tuples = tuples[np.argsort(np.linalg.cond(unit[tuples]), kind="stable")]
-    return tuples, np.linalg.inv(planes[tuples])
+    on = np.zeros((tuples.shape[0], 2 * k), dtype=bool)
+    np.put_along_axis(on, tuples, True, axis=1)
+    on[:len(touch), :k] = on[len(touch):2 * len(touch), k:] = touch
+    keep = geometry.nonsingular(planes[tuples])
+    tuples, on = tuples[keep], on[keep]
+    order = np.argsort(np.linalg.cond(unit[tuples]), kind="stable")
+    return tuples[order], np.linalg.inv(planes[tuples[order]]), on[order]
 
 
 def _polygon_area(uv: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -287,14 +297,17 @@ class OmegaEvaluator:
             raise GeometryError(f"no exact autocorrelation for {type(body).__name__}")
 
     def _setup_polytope(self) -> None:
-        """Per-body data of the exact polytope batch: the candidate tuples and
-        their inverses, the planes [A; -A] of P cap (x - P), and in 3-D the
-        in-plane bases and the rules by which coincident planes count once."""
-        A, b = self._hform.normals, self._hform.offsets
+        """Per-body data of the exact polytope batch: the candidate tuples,
+        their inverses and incidences, the planes [A; -A] of P cap (x - P),
+        the merge window, and in 3-D the in-plane bases and the pairs of
+        planes with parallel normals."""
+        A = self._hform.normals
         k = A.shape[0]
-        self._tuples, self._inv = _candidate_tuples(self._hform)
+        self._tuples, self._inv, self._on = _candidate_tuples(self._hform)
         self._planes = np.vstack([A, -A])
         self._norms = np.linalg.norm(self._planes, axis=1)
+        lo, hi = self._hform.bounding_box()
+        self._merge_tol = DEDUP_TOL * float(np.linalg.norm(hi - lo))
         if self._hform.dim != 3:
             return
         unit = self._planes / self._norms[:, None]
@@ -303,16 +316,9 @@ class OmegaEvaluator:
         e1 = np.cross(unit, u)
         e1 /= np.linalg.norm(e1, axis=1)[:, None]
         self._basis = np.stack([e1, np.cross(unit, e1)], axis=1)   # (2k, 2, 3)
-        # planes are keyed as geometry._facet_key keys them: a repeated row
-        # of A repeats a plane of P and of x - P for every x, while a plane of
-        # x - P meets one of P with the same unit normal only at some x
-        keys = [geometry._facet_key(a, o) for a, o in zip(A, b)]
-        first = np.array([keys.index(key) == i for i, key in enumerate(keys)])
-        self._counted = np.concatenate([first, first])
-        normal_keys = [tuple(np.round(a, 9)) for a in unit]
-        self._opposite = [(i, k + j) for i in np.flatnonzero(first)
-                          for j in np.flatnonzero(first)
-                          if normal_keys[i] == normal_keys[k + j]]
+        # a repeated row of A repeats a plane of P and of x - P for every x,
+        # while a plane of x - P meets a parallel one of P only at some x
+        self._parallel = list(zip(*np.nonzero(np.triu(unit @ unit.T > PARALLEL_DOT, 1))))
 
     def _polytope_batch(self, pts: np.ndarray) -> np.ndarray:
         """Exact w for every point at once: zero outside int 2P, else the
@@ -333,37 +339,37 @@ class OmegaEvaluator:
         """Volumes of the polytopes {planes . y <= O[i]} for an (m, 2k)
         offset array, through the candidate tuples.
 
-        A candidate is feasible for, and lies on, plane i within
-        BATCH_TOL (|a_i| + |O_i|), a window of the same geometric width
-        whatever the scale of the row.  It is much tighter than
-        vertex_enumerate's FEAS_TOL, so no point where a near-singular tuple
-        meets just outside the body passes.  Where rounding leaves many planes
-        only nearly concurrent, their candidates merge at DEDUP_TOL into the
-        best-conditioned one, which lies on all of them within the window.
-        In 3-D the volume is the divergence-theorem sum V = 1/3 sum_f h_f
-        area_f over the planes, h_f being the distance from the vertex mean to
-        plane f."""
+        A candidate is feasible within BATCH_TOL (|a_i| + |O_i|), a window of
+        the same geometric width whatever the scale of the row, and so much
+        tighter than vertex_enumerate's FEAS_TOL that no point where a
+        near-singular tuple meets just outside the body passes.  Feasible
+        candidates closer than DEDUP_TOL times the diagonal of the body's
+        bounding box merge into the first, best-conditioned one, which lies on
+        the planes of every tuple merged into it.  In 3-D the volume is
+        V = 1/3 sum_f h_f area_f over the planes, h_f being the distance from
+        the vertex mean to plane f and area_f that of the polygon of the
+        vertices on f.  Of two planes with parallel normals and the same
+        vertices only the first counts: sharing three vertices they coincide,
+        and fewer span no area."""
         n = self._hform.dim
         rhs = O[:, self._tuples]                                       # (m, c, n)
         C = _matvec(self._inv, rhs)
         # one step of iterative refinement brings the candidates of the
         # ill-conditioned tuples to the accuracy of a direct solve
         C = C + _matvec(self._inv, rhs - _matvec(self._planes[self._tuples], C))
-        AC = _dot(C, self._planes)                                     # (m, c, 2k)
         tol = BATCH_TOL * (self._norms + np.abs(O))[:, None, :]
-        feas = np.all(AC <= O[:, None, :] + tol, axis=2)               # (m, c)
+        feas = np.all(_dot(C, self._planes) <= O[:, None, :] + tol, axis=2)   # (m, c)
         count = feas.sum(axis=1)
         # move the feasible candidates to the front and drop the columns no
         # point needs
         order = np.argsort(~feas, axis=1, kind="stable")[:, :max(count.max(), 1)]
         C = np.take_along_axis(C, order[..., None], axis=1)
-        AC = np.take_along_axis(AC, order[..., None], axis=1)
         feas = np.take_along_axis(feas, order, axis=1)
-        # merge repeated vertices into their first candidate, as
-        # vertex_enumerate merges them at DEDUP_TOL
+        # merge repeated vertices into their first candidate
         gap = sum((C[:, :, None, d] - C[:, None, :, d]) ** 2 for d in range(n))
+        near = (gap <= self._merge_tol ** 2) & feas[:, :, None] & feas[:, None, :]
         earlier = np.tril(np.ones(gap.shape[1:], dtype=bool), -1)
-        feas &= ~np.any((gap <= DEDUP_TOL ** 2) & earlier & feas[:, None, :], axis=2)
+        feas &= ~np.any(near & earlier, axis=2)
         count = feas.sum(axis=1)
         if n == 1:
             x = C[..., 0]
@@ -371,17 +377,16 @@ class OmegaEvaluator:
         elif n == 2:
             vol = _polygon_area(C, feas)
         else:
-            on = np.abs(AC - O[:, None, :]) <= tol
+            on = near.astype(float) @ self._on[order].astype(float) > 0  # (m, c, 2k)
             mask = (feas[:, :, None] & on).transpose(0, 2, 1)          # (m, 2k, c)
             uv = sum(C[:, None, :, d, None] * self._basis[None, :, None, :, d]
                      for d in range(3))                                # (m, 2k, c, 2)
             area = _polygon_area(uv, mask)
             centre = np.where(feas[..., None], C, 0.0).sum(axis=1) / np.maximum(count, 1)[:, None]
             h = (O - _dot(centre, self._planes)) / self._norms
-            counted = np.broadcast_to(self._counted, O.shape).copy()
-            off = np.round(O / self._norms, 9)
-            for i, j in self._opposite:
-                counted[:, j] &= off[:, i] != off[:, j]
+            counted = np.ones(O.shape, dtype=bool)
+            for f, g in self._parallel:
+                counted[:, g] &= np.any(mask[:, f] != mask[:, g], axis=1)
             vol = np.sum(h * area * counted, axis=1) / 3.0
         return np.where(count > n, vol, 0.0)
 

@@ -230,6 +230,39 @@ class TestPolarDuality:
         assert sorted(map(tuple, dual.normals)) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
         assert np.array_equal(dual.offsets, np.ones(4))
 
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), name=st.sampled_from(["cube", "pyramid", "hull"]),
+           form=st.sampled_from(["H", "V"]))
+    def test_rotation_commutes_with_polarity(self, seed, name, form):
+        # (QP)* = Q P* for a rotation Q, and (QP)** = QP
+        rng = np.random.default_rng(seed)
+        if name == "hull":
+            P = to_hpolytope(VPolytope(rng.uniform(-1, 1, size=(rng.integers(5, 13), 3))))
+        else:
+            P = geometry.BUILTIN_BODIES[name]()
+        # centred on its vertex mean, so the origin is interior
+        verts = vertex_enumerate(P)
+        centre = verts.mean(axis=0)
+        verts = verts - centre
+        P = HPolytope(P.normals, P.offsets - P.normals @ centre)
+        Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        Q[:, 0] *= np.linalg.det(Q)
+        if form == "H":
+            body, turned = P, HPolytope(P.normals @ Q.T, P.offsets)
+        else:
+            body, turned = VPolytope(verts), VPolytope(verts @ Q.T)
+
+        def vertices(b):
+            return b.vertices if isinstance(b, VPolytope) else vertex_enumerate(b)
+
+        def same_points(a, b):
+            gap = np.linalg.norm(a[:, None] - b[None], axis=2)
+            return a.shape == b.shape and max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-9
+
+        dual = polar_dual(turned)
+        assert same_points(vertices(dual), vertices(polar_dual(body)) @ Q.T)
+        assert same_points(vertices(polar_dual(dual)), verts @ Q.T)
+
 
 class TestChebyshevBall:
     def test_cube_center(self):

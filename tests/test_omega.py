@@ -222,6 +222,46 @@ class TestPolytopeBatch:
             w = evaluate(H)
             assert np.all(np.abs(evaluate(scaled) - w) <= 1e-12 * np.maximum(1.0, w))
 
+    @pytest.mark.parametrize("step", [0.0, 1e-12])
+    def test_nearly_coplanar_facets(self, step):
+        # facets 1 and 4 of this hull are 7.7e-5 rad apart, and at x true
+        # vertices of the intersection lie about 1e-12 apart; an on-plane
+        # distance window gave 1.013145 at x and 0.933313 one step away
+        H = random_hull(np.random.default_rng(27), 3, 12)
+        x = np.array([-0.25918592739057633, 0.2120067281258592, -0.8102766622563293]) + step
+        w = omega_polytope_exact(H, x)
+        assert abs(OmegaEvaluator(H)(x) - w) <= 1e-12 * max(1.0, w)
+
+    @pytest.mark.parametrize("s", [1e-6, 1e-8])
+    @pytest.mark.parametrize("name", ["triangle", "cube", "pyramid"])
+    def test_scale_free(self, name, s):
+        # w_{sP}(s x) = s^n w_P(x), and sP has the offsets s b
+        P = geometry.BUILTIN_BODIES[name]()
+        ev = OmegaEvaluator(P)
+        lo, hi = ev.support_box()
+        pts = np.random.default_rng(4).uniform(lo, hi, size=(200, P.dim))
+        w = ev.batch(pts)
+        small = OmegaEvaluator(geometry.HPolytope(P.normals, s * P.offsets))
+        assert np.any(w > 0)
+        assert np.all(np.abs(small.batch(s * pts) / s ** P.dim - w) <= 1e-12 * w)
+
+    @pytest.mark.parametrize("name", ["cube", "pyramid"])
+    def test_repeated_and_redundant_rows(self, name):
+        # two rows again, scaled by 3, and a halfspace that cuts nothing give
+        # the same body; the quarter grid of 2P holds the points where planes
+        # of P and of x - P coincide
+        P = geometry.BUILTIN_BODIES[name]()
+        more = geometry.HPolytope(np.vstack([P.normals, 3 * P.normals[:2], [[1.0, 2.0, 3.0]]]),
+                                  np.concatenate([P.offsets, 3 * P.offsets[:2], [100.0]]))
+        ev = OmegaEvaluator(P)
+        lo, hi = P.bounding_box()
+        steps = np.stack(np.meshgrid(*[np.arange(9)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+        grid = 2 * lo + steps * (hi - lo) / 4
+        pts = np.vstack([np.random.default_rng(5).uniform(*ev.support_box(), size=(200, 3)), grid])
+        w = ev.batch(pts)
+        assert np.any(w[200:] > 0)
+        assert np.all(np.abs(OmegaEvaluator(more).batch(pts) - w) <= 1e-15)
+
     def test_coincident_planes_count_once(self):
         # where x_i = 1 the facets y_i <= 1 of the cube and y_i <= x_i of
         # x - cube coincide, and so do y_i >= 0 and y_i >= x_i - 1
