@@ -17,7 +17,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import __version__, checks, geometry, hardy, nehari, omega, simplicial
+from . import __version__, checks, hardy, nehari, omega, simplicial
 from .calibration import DEFAULT_CALIBRATION, calibrate
 from .fourier import ConvergenceError
 from .geometry import BUILTIN_BODIES, GeometryError, body_from_json
@@ -159,13 +159,11 @@ def cmd_simplicial(args) -> int:
     stages = []
     ok = True
     for approx in seq:
-        hull_h = approx.hull.hform
-        incidence = geometry.facet_vertex_incidence(hull_h, approx.hull.vertices)
         ok &= approx.all_checks_pass()
         stages.append({
             "epsilon": approx.epsilon,
             "vertices": [list(map(float, v)) for v in approx.perturbation.perturbed],
-            "facet_incidences": [list(map(int, idx)) for idx in incidence],
+            "facet_incidences": [np.flatnonzero(f).tolist() for f in approx.hull.incidence.T],
             "certificates": [
                 {"target": c.target_index, "rho": list(map(float, c.rho)),
                  "residual": c.residual()}

@@ -3,9 +3,9 @@
 Bodies are immutable tagged values (ball, H-polytope, V-polytope, product,
 affine image) with a strict-inequality membership oracle.  Polytope
 combinatorics are restricted to dimension <= 3 and desk scale by design:
-convex hulls (H-forms of point sets, essential vertices, boundedness, hull
-volumes) come from Qhull, and vertices of H-polytopes from a vectorized brute
-force over facet subsets.
+Qhull gives hulls (H-forms, facet incidences, essential vertices, volumes)
+and boundedness; tuple_vertices, shared with the exact polytope batch of
+omega, gives the vertices of H-polytopes and the facets each lies on.
 """
 
 from __future__ import annotations
@@ -20,10 +20,12 @@ import numpy as np
 from scipy import optimize
 from scipy.spatial import ConvexHull, QhullError
 
-# Shared tolerances: vertex dedup and active-set tests are absolute 1e-9,
-# near-singular facet systems are rejected below 1e-12.
+# Shared tolerances, each relative to the body: vertices closer than DEDUP_TOL
+# times the diagonal of its bounding box are one, a vertex y satisfies a row
+# a . y <= b within FEAS_TOL (|a| r + |b|) for r bounding |y|, and a facet
+# system is singular below DET_TOL times its Hadamard bound.
 DEDUP_TOL = 1e-9
-FEAS_TOL = 1e-9
+FEAS_TOL = 1e-12
 DET_TOL = 1e-12
 
 
@@ -110,10 +112,19 @@ class HPolytope(ConvexBody):
         return np.all(pts @ self.normals.T < self.offsets, axis=1)
 
     @cached_property
-    def _vertices(self) -> np.ndarray:
+    def _combinatorics(self) -> tuple[np.ndarray, np.ndarray]:
         # enumerated once per instance; a raise caches nothing, so an
         # unbounded or flat H-form raises on every call
-        return vertex_enumerate(self)
+        return vertex_incidence(self)
+
+    @property
+    def _vertices(self) -> np.ndarray:
+        return self._combinatorics[0]
+
+    @property
+    def incidence(self) -> np.ndarray:
+        """(vertex, facet) mask: which facets each cached vertex lies on."""
+        return self._combinatorics[1]
 
     def bounding_box(self):
         return self._vertices.min(axis=0), self._vertices.max(axis=0)
@@ -130,9 +141,32 @@ class VPolytope(ConvexBody):
         object.__setattr__(self, "dim", v.shape[1])
 
     @cached_property
+    def _facets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Qhull's facet rows n . x + c <= 0, merged by _facet_key, and the
+        (point, facet) mask of the corners of each facet's triangles."""
+        pts = self.vertices
+        if self.dim == 1:
+            lo, hi = pts.min(), pts.max()
+            if lo == hi:
+                raise GeometryError("degenerate point set, no full-dimensional hull")
+            return np.array([[1.0, -hi], [-1.0, lo]]), np.hstack([pts == hi, pts == lo])
+        hull = _hull(pts)
+        keys: dict[tuple, int] = {}
+        label = np.array([keys.setdefault(_facet_key(row[:-1], -row[-1]), len(keys))
+                          for row in hull.equations])
+        incidence = np.zeros((pts.shape[0], len(keys)), dtype=bool)
+        incidence[hull.simplices, label[:, None]] = True
+        return hull.equations[np.unique(label, return_index=True)[1]], incidence
+
+    @cached_property
     def hform(self) -> HPolytope:
         """The Qhull H-form, built once per instance."""
         return to_hpolytope(self)
+
+    @property
+    def incidence(self) -> np.ndarray:
+        """(point, facet of hform) mask from Qhull's triangles."""
+        return self._facets[1]
 
     def contains(self, x) -> bool:
         return self.hform.contains(x)
@@ -311,14 +345,6 @@ BUILTIN_BODIES = {
 # vertex enumeration (brute force) and hulls (Qhull), dim <= 3
 # ---------------------------------------------------------------------------
 
-def _dedupe_points(pts: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
-    out: list[np.ndarray] = []
-    for p in pts:
-        if not any(np.linalg.norm(p - q) <= tol for q in out):
-            out.append(p)
-    return np.array(out) if out else np.zeros((0, pts.shape[1]))
-
-
 def _hull(pts: np.ndarray) -> ConvexHull:
     try:
         return ConvexHull(pts)
@@ -348,11 +374,59 @@ def nonsingular(mats: np.ndarray) -> np.ndarray:
     return dets > DET_TOL * np.prod(np.linalg.norm(mats, axis=-1), axis=-1)
 
 
-def vertex_enumerate(h: HPolytope) -> np.ndarray:
-    """All vertices of a bounded H-polytope, dim <= 3, brute force over facet
-    subsets.  Each vertex solves dim active facet equations and satisfies
-    every halfspace a . x <= b within FEAS_TOL (|a| + |b|), a window that does
-    not change when a row is rescaled; duplicates merged at DEDUP_TOL."""
+def _dot(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """u @ rows.T over the last axis as explicit products, so the sums do not
+    depend on the BLAS thread count."""
+    return sum(u[..., d, None] * rows[:, d] for d in range(rows.shape[1]))
+
+
+def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """mats[c] @ vecs[m, c] for (c, n, n) matrices and (m, c, n) vectors, as
+    explicit products like _dot."""
+    return sum(mats[:, :, j] * vecs[:, :, None, j] for j in range(mats.shape[2]))
+
+
+def tuple_vertices(planes: np.ndarray, O: np.ndarray, tuples: np.ndarray, inv: np.ndarray,
+                   on: np.ndarray | None, radius: float | None = None,
+                   merge_tol: float | None = None) -> tuple:
+    """Vertices of the polytopes {y : planes . y <= O[i]} for an (m, p) offset
+    array O, from candidate plane tuples: the (c, n) tuples, the inverses of
+    their matrices and the (c, p) mask of the planes each tuple's point is on.
+
+    A candidate solves its tuple through the inverse plus one step of
+    iterative refinement, which brings ill-conditioned tuples to the accuracy
+    of a direct solve.  It is feasible within FEAS_TOL (|a| r + |O|), where r
+    is radius or else the candidate's own |y|.  Feasible candidates closer
+    than merge_tol, else DEDUP_TOL times the diagonal of their bounding box,
+    merge into the first, which lies on the planes of every tuple merged into
+    it.  Returns the candidates (m, c', n), feasible ones first, the (m, c')
+    mask of the kept ones and the (m, c', p) mask of their planes, or None if on is."""
+    n = planes.shape[1]
+    rhs = O[:, tuples]                                               # (m, c, n)
+    C = _matvec(inv, rhs)
+    C = C + _matvec(inv, rhs - _matvec(planes[tuples], C))
+    r = np.linalg.norm(C, axis=2, keepdims=True) if radius is None else radius
+    tol = FEAS_TOL * (np.linalg.norm(planes, axis=1) * r + np.abs(O)[:, None, :])
+    feas = np.all(_dot(C, planes) <= O[:, None, :] + tol, axis=2)     # (m, c)
+    # the feasible candidates first, without the columns no row needs
+    order = np.argsort(~feas, axis=1, kind="stable")[:, :max(feas.sum(axis=1).max(), 1)]
+    C = np.take_along_axis(C, order[..., None], axis=1)
+    feas = np.take_along_axis(feas, order, axis=1)
+    if merge_tol is None:
+        lo = np.where(feas[..., None], C, np.inf).min(axis=1)
+        hi = np.where(feas[..., None], C, -np.inf).max(axis=1)
+        merge_tol = DEDUP_TOL * np.linalg.norm(hi - lo, axis=1)[:, None, None]
+    gap = sum((C[:, :, None, d] - C[:, None, :, d]) ** 2 for d in range(n))
+    near = (gap <= merge_tol ** 2) & feas[:, :, None] & feas[:, None, :]
+    earlier = np.tril(np.ones(gap.shape[1:], dtype=bool), -1)
+    kept = feas & ~np.any(near & earlier, axis=2)
+    return C, kept, None if on is None else near.astype(float) @ on[order].astype(float) > 0
+
+
+def vertex_incidence(h: HPolytope) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices of a bounded H-polytope in dim <= 3 and their (vertex,
+    facet) incidence: tuple_vertices over every nonsingular dim-subset of
+    the facets, in lexicographic order.  HPolytope caches this call."""
     n = h.dim
     if n > 3:
         raise GeometryError("vertex enumeration restricted to dim <= 3")
@@ -360,13 +434,10 @@ def vertex_enumerate(h: HPolytope) -> np.ndarray:
         raise GeometryError("polytope is unbounded")
     A, b = h.normals, h.offsets
     combos = np.array(list(itertools.combinations(range(A.shape[0]), n)))
-    mats = A[combos]                               # (ncomb, n, n)
-    rhs = b[combos]                                # (ncomb, n)
-    good = nonsingular(mats)
-    cands = np.linalg.solve(mats[good], rhs[good][..., None])[..., 0]
-    scale = np.linalg.norm(A, axis=1) + np.abs(b)
-    feas = np.all(cands @ A.T <= b + FEAS_TOL * scale, axis=1)
-    verts = _dedupe_points(cands[feas])
+    combos = combos[nonsingular(A[combos])]
+    on = np.any(combos[:, :, None] == np.arange(A.shape[0]), axis=1)
+    C, kept, incidence = tuple_vertices(A, b[None], combos, np.linalg.inv(A[combos]), on)
+    verts, incidence = C[0][kept[0]], incidence[0][kept[0]]
     if verts.shape[0] == 0:
         raise GeometryError("polytope has empty interior or is infeasible")
     if not np.all(np.isfinite(verts)):
@@ -374,7 +445,12 @@ def vertex_enumerate(h: HPolytope) -> np.ndarray:
     if verts.shape[0] <= n:
         # fewer than dim+1 vertices cannot enclose volume
         raise GeometryError("polytope has empty interior")
-    return verts
+    return verts, incidence
+
+
+def vertex_enumerate(h: HPolytope) -> np.ndarray:
+    """All vertices of a bounded H-polytope in dim <= 3 (vertex_incidence)."""
+    return vertex_incidence(h)[0]
 
 
 def _facet_key(a: np.ndarray, b: float) -> tuple:
@@ -387,37 +463,15 @@ def _facet_keys(h: HPolytope) -> set:
 
 
 def to_hpolytope(v: VPolytope) -> HPolytope:
-    """Convex hull of points in dim <= 3, returned as halfspaces.
-
-    Qhull's facet rows n . x + c <= 0 become the halfspaces (n, -c); the
-    triangles it splits a flat facet into merge back into one by _facet_key.
-    """
-    pts = v.vertices
+    """Convex hull of points in dim <= 3, returned as halfspaces: Qhull's
+    merged facet rows n . x + c <= 0 (VPolytope._facets) become (n, -c)."""
     n = v.dim
     if n > 3:
         raise GeometryError("hull restricted to dim <= 3")
-    if pts.shape[0] < n + 1:
+    if v.vertices.shape[0] < n + 1:
         raise GeometryError("need at least dim+1 points for a full hull")
-    if n == 1:
-        lo, hi = pts.min(), pts.max()
-        if lo == hi:
-            raise GeometryError("degenerate point set, no full-dimensional hull")
-        return HPolytope([[1.0], [-1.0]], [hi, -lo])
-    facets: dict[tuple, np.ndarray] = {}
-    for row in _hull(pts).equations:
-        facets.setdefault(_facet_key(row[:-1], -row[-1]), row)
-    rows = np.array(list(facets.values()))
+    rows = v._facets[0]
     return HPolytope(rows[:, :-1], -rows[:, -1])
-
-
-def facet_vertex_incidence(h: HPolytope, verts: np.ndarray) -> list[list[int]]:
-    """Indices of the vertices verts lying on each facet hyperplane a . x = b,
-    within FEAS_TOL (|a| + |b|) as in vertex_enumerate."""
-    out = []
-    for a, b in zip(h.normals, h.offsets):
-        on = np.nonzero(np.abs(verts @ a - b) <= FEAS_TOL * (np.linalg.norm(a) + abs(b)))[0]
-        out.append(list(on))
-    return out
 
 
 def polytope_volume(pts: np.ndarray) -> float:
@@ -446,17 +500,13 @@ def polar_dual(body: ConvexBody) -> ConvexBody:
     representations.
     """
     if isinstance(body, HPolytope):
-        verts = vertex_enumerate(body)  # validates boundedness
+        incidence = body.incidence  # validates boundedness
         if len(_facet_keys(body)) < body.normals.shape[0]:
             raise GeometryError("duplicate halfspaces; normalize first")
-        incidence = facet_vertex_incidence(body, verts)
-        if np.any(body.offsets <= FEAS_TOL):
+        if np.any(body.offsets <= 0):
             raise GeometryError("origin not interior (some offset <= 0)")
-        dual_pts = []
-        for (a, b), idx in zip(zip(body.normals, body.offsets), incidence):
-            if len(idx) >= body.dim:   # essential facet
-                dual_pts.append(a / b)
-        return VPolytope(np.array(dual_pts))
+        essential = incidence.sum(axis=0) >= body.dim
+        return VPolytope(body.normals[essential] / body.offsets[essential, None])
     if isinstance(body, VPolytope):
         verts = _essential_vertices(body.vertices)
         h = HPolytope(verts, np.ones(verts.shape[0]))

@@ -9,10 +9,10 @@ Polytopes in dim <= 3 are evaluated for a whole batch of points at once.  The
 planes of P cap (x - P) are always [A; -A] and only their offsets [b; b - A x]
 move with x, so the plane tuples that can meet in a vertex, and their
 inverses, are worked out once per body; each point then costs a few small
-array operations.  No distance decides incidence: a vertex lies on the planes
-of the tuples that make it, and parallel planes with the same vertices are one
-face.  omega_polytope_exact, Qhull's halfspace intersection one point at a
-time, is the independent oracle of that batch.
+array operations (geometry.tuple_vertices).  No distance decides incidence: a
+vertex lies on the planes of the tuples that make it, and parallel planes with
+the same vertices are one face.  omega_polytope_exact, Qhull's halfspace
+intersection one point at a time, is the independent oracle of that batch.
 """
 
 from __future__ import annotations
@@ -153,8 +153,6 @@ def omega_polytope_exact(P: HPolytope, x) -> float:
 # Points are evaluated in chunks of at most this many point x candidate x
 # plane entries.
 CHUNK_ENTRIES = 1 << 21
-# Relative feasibility window of the batch's candidate vertices.
-BATCH_TOL = 1e-12
 # Planes whose unit normals have a larger dot product may coincide.
 PARALLEL_DOT = 1.0 - 1e-9
 
@@ -178,10 +176,7 @@ def _candidate_tuples(P: HPolytope) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     k, n = A.shape
     planes = np.vstack([A, -A])
     unit = planes / np.linalg.norm(planes, axis=1)[:, None]
-    verts = P._vertices                                     # cached per body
-    touch = np.zeros((verts.shape[0], k), dtype=bool)       # vertex x facet
-    for f, on in enumerate(geometry.facet_vertex_incidence(P, verts)):
-        touch[on, f] = True
+    touch = P.incidence                                     # vertex x facet, cached
     corners = [min(itertools.combinations(np.flatnonzero(t), n),
                    key=lambda sub: np.linalg.cond(unit[list(sub)])) for t in touch]
     ridges = [] if n == 1 else [
@@ -222,18 +217,6 @@ def _polygon_area(uv: np.ndarray, mask: np.ndarray) -> np.ndarray:
     x, y = d[..., 0], d[..., 1]
     cross = x * np.roll(y, -1, axis=-1) - y * np.roll(x, -1, axis=-1)
     return 0.5 * np.abs(cross.sum(axis=-1))
-
-
-def _dot(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """u @ rows.T over the last axis as explicit products, so the sums do not
-    depend on the BLAS thread count."""
-    return sum(u[..., d, None] * rows[:, d] for d in range(rows.shape[1]))
-
-
-def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """mats[c] @ vecs[m, c] for (c, n, n) matrices and (m, c, n) vectors, as
-    explicit products like _dot."""
-    return sum(mats[:, :, j] * vecs[:, :, None, j] for j in range(mats.shape[2]))
 
 
 def omega_mc(body: ConvexBody, x, samples: int, seed: int) -> tuple[float, float]:
@@ -299,15 +282,16 @@ class OmegaEvaluator:
     def _setup_polytope(self) -> None:
         """Per-body data of the exact polytope batch: the candidate tuples,
         their inverses and incidences, the planes [A; -A] of P cap (x - P),
-        the merge window, and in 3-D the in-plane bases and the pairs of
-        planes with parallel normals."""
+        the radius and merge window of P, and in 3-D the in-plane bases and
+        the pairs of planes with parallel normals."""
         A = self._hform.normals
         k = A.shape[0]
         self._tuples, self._inv, self._on = _candidate_tuples(self._hform)
         self._planes = np.vstack([A, -A])
         self._norms = np.linalg.norm(self._planes, axis=1)
-        lo, hi = self._hform.bounding_box()
-        self._merge_tol = DEDUP_TOL * float(np.linalg.norm(hi - lo))
+        verts = self._hform._vertices
+        self._radius = float(np.linalg.norm(verts, axis=1).max())
+        self._merge_tol = DEDUP_TOL * float(np.linalg.norm(np.ptp(verts, axis=0)))
         if self._hform.dim != 3:
             return
         unit = self._planes / self._norms[:, None]
@@ -326,7 +310,7 @@ class OmegaEvaluator:
         A, b = self._hform.normals, self._hform.offsets
         k = A.shape[0]
         out = np.zeros(pts.shape[0])
-        Ax = _dot(pts, A)
+        Ax = geometry._dot(pts, A)
         inside = np.flatnonzero(np.all(Ax < 2.0 * b, axis=1))
         step = max(1, CHUNK_ENTRIES // (self._tuples.shape[0] * 2 * k))
         for lo in range(0, inside.size, step):
@@ -337,39 +321,18 @@ class OmegaEvaluator:
 
     def _intersection_volume(self, O: np.ndarray) -> np.ndarray:
         """Volumes of the polytopes {planes . y <= O[i]} for an (m, 2k)
-        offset array, through the candidate tuples.
-
-        A candidate is feasible within BATCH_TOL (|a_i| + |O_i|), a window of
-        the same geometric width whatever the scale of the row, and so much
-        tighter than vertex_enumerate's FEAS_TOL that no point where a
-        near-singular tuple meets just outside the body passes.  Feasible
-        candidates closer than DEDUP_TOL times the diagonal of the body's
-        bounding box merge into the first, best-conditioned one, which lies on
-        the planes of every tuple merged into it.  In 3-D the volume is
+        offset array, from geometry.tuple_vertices with the radius and merge
+        window of P, which bound every P cap (x - P), and with the planes of
+        each vertex where they are needed.  In 3-D the volume is
         V = 1/3 sum_f h_f area_f over the planes, h_f being the distance from
         the vertex mean to plane f and area_f that of the polygon of the
         vertices on f.  Of two planes with parallel normals and the same
         vertices only the first counts: sharing three vertices they coincide,
         and fewer span no area."""
         n = self._hform.dim
-        rhs = O[:, self._tuples]                                       # (m, c, n)
-        C = _matvec(self._inv, rhs)
-        # one step of iterative refinement brings the candidates of the
-        # ill-conditioned tuples to the accuracy of a direct solve
-        C = C + _matvec(self._inv, rhs - _matvec(self._planes[self._tuples], C))
-        tol = BATCH_TOL * (self._norms + np.abs(O))[:, None, :]
-        feas = np.all(_dot(C, self._planes) <= O[:, None, :] + tol, axis=2)   # (m, c)
-        count = feas.sum(axis=1)
-        # move the feasible candidates to the front and drop the columns no
-        # point needs
-        order = np.argsort(~feas, axis=1, kind="stable")[:, :max(count.max(), 1)]
-        C = np.take_along_axis(C, order[..., None], axis=1)
-        feas = np.take_along_axis(feas, order, axis=1)
-        # merge repeated vertices into their first candidate
-        gap = sum((C[:, :, None, d] - C[:, None, :, d]) ** 2 for d in range(n))
-        near = (gap <= self._merge_tol ** 2) & feas[:, :, None] & feas[:, None, :]
-        earlier = np.tril(np.ones(gap.shape[1:], dtype=bool), -1)
-        feas &= ~np.any(near & earlier, axis=2)
+        C, feas, on = geometry.tuple_vertices(self._planes, O, self._tuples, self._inv,
+                                              self._on if n == 3 else None, self._radius,
+                                              self._merge_tol)
         count = feas.sum(axis=1)
         if n == 1:
             x = C[..., 0]
@@ -377,13 +340,12 @@ class OmegaEvaluator:
         elif n == 2:
             vol = _polygon_area(C, feas)
         else:
-            on = near.astype(float) @ self._on[order].astype(float) > 0  # (m, c, 2k)
             mask = (feas[:, :, None] & on).transpose(0, 2, 1)          # (m, 2k, c)
             uv = sum(C[:, None, :, d, None] * self._basis[None, :, None, :, d]
                      for d in range(3))                                # (m, 2k, c, 2)
             area = _polygon_area(uv, mask)
             centre = np.where(feas[..., None], C, 0.0).sum(axis=1) / np.maximum(count, 1)[:, None]
-            h = (O - _dot(centre, self._planes)) / self._norms
+            h = (O - geometry._dot(centre, self._planes)) / self._norms
             counted = np.ones(O.shape, dtype=bool)
             for f, g in self._parallel:
                 counted[:, g] &= np.any(mask[:, f] != mask[:, g], axis=1)

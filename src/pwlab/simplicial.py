@@ -19,23 +19,14 @@ from itertools import combinations
 import numpy as np
 
 from . import geometry
-from .geometry import (
-    GeometryError,
-    HPolytope,
-    VPolytope,
-    facet_vertex_incidence,
-    polar_dual,
-    solve_certificate,
-    vertex_enumerate,
-)
+from .geometry import GeometryError, HPolytope, VPolytope, polar_dual, solve_certificate
 
-AFFINE_INDEPENDENCE_TOL = 1e-10
 CONTAINMENT_MARGIN = 1e-10
 
 
 def _polytope_vertices(P) -> np.ndarray:
     if isinstance(P, HPolytope):
-        return vertex_enumerate(P)
+        return P._vertices
     if isinstance(P, VPolytope):
         return geometry._essential_vertices(P.vertices)
     raise GeometryError("expected a polytope")
@@ -43,7 +34,7 @@ def _polytope_vertices(P) -> np.ndarray:
 
 def _all_subsets_affinely_independent(pts: np.ndarray, dim: int) -> bool:
     sub = pts[np.array(list(combinations(range(pts.shape[0]), dim + 1)))]
-    return bool(np.all(np.abs(np.linalg.det(sub[:, 1:] - sub[:, :1])) > AFFINE_INDEPENDENCE_TOL))
+    return bool(np.all(geometry.nonsingular(sub[:, 1:] - sub[:, :1])))
 
 
 @dataclass
@@ -107,9 +98,7 @@ def verify_strict_containment(P, Q: VPolytope) -> tuple[bool, float]:
 
 def is_simplicial(Q: VPolytope) -> bool:
     """Every facet of the hull carries exactly dim vertices."""
-    h = Q.hform
-    incidence = facet_vertex_incidence(h, Q.vertices)
-    return all(len(idx) == Q.dim for idx in incidence)
+    return bool(np.all(Q.incidence.sum(axis=0) == Q.dim))
 
 
 @dataclass
@@ -197,8 +186,4 @@ def dual_pipeline_check(P, eps: float, seed: int = 0) -> DualityCheck:
 
 def simple_vertex_facet_counts(h: HPolytope) -> list:
     """Facet-incidence count of each vertex of an H-polytope."""
-    verts = vertex_enumerate(h)
-    counts = np.zeros(verts.shape[0], dtype=int)
-    for on in facet_vertex_incidence(h, verts):
-        counts[on] += 1
-    return counts.tolist()
+    return h.incidence.sum(axis=1).tolist()

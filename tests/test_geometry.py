@@ -30,6 +30,7 @@ from pwlab.geometry import (
 )
 from pwlab.calibration import DEFAULT_CALIBRATION
 from pwlab.nehari import build_bumps, pack_boundary_disc
+from pwlab.simplicial import build_approximation
 
 
 class TestMembership:
@@ -121,6 +122,64 @@ class TestVertexEnumeration:
         assert np.all(gap.min(axis=0) <= geometry.DEDUP_TOL)
 
 
+    @pytest.mark.parametrize("s", [1e-10, 1e-12])
+    @pytest.mark.parametrize("name", ["triangle", "square", "cube", "pyramid"])
+    def test_scale_free(self, name, s):
+        # {a . y <= s b} is sP: its vertices are s times those of P, on the
+        # same facets, with no window absolute
+        P = geometry.BUILTIN_BODIES[name]()
+        small = HPolytope(P.normals, s * P.offsets)
+        verts = vertex_enumerate(small)
+        assert verts.shape == P._vertices.shape
+        assert np.all(np.abs(verts - s * vertex_enumerate(P)) <= 1e-14 * s)
+        assert np.array_equal(small.incidence, P.incidence)
+
+
+def distance_incidence(normals, offsets, verts) -> np.ndarray:
+    """(vertex, facet) mask of the planes a . y = b passing within
+    1e-9 (|a| |v| + |b|) of each vertex: an oracle for the tests only."""
+    gap = np.abs(verts @ normals.T - offsets)
+    scale = np.linalg.norm(verts, axis=1)[:, None] * np.linalg.norm(normals, axis=1)
+    return gap <= 1e-9 * (scale + np.abs(offsets))
+
+
+class TestIncidence:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([2, 3]),
+           count=st.integers(4, 12))
+    def test_hform_matches_plane_distances(self, seed, dim, count):
+        # rows permuted, repeated and rescaled by 10^U(-3, 3)
+        rng = np.random.default_rng(seed)
+        H = to_hpolytope(VPolytope(rng.uniform(-1, 1, size=(count, dim))))
+        k = H.offsets.size
+        rows = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, size=k // 2)]))
+        s = 10.0 ** rng.uniform(-3, 3, size=rows.size)
+        H = HPolytope(H.normals[rows] * s[:, None], H.offsets[rows] * s)
+        verts, incidence = geometry.vertex_incidence(H)
+        assert np.array_equal(incidence, distance_incidence(H.normals, H.offsets, verts))
+        assert np.array_equal(H.incidence, incidence)
+
+    @pytest.mark.parametrize("name", ["pyramid", "cube"])
+    def test_vform_matches_plane_distances(self, name):
+        # the simplicial hulls: each facet one Qhull triangle
+        hull = build_approximation(geometry.BUILTIN_BODIES[name](), 0.1, seed=11).hull
+        h = hull.hform
+        assert np.array_equal(hull.incidence,
+                              distance_incidence(h.normals, h.offsets, hull.vertices))
+        assert np.all(hull.incidence.sum(axis=0) == 3)
+
+    def test_vform_merges_the_triangles_of_a_facet(self):
+        # the cube's square faces, split by Qhull, each carry four corners
+        cube = VPolytope(vertex_enumerate(unit_box(3)))
+        assert np.all(cube.incidence.sum(axis=0) == 4)
+        assert np.all(cube.incidence.sum(axis=1) == 3)
+
+    def test_pyramid_apex_on_four_facets(self, shifted_pyramid):
+        verts, incidence = geometry.vertex_incidence(shifted_pyramid)
+        assert incidence[np.argmax(verts[:, 2])].sum() == 4
+        assert sorted(incidence.sum(axis=1)) == [3, 3, 3, 3, 4]
+
+
 class TestHull:
     def test_flat_facets_merged(self):
         # the cube's corners plus its centre and an edge midpoint: six facets,
@@ -165,7 +224,7 @@ class TestCachedCombinatorics:
         assert len(calls) == 1
 
     def test_hform_vertices_enumerated_once(self, monkeypatch, right_triangle):
-        calls = counting(monkeypatch, "vertex_enumerate")
+        calls = counting(monkeypatch, "vertex_incidence")
         boxes = [right_triangle.bounding_box() for _ in range(5)]
         assert len(calls) == 1
         for lo, hi in boxes:
@@ -176,7 +235,7 @@ class TestCachedCombinatorics:
         (HPolytope([[0, 1], [0, -1], [1, 0], [-1, 0]], [0, 0, 1, 0]), "empty interior"),
     ])
     def test_unbounded_or_flat_raise_every_call(self, monkeypatch, h, match):
-        calls = counting(monkeypatch, "vertex_enumerate")
+        calls = counting(monkeypatch, "vertex_incidence")
         for _ in range(3):
             with pytest.raises(GeometryError, match=match):
                 h.bounding_box()
@@ -210,6 +269,14 @@ class TestPolarDuality:
         d_outer, d_inner = polar_dual(outer), polar_dual(inner)
         h = to_hpolytope(d_inner)
         assert np.all(d_outer.vertices @ h.normals.T <= h.offsets + 1e-9)
+
+    def test_involution_on_a_small_pyramid(self, shifted_pyramid):
+        # offsets of 1e-10: the origin test and every window scale with the body
+        s = 1e-10
+        P = HPolytope(shifted_pyramid.normals, s * shifted_pyramid.offsets)
+        verts, back = vertex_enumerate(P), vertex_enumerate(polar_dual(polar_dual(P)))
+        gap = np.linalg.norm(back[:, None] - verts[None], axis=2)
+        assert back.shape == verts.shape and gap.min(axis=0).max() <= 1e-12 * s
 
     def test_origin_not_interior(self):
         shifted = box([1, 1], [2, 2])

@@ -136,9 +136,9 @@ def probe_points(rng, ev: OmegaEvaluator, H: geometry.HPolytope) -> np.ndarray:
     """Random points of the support box, the vertices of 2H, random points on
     the facets of 2H, and the origin."""
     lo, hi = ev.support_box()
-    verts = geometry.vertex_enumerate(H)
+    verts, incidence = geometry.vertex_incidence(H)
     on_facets = [rng.dirichlet(np.ones(len(idx))) @ (2 * verts[idx])
-                 for idx in geometry.facet_vertex_incidence(H, verts) if len(idx) >= H.dim]
+                 for idx in map(np.flatnonzero, incidence.T) if len(idx) >= H.dim]
     return np.vstack([rng.uniform(lo, hi, size=(20, H.dim)), 2 * verts, on_facets,
                       np.zeros((1, H.dim))])
 
@@ -232,8 +232,8 @@ class TestPolytopeBatch:
         w = omega_polytope_exact(H, x)
         assert abs(OmegaEvaluator(H)(x) - w) <= 1e-12 * max(1.0, w)
 
-    @pytest.mark.parametrize("s", [1e-6, 1e-8])
-    @pytest.mark.parametrize("name", ["triangle", "cube", "pyramid"])
+    @pytest.mark.parametrize("s", [1e-6, 1e-8, 1e-10, 1e-12])
+    @pytest.mark.parametrize("name", ["triangle", "square", "cube", "pyramid"])
     def test_scale_free(self, name, s):
         # w_{sP}(s x) = s^n w_P(x), and sP has the offsets s b
         P = geometry.BUILTIN_BODIES[name]()
@@ -244,6 +244,15 @@ class TestPolytopeBatch:
         small = OmegaEvaluator(geometry.HPolytope(P.normals, s * P.offsets))
         assert np.any(w > 0)
         assert np.all(np.abs(small.batch(s * pts) / s ** P.dim - w) <= 1e-12 * w)
+
+    def test_small_square(self):
+        # the square (0, s)^2 at s = 1e-8: a feasibility window of 1e-12 |a|,
+        # absolute, is 4.4e-5 of the body's width and let a spurious vertex
+        # in, 8.9e-5 off the exact value
+        s = 1e-8
+        P = geometry.HPolytope(unit_box(2).normals, s * unit_box(2).offsets)
+        w = OmegaEvaluator(P)(s * np.array([0.79363361, 1.00004425]))
+        assert abs(w / s ** 2 - 0.7935984917127575) <= 1e-12
 
     @pytest.mark.parametrize("name", ["cube", "pyramid"])
     def test_repeated_and_redundant_rows(self, name):

@@ -84,6 +84,22 @@ class TestSequence:
             assert approx.max_displacement <= approx.epsilon
 
 
+class TestSmallBodies:
+    @pytest.mark.parametrize("s", [1e-2, 1e-4, 1e-6])
+    @pytest.mark.parametrize("name", ["triangle", "square", "cube", "pyramid"])
+    def test_sequence_scales_with_the_body(self, name, s):
+        # the affine-independence test is relative to the Hadamard bound, so
+        # sP accepts the jitter P accepts and its family is s times P's
+        P = geometry.BUILTIN_BODIES[name]()
+        small = geometry.HPolytope(P.normals, s * P.offsets)
+        eps = [0.2, 0.1, 0.05]
+        seq = simplicial_sequence(small, [s * e for e in eps], seed=11)
+        assert all(a.all_checks_pass() for a in seq)
+        for a, b in zip(seq, simplicial_sequence(P, eps, seed=11)):
+            assert np.allclose(a.perturbation.perturbed, s * b.perturbation.perturbed,
+                               rtol=0, atol=1e-12 * s)
+
+
 class TestDuality:
     def test_cube_octahedron_pair(self):
         cube = box([-1, -1, -1], [1, 1, 1])

@@ -33,3 +33,57 @@ def test_scan_finds_an_unused_name():
 @pytest.mark.parametrize("name", MODULES)
 def test_no_unused_imports(name):
     assert unused_imports((SRC / name).read_text()) == []
+
+
+ROOT = SRC.parents[1]
+# the code that may refer to a name of the package
+USERS = [p for d in ("src", "tests", "perfbench", "demos") for p in (ROOT / d).rglob("*.py")]
+
+
+def definitions(source: str) -> list[tuple[str, int, int]]:
+    """Module-level functions, classes and UPPER_CASE constants, with the
+    lines their definitions span."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.name, node.lineno, node.end_lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [(t.id, node.lineno, node.end_lineno) for t in targets
+                    if isinstance(t, ast.Name) and t.id.isupper()]
+    return out
+
+
+def references(source: str) -> list[tuple[str, int]]:
+    """Each name a source refers to, by name, attribute or string, with its line."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out += [(word, node.lineno) for word in node.value.split(".")]
+    return out
+
+
+def test_reference_scan_skips_the_definition():
+    source = "A = 1\nB = A\n\ndef f():\n    return f()\n\ndef g():\n    return 'm.B'\n"
+    refs = references(source)
+    unused = [name for name, lo, hi in definitions(source)
+              if not any(n == name and not lo <= line <= hi for n, line in refs)]
+    assert unused == ["f", "g"]
+
+
+def test_every_module_level_name_is_used():
+    found: dict[str, list] = {}
+    for p in USERS:
+        for name, line in references(p.read_text()):
+            found.setdefault(name, []).append((p, line))
+    unused = []
+    for module in MODULES:
+        path = SRC / module
+        for name, lo, hi in definitions(path.read_text()):
+            if not any(p != path or not lo <= line <= hi for p, line in found.get(name, [])):
+                unused.append(f"{module}:{name}")
+    assert unused == []
