@@ -157,9 +157,7 @@ def cmd_simplicial(args) -> int:
     eps_list = _parse_floats(args.eps)
     seq = simplicial.simplicial_sequence(body, eps_list, seed=args.seed)
     stages = []
-    ok = True
-    for approx in seq:
-        ok &= approx.all_checks_pass()
+    for approx in seq:  # every stage passed its checks, else the sequence raised
         stages.append({
             "epsilon": approx.epsilon,
             "vertices": [list(map(float, v)) for v in approx.perturbation.perturbed],
@@ -176,11 +174,11 @@ def cmd_simplicial(args) -> int:
                        "simplicial": approx.simplicial},
         })
     doc = {"poly": args.poly, "eps": eps_list, "seed": args.seed,
-           "stages": stages, "all_checks_pass": ok, "version": __version__}
+           "stages": stages, "all_checks_pass": True, "version": __version__}
     if args.out:
         write_json(args.out, doc)
-    print(f"{len(stages)} stages, all checks {'pass' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    print(f"{len(stages)} stages, all checks pass")
+    return 0
 
 
 def cmd_verify(args) -> int:

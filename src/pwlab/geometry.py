@@ -458,10 +458,6 @@ def _facet_key(a: np.ndarray, b: float) -> tuple:
     return tuple(np.round(np.append(a / nrm, b / nrm), 9))
 
 
-def _facet_keys(h: HPolytope) -> set:
-    return {_facet_key(a, b) for a, b in zip(h.normals, h.offsets)}
-
-
 def to_hpolytope(v: VPolytope) -> HPolytope:
     """Convex hull of points in dim <= 3, returned as halfspaces: Qhull's
     merged facet rows n . x + c <= 0 (VPolytope._facets) become (n, -c)."""
@@ -495,18 +491,18 @@ def _essential_vertices(pts: np.ndarray) -> np.ndarray:
 def polar_dual(body: ConvexBody) -> ConvexBody:
     """Polar body {y : <y, x> < 1 on the body}; needs 0 interior, dim <= 3.
 
-    H-polytopes map to V-polytopes with vertices a_i/b_i, V-polytopes to
-    H-polytopes with halfspaces <v_j, x> <= 1, so (P*)* = P on irredundant
-    representations.
+    H-polytopes map to V-polytopes with vertices a_i/b_i, one per distinct
+    incidence column with at least dim vertices, so redundant and repeated
+    rows drop; V-polytopes map to H-polytopes with halfspaces <v_j, x> <= 1.
     """
     if isinstance(body, HPolytope):
         incidence = body.incidence  # validates boundedness
-        if len(_facet_keys(body)) < body.normals.shape[0]:
-            raise GeometryError("duplicate halfspaces; normalize first")
         if np.any(body.offsets <= 0):
             raise GeometryError("origin not interior (some offset <= 0)")
-        essential = incidence.sum(axis=0) >= body.dim
-        return VPolytope(body.normals[essential] / body.offsets[essential, None])
+        essential = np.flatnonzero(incidence.sum(axis=0) >= body.dim)
+        first = np.unique(incidence[:, essential].T, axis=0, return_index=True)[1]
+        facets = essential[np.sort(first)]
+        return VPolytope(body.normals[facets] / body.offsets[facets, None])
     if isinstance(body, VPolytope):
         verts = _essential_vertices(body.vertices)
         h = HPolytope(verts, np.ones(verts.shape[0]))

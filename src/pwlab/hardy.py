@@ -218,8 +218,11 @@ def adjusted_integrability_report(body: ConvexBody, d_list,
     n = body.dim
     is_polytope = isinstance(body, (HPolytope, VPolytope))
     if is_polytope:
-        h = body if isinstance(body, HPolytope) else body.hform
-        if geometry._facet_keys(h) != geometry._facet_keys(geometry.unit_box(2)):
+        # the unit square's corners, each within the merge window DEDUP_TOL
+        corners = geometry.unit_box(2)._vertices
+        verts = (body if isinstance(body, HPolytope) else body.hform)._vertices
+        if verts.shape != corners.shape or np.any(np.linalg.norm(
+                verts[:, None] - corners, axis=2).min(axis=0) > geometry.DEDUP_TOL):
             raise GeometryError("the integrability corner family covers only the unit square")
     for d in d_list:
         evidence: dict = {}

@@ -38,6 +38,7 @@ from .calibration import DEFAULT_CALIBRATION, CalibrationBlock
 from .fourier import (
     ConvergenceError,
     _l1_by_doubling,
+    bump_hat_batch,
     bump_profile,
     scaled_ball_grid,
 )
@@ -108,7 +109,7 @@ class BumpFamily:
 
     def symbol(self, i: int):
         c, R = self.freq_centers[i], self.support_radius
-        return lambda pts: bump_profile(np.linalg.norm(np.atleast_2d(pts) - c, axis=1) / R)
+        return lambda pts: bump_hat_batch(pts, center=c, radius=R)
 
 
 def build_bumps(y_list: np.ndarray, eps: float, C: float, C1: float,

@@ -21,7 +21,8 @@ import numpy as np
 from . import geometry
 from .geometry import GeometryError, HPolytope, VPolytope, polar_dual, solve_certificate
 
-CONTAINMENT_MARGIN = 1e-10
+# Jitter draws perturb_vertices may take before it gives up.
+JITTER_MAX_RETRIES = 1000
 
 
 def _polytope_vertices(P) -> np.ndarray:
@@ -30,11 +31,6 @@ def _polytope_vertices(P) -> np.ndarray:
     if isinstance(P, VPolytope):
         return geometry._essential_vertices(P.vertices)
     raise GeometryError("expected a polytope")
-
-
-def _all_subsets_affinely_independent(pts: np.ndarray, dim: int) -> bool:
-    sub = pts[np.array(list(combinations(range(pts.shape[0]), dim + 1)))]
-    return bool(np.all(geometry.nonsingular(sub[:, 1:] - sub[:, :1])))
 
 
 @dataclass
@@ -50,50 +46,59 @@ class Perturbation:
         return VPolytope(self.perturbed)
 
 
-def perturb_vertices(P, eps: float, seed: int = 0, max_retries: int = 1000,
-                     lam_override: float | None = None) -> Perturbation:
+def perturb_vertices(P, eps: float, seed: int = 0) -> Perturbation:
     """Outward vertex perturbation with jittered interior targets.
 
-    lambda_i is uniform, min(1/(2k), eps / (2 max_i |x_i - centroid|)), which
-    keeps every |y_i - x_i| <= eps/2; the jitter lives in the mu weights so
-    the certificate system uses exactly the realized construction.  Retries
-    fresh jitter until every (dim+1)-subset of perturbed points passes the
-    determinant test.
+    lambda_i is uniform, min(1/(2k), eps / (2 max_i |x_i - centroid|)).  The
+    mu weights carry a relative jitter of at most 1e-3, which moves c_i off
+    the centroid by at most 2.002e-3 times that spread, so every
+    |y_i - x_i| <= 1.0021 eps/2.  The certificates solve the realized mu and
+    must rebuild each x_i within FEAS_TOL max_i |y_i|.  Jitter is redrawn
+    until every (dim+1)-subset of perturbed points is affinely independent.
     """
     verts = _polytope_vertices(P)
     k, n = verts.shape
     centroid = verts.mean(axis=0)
     spread = float(np.max(np.linalg.norm(verts - centroid, axis=1)))
-    lam_val = lam_override if lam_override is not None else min(1.0 / (2 * k), eps / (2 * spread))
-    if not (0 < lam_val < 1.0 / k):
+    lam_val = min(1.0 / (2 * k), eps / (2 * spread))
+    if not lam_val > 0:
         raise GeometryError("lambda schedule out of the admissible range")
     lam = np.full(k, lam_val)
     rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
+    subsets = np.array(list(combinations(range(k), n + 1)))
+    for _ in range(JITTER_MAX_RETRIES):
         mu = (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, size=(k, k))) / k
         mu /= mu.sum(axis=1, keepdims=True)
         targets = mu @ verts                       # c_i, interior points
         perturbed = verts - lam[:, None] * (targets - verts)
-        if _all_subsets_affinely_independent(perturbed, n):
+        sub = perturbed[subsets]
+        if np.all(geometry.nonsingular(sub[:, 1:] - sub[:, :1])):
             certs = [solve_certificate(lam, mu, i) for i in range(k)]
+            tol = geometry.FEAS_TOL * np.linalg.norm(perturbed, axis=1).max()
             for i, cert in enumerate(certs):
-                rebuilt = cert.rho @ perturbed
-                if np.linalg.norm(rebuilt - verts[i]) > 1e-8:
+                if np.linalg.norm(cert.rho @ perturbed - verts[i]) > tol:
                     raise GeometryError("certificate does not reproduce its vertex")
             return Perturbation(vertices=verts, perturbed=perturbed, lam=lam,
                                 mu=mu, certificates=certs)
     raise GeometryError("jitter budget exhausted without affine independence")
 
 
-def verify_strict_containment(P, Q: VPolytope) -> tuple[bool, float]:
-    """Every vertex of P strictly inside every facet of Q; returns the
-    minimal normalized margin."""
-    verts = _polytope_vertices(P)
+def _margins(Q: VPolytope, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The normalized margins (b - a . y) / |a| of points y on the facets of
+    Q, and the feasibility window FEAS_TOL (r + |b| / |a|) of
+    geometry.tuple_vertices, where r bounds |y|."""
     h = Q.hform
     norms = np.linalg.norm(h.normals, axis=1)
-    margins = (h.offsets[None, :] - verts @ h.normals.T) / norms[None, :]
-    worst = float(margins.min())
-    return worst > CONTAINMENT_MARGIN, worst
+    margins = (h.offsets[None, :] - pts @ h.normals.T) / norms[None, :]
+    r = np.linalg.norm(pts, axis=1).max()
+    return margins, geometry.FEAS_TOL * (r + np.abs(h.offsets) / norms)
+
+
+def verify_strict_containment(P, Q: VPolytope) -> tuple[bool, float]:
+    """Every vertex of P inside every facet of Q by more than the window of
+    _margins; returns the minimal normalized margin."""
+    margins, window = _margins(Q, _polytope_vertices(P))
+    return bool(np.all(margins > window)), float(margins.min())
 
 
 def is_simplicial(Q: VPolytope) -> bool:
@@ -119,9 +124,8 @@ class SimplicialApprox:
         return self.contains_p and self.within_eps and self.simplicial
 
 
-def build_approximation(P, eps: float, seed: int = 0,
-                        lam_override: float | None = None) -> SimplicialApprox:
-    pert = perturb_vertices(P, eps, seed=seed, lam_override=lam_override)
+def build_approximation(P, eps: float, seed: int = 0) -> SimplicialApprox:
+    pert = perturb_vertices(P, eps, seed=seed)
     contains, margin = verify_strict_containment(P, pert.hull)
     disp = float(np.max(np.linalg.norm(pert.perturbed - pert.vertices, axis=1)))
     return SimplicialApprox(epsilon=eps, perturbation=pert, contains_p=contains,
@@ -130,35 +134,27 @@ def build_approximation(P, eps: float, seed: int = 0,
 
 
 def _hull_contains_points(Q: VPolytope, pts: np.ndarray) -> bool:
-    h = Q.hform
-    return bool(np.all(pts @ h.normals.T <= h.offsets[None, :] + 1e-12))
+    """Every point inside Q or outside it within the window of _margins."""
+    margins, window = _margins(Q, pts)
+    return bool(np.all(margins >= -window))
 
 
-def simplicial_sequence(P, eps_list, seed: int = 0,
-                        max_halvings: int = 20) -> list[SimplicialApprox]:
+def simplicial_sequence(P, eps_list, seed: int = 0) -> list[SimplicialApprox]:
     """Nested family Q_{eps_1} superset Q_{eps_2} superset ... superset P.
 
     One jitter draw is shared across the family, so shrinking lambda moves
     every perturbed vertex along a fixed outward ray and nesting follows
-    from convexity; if a numerical check still fails, lambda is halved.
+    from convexity.  A stage that fails a check or the nesting raises
+    GeometryError.
     """
-    eps_sorted = sorted(eps_list, reverse=True)
     out: list[SimplicialApprox] = []
-    prev_hull: VPolytope | None = None
-    for eps in eps_sorted:
-        lam = None
-        for _ in range(max_halvings):
-            approx = build_approximation(P, eps, seed=seed, lam_override=lam)
-            ok = approx.all_checks_pass()
-            nested = prev_hull is None or _hull_contains_points(
-                prev_hull, approx.perturbation.perturbed)
-            if ok and nested:
-                break
-            lam = (approx.perturbation.lam[0] if lam is None else lam) / 2.0
-        else:
-            raise GeometryError(f"nesting failed at eps={eps} despite halvings")
+    for eps in sorted(eps_list, reverse=True):
+        approx = build_approximation(P, eps, seed=seed)
+        if not approx.all_checks_pass():
+            raise GeometryError(f"simplicial checks failed at eps={eps}")
+        if out and not _hull_contains_points(out[-1].hull, approx.perturbation.perturbed):
+            raise GeometryError(f"nesting failed at eps={eps}")
         out.append(approx)
-        prev_hull = approx.hull
     return out
 
 

@@ -186,8 +186,9 @@ class TestHull:
         # though the hull triangulates each square face
         pts = np.vstack([vertex_enumerate(unit_box(3)), [[0.5, 0.5, 0.5], [0.5, 0.0, 0.0]]])
         h = to_hpolytope(VPolytope(pts))
-        assert geometry._facet_keys(h) == geometry._facet_keys(unit_box(3))
         assert h.normals.shape == (6, 3)
+        got, cube = vertex_enumerate(h), vertex_enumerate(unit_box(3))
+        assert np.allclose(got[np.lexsort(got.T)], cube[np.lexsort(cube.T)], rtol=0, atol=1e-12)
 
     def test_flat_point_set_rejected(self):
         with pytest.raises(GeometryError, match="degenerate"):
@@ -277,6 +278,23 @@ class TestPolarDuality:
         verts, back = vertex_enumerate(P), vertex_enumerate(polar_dual(polar_dual(P)))
         gap = np.linalg.norm(back[:, None] - verts[None], axis=2)
         assert back.shape == verts.shape and gap.min(axis=0).max() <= 1e-12 * s
+
+    def test_redundant_row_at_small_offsets(self):
+        # the redundant row x <= 2s lies on no vertex at any scale s
+        rows = [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 0]]
+        unit = polar_dual(HPolytope(rows, [1, 1, 1, 1, 2]))
+        s = 1e-10
+        small = polar_dual(HPolytope(rows, s * np.array([1, 1, 1, 1, 2])))
+        assert unit.vertices.shape == (4, 2)
+        assert np.array_equal(small.vertices, unit.vertices / s)
+
+    def test_repeated_row_dropped(self):
+        # 2x <= 2 repeats the essential row x <= 1: one dual vertex for both
+        square = box([-1, -1], [1, 1])
+        repeated = HPolytope(np.vstack([square.normals, [[2, 0]]]), np.append(square.offsets, 2))
+        dual = polar_dual(repeated)
+        assert dual.vertices.shape == (4, 2)
+        assert np.array_equal(dual.vertices, polar_dual(square).vertices)
 
     def test_origin_not_interior(self):
         shifted = box([1, 1], [2, 2])

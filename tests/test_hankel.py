@@ -216,6 +216,20 @@ class TestHSIdentity:
         assert abs(b.frobenius - 2.5 * a.frobenius) < 1e-9 * b.frobenius
         assert abs(b.integral - 2.5 * a.integral) < 1e-9 * b.integral
 
+    @pytest.mark.parametrize("name", ["ball2", "square", "triangle"])
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(log_mod=st.floats(-6.0, 6.0), theta=st.floats(0.0, 2 * math.pi, exclude_max=True))
+    def test_symbol_scaling(self, name, log_mod, theta):
+        # both sides are homogeneous of degree one in the symbol, so c phi
+        # scales them by |c| and leaves the relative error where it was
+        body, sym = BUILTIN_BODIES[name](), centered_bump([0.6, 0.5], 0.6)
+        c = 10.0 ** log_mod * np.exp(1j * theta)
+        a = hs_identity_check(body, sym, 0.1, integral_pts=100)
+        b = hs_identity_check(body, lambda p: c * sym(p), 0.1, integral_pts=100)
+        assert abs(b.frobenius - abs(c) * a.frobenius) <= 1e-14 * abs(c) * a.frobenius
+        assert abs(b.integral - abs(c) * a.integral) <= 1e-14 * abs(c) * a.integral
+        assert abs(b.rel_err - a.rel_err) < 1e-12
+
     def test_fft_path_equals_direct(self, disc):
         # the mask-autocorrelation Frobenius must equal the materialized matrix
         sym = centered_bump([0.2, -0.1], 0.7)

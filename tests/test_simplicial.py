@@ -30,10 +30,21 @@ class TestPerturbation:
 
     def test_lambda_shrinks_displacement(self, shifted_pyramid):
         big = perturb_vertices(shifted_pyramid, 0.2, seed=11)
-        small = perturb_vertices(shifted_pyramid, 0.2, seed=11, lam_override=1e-6)
+        small = perturb_vertices(shifted_pyramid, 2e-6, seed=11)
         d_big = np.linalg.norm(big.perturbed - big.vertices, axis=1).max()
         d_small = np.linalg.norm(small.perturbed - small.vertices, axis=1).max()
         assert d_small < 1e-5 and d_small < d_big
+
+    @pytest.mark.parametrize("name", ["triangle", "square", "cube", "pyramid"])
+    def test_displacement_bound(self, name):
+        # the jittered targets sit off the centroid, so a vertex may move a
+        # little more than eps/2, but never more than 1.0021 eps/2
+        P = geometry.BUILTIN_BODIES[name]()
+        for eps in (0.2, 0.05, 1e-3):
+            for seed in range(20):
+                pert = perturb_vertices(P, eps, seed=seed)
+                disp = np.linalg.norm(pert.perturbed - pert.vertices, axis=1).max()
+                assert disp <= 1.0021 * eps / 2
 
     def test_simplex_stays_simplicial(self):
         simplex = VPolytope([[0.4, 0.4], [-0.8, 0.2], [0.1, -0.7]])
@@ -85,11 +96,12 @@ class TestSequence:
 
 
 class TestSmallBodies:
-    @pytest.mark.parametrize("s", [1e-2, 1e-4, 1e-6])
+    @pytest.mark.parametrize("s", [1e-12, 1e-8, 1e-6, 1e-4, 1e-2, 1e8, 1e12])
     @pytest.mark.parametrize("name", ["triangle", "square", "cube", "pyramid"])
     def test_sequence_scales_with_the_body(self, name, s):
-        # the affine-independence test is relative to the Hadamard bound, so
-        # sP accepts the jitter P accepts and its family is s times P's
+        # the affine-independence test and every containment window are
+        # relative to the body, so sP accepts the jitter P accepts, passes
+        # every check P passes, and its family and margins are s times P's
         P = geometry.BUILTIN_BODIES[name]()
         small = geometry.HPolytope(P.normals, s * P.offsets)
         eps = [0.2, 0.1, 0.05]
@@ -98,6 +110,8 @@ class TestSmallBodies:
         for a, b in zip(seq, simplicial_sequence(P, eps, seed=11)):
             assert np.allclose(a.perturbation.perturbed, s * b.perturbation.perturbed,
                                rtol=0, atol=1e-12 * s)
+            assert abs(a.containment_margin / s - b.containment_margin) <= (
+                1e-12 * b.containment_margin)
 
 
 class TestDuality:
