@@ -23,6 +23,10 @@ import numpy as np
 from .geometry import GeometryError, disc_containment_check
 from .omega import disc_sup_on_ball
 
+CALIBRATION_EPS = 0.1   # the eps at which C is bisected
+SAFETY = 0.9            # the stored C is this share of the bisected one
+BISECTION_STEPS = 30
+
 
 @dataclass(frozen=True)
 class CalibrationBlock:
@@ -50,7 +54,7 @@ DEFAULT_CALIBRATION = CalibrationBlock(
     bump_c1=0.24 / math.sqrt(2.0),
     omega_c2=1.01,
     eps0=0.408,
-    calibration_eps=0.1,
+    calibration_eps=CALIBRATION_EPS,
     samples=10 ** 6,
     seed=20240601,
 )
@@ -66,29 +70,27 @@ def max_omega_over_bump_ratio(C: float, C1: float, eps_list) -> float:
                 for eps in eps_list), default=0.0)
 
 
-def calibrate(samples: int = 10 ** 6, seed: int = 20240601,
-              calibration_eps: float = 0.1, safety: float = 0.9,
-              bisection_steps: int = 30) -> CalibrationBlock:
+def calibrate(samples: int = 10 ** 6, seed: int = 20240601) -> CalibrationBlock:
     """Measure the constants on the unit disc.
 
     C is found by bisection as the largest value with zero sampled violations
-    of the containment at calibration_eps, then shrunk by the safety factor;
+    of the containment at CALIBRATION_EPS, then shrunk by the SAFETY factor;
     C1 follows from the inscribed-pyramid formula; C2 is the measured maximum
     of sup w / eps^3 over the default eps sweep with 2% headroom; eps0 is the
     largest eps in a downward scan that still shows zero violations.
     """
     lo, hi = 0.05, 0.60
-    if disc_containment_check(lo, calibration_eps, samples, seed) != 0:
+    if disc_containment_check(lo, CALIBRATION_EPS, samples, seed) != 0:
         raise GeometryError("calibration non-monotone: violations at the lower bracket")
-    if disc_containment_check(hi, calibration_eps, samples, seed) == 0:
+    if disc_containment_check(hi, CALIBRATION_EPS, samples, seed) == 0:
         raise GeometryError("calibration bracket too small: no violations at the upper bound")
-    for _ in range(bisection_steps):
+    for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        if disc_containment_check(mid, calibration_eps, samples, seed) == 0:
+        if disc_containment_check(mid, CALIBRATION_EPS, samples, seed) == 0:
             lo = mid
         else:
             hi = mid
-    c = safety * lo
+    c = SAFETY * lo
     c1 = c / math.sqrt(2.0)
     eps_sweep = (0.4, 0.3, 0.2, 0.15, 0.1, 0.07, 0.05)
     c2 = 1.02 * max_omega_over_bump_ratio(c, c1, eps_sweep)
@@ -105,4 +107,4 @@ def calibrate(samples: int = 10 ** 6, seed: int = 20240601,
             break
     eps0 = min(eps0, eps_analytic) if eps_analytic > 0 else eps0
     return CalibrationBlock(containment_c=c, bump_c1=c1, omega_c2=c2, eps0=eps0,
-                            calibration_eps=calibration_eps, samples=samples, seed=seed)
+                            calibration_eps=CALIBRATION_EPS, samples=samples, seed=seed)

@@ -185,13 +185,9 @@ def criterion_09(fast: bool = False) -> CheckResult:
 def criterion_10(fast: bool = False) -> CheckResult:
     res15 = hardy.corner_family_sweep(1.5)
     res10 = hardy.corner_family_sweep(1.0)
-    ball = BUILTIN_BODIES["ball2"]()
-    floored = omega.omega_inverse_integral(ball, 0.5, levels=3, base_per_axis=256,
-                                           floor=1e-3)
-    stab = abs(floored[-1] - floored[-2]) / floored[-1]
-    raw = omega.omega_inverse_integral(ball, 0.8, levels=3, base_per_axis=128,
-                                       floor=1e-12)
-    growth = [(raw[i + 1] - raw[i]) / raw[i + 1] for i in range(2)]
+    half, high = hardy.adjusted_integrability_report(BUILTIN_BODIES["ball2"](), [0.5, 0.8])
+    stab = half.evidence["floored_change"]
+    growth = high.evidence["raw_growth"]
     return CheckResult(10, "corner slopes, bounded d=1 ratios, integrability contrast",
                        abs(res15.slope + 0.5) <= 0.15 and res10.max_over_min <= 2.0
                        and stab < 0.01 and min(growth) > 0.10,

@@ -19,6 +19,10 @@ from scipy.signal import czt
 from .geometry import AffineImage, Ball, ConvexBody, GeometryError
 
 
+# A box integral has settled once a doubling adds less than this share of it.
+L1_REL_TOL = 0.005
+
+
 class ConvergenceError(RuntimeError):
     """Raised when a truncation budget is exhausted before the tolerance."""
 
@@ -205,13 +209,13 @@ def synthesize_on_grid(fhat: GridFunction, spatial: GridSpec) -> np.ndarray:
     return F
 
 
-def _l1_by_doubling(box_total, halfwidth: float, half_period: float, rel_tol: float,
+def _l1_by_doubling(box_total, halfwidth: float, half_period: float,
                    max_doublings: int) -> tuple[float, float]:
     """Grow a box integral by doublings of its half-width until it settles.
 
     box_total(L) is the integral over the box of half-width L.  The loop
-    stops once the increment over the previous box falls below rel_tol of
-    the total and returns (total, increment).  Trig sums are periodic, so a
+    stops once the increment over the previous box falls below L1_REL_TOL
+    of the total and returns (total, increment).  Trig sums are periodic, so a
     box beyond the alias half period would integrate alias copies instead of
     tails; that, a non-finite total and an exhausted budget raise
     ConvergenceError.
@@ -228,7 +232,7 @@ def _l1_by_doubling(box_total, halfwidth: float, half_period: float, rel_tol: fl
             raise ConvergenceError("box integral is not finite")
         if prev is not None:
             increment = total - prev
-            if increment < rel_tol * total:
+            if increment < L1_REL_TOL * total:
                 return total, max(increment, 0.0)
         prev = total
         L *= 2.0
@@ -237,11 +241,10 @@ def _l1_by_doubling(box_total, halfwidth: float, half_period: float, rel_tol: fl
         f"(last value {prev:.6g})")
 
 
-def synthesize_l1(fhat: GridFunction, box_halfwidth: float,
-                  points_per_unit: float = 20.0, rel_tol: float = 0.005,
+def synthesize_l1(fhat: GridFunction, box_halfwidth: float, points_per_unit: float = 20.0,
                   max_doublings: int = 4) -> tuple[float, float]:
     """L1 norm of the synthesized f over [-L, L]^n, L doubled until the
-    increment falls below rel_tol of the accumulated mass.
+    increment falls below L1_REL_TOL of the accumulated mass.
 
     Returns (box integral, tail estimate); the tail estimate is the last
     increment.  Raises ConvergenceError if max_doublings is exhausted first.
@@ -256,7 +259,7 @@ def synthesize_l1(fhat: GridFunction, box_halfwidth: float,
         return float(np.sum(np.abs(synthesize_on_grid(fhat, spatial))) * spatial.weight)
 
     half_period = 0.5 / float(np.max(fhat.spec.spacing))
-    return _l1_by_doubling(box_total, box_halfwidth, half_period, rel_tol, max_doublings)
+    return _l1_by_doubling(box_total, box_halfwidth, half_period, max_doublings)
 
 
 def dilate_toward(fhat: GridFunction, z, r: float) -> GridFunction:

@@ -45,12 +45,13 @@ def _as_vector(x, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class ConvexBody:
-    """Base class; concrete bodies implement strict membership and a box."""
+    """Base class; concrete bodies implement batched strict membership and a box."""
 
     dim: int
 
     def contains(self, x) -> bool:
-        raise NotImplementedError
+        """Strict membership of one point, by contains_batch."""
+        return bool(self.contains_batch(_as_vector(x, self.dim)[None])[0])
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized strict membership for an (m, dim) array of points."""
@@ -73,10 +74,6 @@ class Ball(ConvexBody):
         object.__setattr__(self, "dim", c.size)
         if self.radius <= 0:
             raise GeometryError("ball radius must be positive")
-
-    def contains(self, x) -> bool:
-        x = _as_vector(x, self.dim)
-        return float(np.linalg.norm(x - self.center)) < self.radius
 
     def contains_batch(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -102,10 +99,6 @@ class HPolytope(ConvexBody):
         object.__setattr__(self, "normals", a)
         object.__setattr__(self, "offsets", b)
         object.__setattr__(self, "dim", a.shape[1])
-
-    def contains(self, x) -> bool:
-        x = _as_vector(x, self.dim)
-        return bool(np.all(self.normals @ x < self.offsets))
 
     def contains_batch(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -168,9 +161,6 @@ class VPolytope(ConvexBody):
         """(point, facet of hform) mask from Qhull's triangles."""
         return self._facets[1]
 
-    def contains(self, x) -> bool:
-        return self.hform.contains(x)
-
     def contains_batch(self, pts):
         return self.hform.contains_batch(pts)
 
@@ -193,10 +183,6 @@ class Product(ConvexBody):
             out.append(pts[:, k:k + f.dim])
             k += f.dim
         return out
-
-    def contains(self, x) -> bool:
-        x = _as_vector(x, self.dim)
-        return bool(self.contains_batch(x[None, :])[0])
 
     def contains_batch(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -233,10 +219,6 @@ class AffineImage(ConvexBody):
     def _pull(self, pts):
         inv = np.linalg.inv(self.matrix)
         return (pts - self.shift) @ inv.T
-
-    def contains(self, x) -> bool:
-        x = _as_vector(x, self.dim)
-        return self.base.contains(self._pull(x[None, :])[0])
 
     def contains_batch(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))

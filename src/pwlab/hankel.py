@@ -27,6 +27,8 @@ from .omega import OmegaEvaluator
 SV_FLOOR_REL = 1e-12  # singular values below this times sigma_max count as zero
 # imaginary part, relative to max|A|, below which a rotated matrix counts as real
 ONE_PHASE_TOL = 4.0 * np.finfo(float).eps
+RUSSO_SLACK = 1e-9    # relative slack of the discrete Russo bound
+ORTHO_REL_TOL = 1e-6  # largest accepted spectral deviation of an orthogonal sum
 
 
 def schatten_norm(sv, p: float) -> float:
@@ -208,7 +210,7 @@ class RussoCheck:
 
 
 def russo_bound_check(body: ConvexBody, symbol, spacing: float, p: float,
-                      integral_pts: int = 400, slack: float = 1e-9) -> RussoCheck:
+                      integral_pts: int = 400) -> RussoCheck:
     """Check ||H||_{S^p} <= ||kernel||_{p',p} <= ||phihat w^{1/p}||_{p'} discretely.
 
     The first inequality holds exactly for the discretized operator (the
@@ -230,7 +232,7 @@ def russo_bound_check(body: ConvexBody, symbol, spacing: float, p: float,
     ipts, cell, w = OmegaEvaluator(body).support_grid(integral_pts)
     f = np.abs(np.asarray(symbol(ipts), dtype=complex))
     rhs_cont = float(np.sum(f ** pc * w ** (pc / p)) * cell) ** (1.0 / pc)
-    holds = lhs <= min(rhs_mixed, rhs_cont) * (1.0 + slack)
+    holds = lhs <= min(rhs_mixed, rhs_cont) * (1.0 + RUSSO_SLACK)
     return RussoCheck(lhs=lhs, rhs_mixed=rhs_mixed, rhs_continuum=rhs_cont, holds=holds)
 
 
@@ -253,8 +255,7 @@ def check_disjoint_interactions(body: ConvexBody, supports: list[Ball],
 
 
 def orthogonal_sum_check(body: ConvexBody, symbols: list, supports: list[Ball],
-                         spacing: float, rel_tol: float = 1e-6,
-                         samples_per_pair: int = 10_000, seed: int = 0) -> OrthoCheck:
+                         spacing: float, seed: int = 0) -> OrthoCheck:
     """Singular values of H_{sum phi_i} must equal the sorted multiset union
     of the individual spectra when the interaction regions are disjoint.
 
@@ -264,7 +265,7 @@ def orthogonal_sum_check(body: ConvexBody, symbols: list, supports: list[Ball],
     interaction region; entries below SV_FLOOR_REL * sigma_max are ignored
     in the comparison.
     """
-    check_disjoint_interactions(body, supports, samples_per_pair, seed)
+    check_disjoint_interactions(body, supports, seed=seed)
     nodes, _ = grid_nodes_inside(body, spacing)
     block_masks = [np.linalg.norm(nodes - (supp.center - body.center), axis=1)
                    < body.radius + supp.radius for supp in supports]
@@ -286,5 +287,5 @@ def orthogonal_sum_check(body: ConvexBody, symbols: list, supports: list[Ball],
     b[:sv_union.size] = sv_union
     scale = max(a[0], b[0], np.finfo(float).tiny)
     dev = float(np.max(np.abs(a - b)) / scale)
-    return OrthoCheck(ok=dev <= rel_tol, max_rel_dev=dev,
+    return OrthoCheck(ok=dev <= ORTHO_REL_TOL, max_rel_dev=dev,
                       block_sizes=sizes + [int(np.count_nonzero(union_mask))])

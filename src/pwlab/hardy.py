@@ -31,19 +31,18 @@ from .geometry import ConvexBody, GeometryError, HPolytope, VPolytope
 from .omega import omega_inverse_integral
 
 OMEGA_FLOOR = 1e-12
+# Fixed quadrature of the three families, not options.
+TENT_BOX_HALFWIDTH = 4.0        # first box of the tent's sinc^2 L1 norm
+HALFLINE_POINTS_PER_UNIT = 24.0  # spatial nodes per unit length for |g h|
+HALFLINE_PIECES = 3             # bumps in each random half-line factor
+EXTREMAL_FREQ_POINTS = 20_000
+EXTREMAL_CUT = 0.0005           # the near-extremal pair vanishes below it
+CORNER_QUAD_POINTS = 160        # midpoint cells a side over a corner bump
 
 
 # ---------------------------------------------------------------------------
 # exact tent anchor
 # ---------------------------------------------------------------------------
-
-def tent_l1_factor(freq_points: int = 20_000, box_halfwidth: float = 4.0) -> tuple[float, float]:
-    """One-axis ||f||_1 for fhat = (1-|x|)+: f = sinc^2, so the exact value
-    is fhat(0) = 1; returns the synthesized (box integral, tail)."""
-    spec = GridSpec(lower=[-1.0], upper=[1.0], npts=(freq_points,))
-    tent = GridFunction.from_function(spec, lambda p: np.maximum(0.0, 1.0 - np.abs(p[:, 0])))
-    return synthesize_l1(tent, box_halfwidth=box_halfwidth)
-
 
 def tent_ratio(n: int, d: float = 1.0, freq_points: int = 20_000) -> float:
     """The Hardy ratio for the tent on the n-cube.
@@ -51,7 +50,8 @@ def tent_ratio(n: int, d: float = 1.0, freq_points: int = 20_000) -> float:
     With fhat = prod (1-|x_i|)+ and w the product of tents, the d = 1
     integrand is identically one on (-1,1)^n, so the numerator is exactly
     2^n; the denominator factors across axes and each factor is the L1 norm
-    of sinc^2.  For other d the numerator is the closed-form one-axis
+    of sinc^2 (exactly fhat(0) = 1), synthesized from freq_points samples
+    of the tent.  For other d the numerator is the closed-form one-axis
     integral int (1-|x|)^(1-d) dx raised to the n-th power.
     """
     if n < 1:
@@ -59,7 +59,9 @@ def tent_ratio(n: int, d: float = 1.0, freq_points: int = 20_000) -> float:
     if d >= 2.0:
         raise GeometryError("the one-axis tent integral diverges for d >= 2")
     numerator_axis = 2.0 / (2.0 - d)           # int_{-1}^{1} (1-|x|)^{1-d} dx
-    l1_axis, _ = tent_l1_factor(freq_points)
+    spec = GridSpec(lower=[-1.0], upper=[1.0], npts=(freq_points,))
+    tent = GridFunction.from_function(spec, lambda p: np.maximum(0.0, 1.0 - np.abs(p[:, 0])))
+    l1_axis, _ = synthesize_l1(tent, box_halfwidth=TENT_BOX_HALFWIDTH)
     return (numerator_axis / l1_axis) ** n
 
 
@@ -68,8 +70,7 @@ def tent_ratio(n: int, d: float = 1.0, freq_points: int = 20_000) -> float:
 # ---------------------------------------------------------------------------
 
 def halfline_ratio(ghat_vals: np.ndarray, hhat_vals: np.ndarray, freq_points: int,
-                   box_halfwidth: float = 32.0, points_per_unit: float = 24.0,
-                   rel_tol: float = 0.005, max_doublings: int = 5) -> float:
+                   box_halfwidth: float = 32.0, max_doublings: int = 5) -> float:
     """int_0^inf |(ghat * hhat)(x)| / x dx over ||g h||_1.
 
     ghat, hhat are samples on the midpoint grid of (0,1); the convolution
@@ -92,25 +93,25 @@ def halfline_ratio(ghat_vals: np.ndarray, hhat_vals: np.ndarray, freq_points: in
     hhat = GridFunction(spec=spec, values=hhat_vals)
 
     def box_total(L: float) -> float:
-        m = int(math.ceil(2 * L * points_per_unit))
+        m = int(math.ceil(2 * L * HALFLINE_POINTS_PER_UNIT))
         spatial = GridSpec(lower=[-L], upper=[L], npts=(m,))
         g = synthesize_on_grid(ghat, spatial)
         hh = synthesize_on_grid(hhat, spatial)
         return float(np.sum(np.abs(g * hh)) * spatial.weight)
 
-    total, _ = _l1_by_doubling(box_total, box_halfwidth, 0.5 * K, rel_tol, max_doublings)
+    total, _ = _l1_by_doubling(box_total, box_halfwidth, 0.5 * K, max_doublings)
     return numerator / total
 
 
-def random_halfline_pair(rng: np.random.Generator, freq_points: int = 400,
-                         pieces: int = 3) -> tuple[np.ndarray, np.ndarray]:
+def random_halfline_pair(rng: np.random.Generator,
+                         freq_points: int = 400) -> tuple[np.ndarray, np.ndarray]:
     """Random smooth frequency data supported in (0,1): a few bumps with
     random centers, widths and complex amplitudes."""
     xs = (np.arange(freq_points) + 0.5) / freq_points
 
     def one() -> np.ndarray:
         vals = np.zeros(freq_points, dtype=complex)
-        for _ in range(pieces):
+        for _ in range(HALFLINE_PIECES):
             width = rng.uniform(0.05, 0.2)
             center = rng.uniform(width + 0.02, 0.98 - width)
             amp = rng.normal() + 1j * rng.normal()
@@ -120,11 +121,11 @@ def random_halfline_pair(rng: np.random.Generator, freq_points: int = 400,
     return one(), one()
 
 
-def extremal_halfline_pair(freq_points: int = 20_000, cut: float = 0.0005
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    """A near-extremal pair: ghat = hhat ~ x^(-1/2) spread over (cut, 1),
+def extremal_halfline_pair() -> tuple[np.ndarray, np.ndarray]:
+    """A near-extremal pair: ghat = hhat ~ x^(-1/2) spread over (EXTREMAL_CUT, 1),
     smoothly ramped at both ends.  Pushes the ratio toward pi."""
-    xs = (np.arange(freq_points) + 0.5) / freq_points
+    cut = EXTREMAL_CUT
+    xs = (np.arange(EXTREMAL_FREQ_POINTS) + 0.5) / EXTREMAL_FREQ_POINTS
     ramp_in = smooth_step((xs - cut) / cut)              # 0 below cut, 1 above 2 cut
     ramp_out = smooth_step((0.95 - xs) / 0.45)           # 1 below 0.5, 0 above 0.95
     vals = np.where(xs > cut, xs ** -0.5, 0.0) * ramp_in * ramp_out
@@ -143,8 +144,7 @@ class CornerFamilyResult:
     max_over_min: float
 
 
-def corner_family_ratio(d: float, t: float, quad_points: int = 160,
-                        bump_l1: float | None = None) -> float:
+def corner_family_ratio(d: float, t: float) -> float:
     """One member of the corner family on the unit square P = (0,1)^2.
 
     x_t = 2v - sqrt(t) (1,1) at the corner v = (1,1) has w(x_t) = t exactly;
@@ -157,14 +157,12 @@ def corner_family_ratio(d: float, t: float, quad_points: int = 160,
         raise GeometryError("corner parameter t must lie in (0, 1)")
     root = math.sqrt(t)
     center = 2.0 * (1.0 - root / 2.0) * np.ones(2)   # doubled Chebyshev center
-    x, rho, cell = scaled_ball_grid(center, root, quad_points)
+    x, rho, cell = scaled_ball_grid(center, root, CORNER_QUAD_POINTS)
     w = np.maximum(0.0, 1.0 - np.abs(x[0] - 1.0)) * np.maximum(0.0, 1.0 - np.abs(x[1] - 1.0))
     vals = bump_profile(rho)
     mask = (vals > 0.0) & (w > OMEGA_FLOOR)
     numerator = float(np.sum(vals[mask] * w[mask] ** (-d)) * cell)
-    if bump_l1 is None:
-        bump_l1 = canonical_bump_l1()
-    return numerator / bump_l1
+    return numerator / canonical_bump_l1()
 
 
 @functools.cache
@@ -176,14 +174,10 @@ def canonical_bump_l1() -> float:
     return val
 
 
-def corner_family_sweep(d: float, t_values=None, quad_points: int = 160) -> CornerFamilyResult:
-    """Ratios over a decade sweep of t with the fitted log-log slope."""
-    if t_values is None:
-        t_values = np.geomspace(1e-3, 1e-1, 7)
-    t_values = np.asarray(t_values, dtype=float)
-    l1 = canonical_bump_l1()
-    ratios = np.array([corner_family_ratio(d, t, quad_points, bump_l1=l1)
-                       for t in t_values])
+def corner_family_sweep(d: float) -> CornerFamilyResult:
+    """Ratios over a sweep of t from 1e-3 to 1e-1 with the fitted log-log slope."""
+    t_values = np.geomspace(1e-3, 1e-1, 7)
+    ratios = np.array([corner_family_ratio(d, t) for t in t_values])
     slope = float(np.polyfit(np.log(t_values), np.log(ratios), 1)[0])
     return CornerFamilyResult(t_values=t_values, ratios=ratios, slope=slope,
                               max_over_min=float(ratios.max() / ratios.min()))
@@ -200,8 +194,7 @@ class IntegrabilityRow:
     evidence: dict = field(default_factory=dict)
 
 
-def adjusted_integrability_report(body: ConvexBody, d_list,
-                                  corner_quad_points: int = 160) -> list[IntegrabilityRow]:
+def adjusted_integrability_report(body: ConvexBody, d_list) -> list[IntegrabilityRow]:
     """Numerical evidence table for the weight exponent d.
 
     Polytopes: the corner family decides (bounded ratios for d <= 1,
@@ -227,7 +220,7 @@ def adjusted_integrability_report(body: ConvexBody, d_list,
     for d in d_list:
         evidence: dict = {}
         if is_polytope:
-            sweep = corner_family_sweep(d, quad_points=corner_quad_points)
+            sweep = corner_family_sweep(d)
             evidence["corner_slope"] = sweep.slope
             evidence["corner_max_over_min"] = sweep.max_over_min
             if d <= 1.0 and sweep.slope > -0.1:

@@ -45,18 +45,27 @@ from .fourier import (
 from .geometry import Ball, GeometryError, check_ball_interactions_disjoint
 from .omega import disc_lens, disc_sup_on_ball
 
+# Fixed quadrature of the sweep, not options.  The local frequency grid of a
+# bump has LOCAL_GRID_POINTS nodes a side over SUPPORT_PAD times its support;
+# the two-scale L1 rule starts at ENVELOPE_HALFWIDTH envelope units with
+# ENVELOPE_CELLS cells a side, ENVELOPE_SAMPLES seeded samples a cell and at
+# most ENVELOPE_DOUBLINGS doublings of the box.
+LOCAL_GRID_POINTS = 69
+SUPPORT_PAD = 1.05
+ENVELOPE_CELLS = 48         # a multiple of 4: the previous box's edges are cell edges
+ENVELOPE_SAMPLES = 32
+ENVELOPE_HALFWIDTH = 8.0
+ENVELOPE_DOUBLINGS = 4
+DENOMINATOR_PTS = 128       # midpoint cells a side for the denominator term
+MAX_TAIL_FRACTION = 0.01    # largest accepted L1 tail estimate, relative
+ORTHO_NODES = 2200          # node budget of the orthogonality spot check
+
 
 @dataclass(frozen=True)
 class NehariConfig:
     p: float
     epsilons: tuple = (0.4, 0.3, 0.2, 0.15, 0.1, 0.07, 0.05)
     calibration: CalibrationBlock = DEFAULT_CALIBRATION
-    local_grid_points: int = 69
-    support_pad: float = 1.05
-    envelope_cells: int = 48
-    envelope_samples: int = 32
-    envelope_halfwidth: float = 8.0
-    denominator_pts: int = 128
     seed: int = 7
 
     def __post_init__(self):
@@ -113,8 +122,7 @@ class BumpFamily:
 
 
 def build_bumps(y_list: np.ndarray, eps: float, C: float, C1: float,
-                local_grid_points: int = NehariConfig.local_grid_points,
-                support_pad: float = NehariConfig.support_pad) -> BumpFamily:
+                local_grid_points: int = LOCAL_GRID_POINTS) -> BumpFamily:
     """Plant one bump per boundary point; raises if a support leaves 2 Omega
     or if two supports touch."""
     y = np.atleast_2d(np.asarray(y_list, dtype=float))
@@ -132,7 +140,7 @@ def build_bumps(y_list: np.ndarray, eps: float, C: float, C1: float,
         if dist.min() <= 2.0 * R:
             raise GeometryError("bump supports overlap")
     K = local_grid_points
-    half = support_pad * R
+    half = SUPPORT_PAD * R
     h = 2.0 * half / K
     offsets = -half + (np.arange(K) + 0.5) * h
     grids = np.meshgrid(*([offsets] * y.shape[1]), indexing="ij")
@@ -201,23 +209,17 @@ def _phase_sum_at(points: np.ndarray, freq_centers: np.ndarray) -> np.ndarray:
 
 
 def modulated_sum_l1(family: BumpFamily, which: np.ndarray | None = None,
-                     halfwidth_env: float = NehariConfig.envelope_halfwidth,
-                     cells: int = NehariConfig.envelope_cells,
-                     samples_per_cell: int = NehariConfig.envelope_samples,
-                     seed: int = NehariConfig.seed,
-                     rel_tol: float = 0.005, max_doublings: int = 4) -> tuple[float, float]:
+                     seed: int = NehariConfig.seed) -> tuple[float, float]:
     """L1 norm of the synthesized psi = sum_i phi_i by stratified two-scale
     quadrature; returns (integral, tail estimate from the last doubling).
 
     The box halfwidth is measured in envelope units u = 2r t and doubled
-    until the increment drops below rel_tol.  The discrete envelope is
-    periodic with period K / pad in those units, so the box may never exceed
-    the half period; a finer local grid buys more room.
+    until the increment drops below fourier.L1_REL_TOL.  The discrete
+    envelope is periodic with period K / pad in those units, so the box may
+    never exceed the half period; a finer local grid buys more room.
     """
     centers = family.freq_centers if which is None else family.freq_centers[which]
     spacing_u = (family.offsets_axes[0][1] - family.offsets_axes[0][0]) / family.support_radius
-    if cells % 2:
-        cells += 1
     rng = np.random.default_rng(seed)
     total = 0.0
     first = True
@@ -225,7 +227,7 @@ def modulated_sum_l1(family: BumpFamily, which: np.ndarray | None = None,
     def box_total(U: float) -> float:
         nonlocal total, first
         T = U / family.support_radius
-        edges = np.linspace(-T, T, cells + 1)
+        edges = np.linspace(-T, T, ENVELOPE_CELLS + 1)
         cell_w = edges[1] - edges[0]
         lo1, lo2 = np.meshgrid(edges[:-1], edges[:-1], indexing="ij")
         base = np.stack([lo1.ravel(), lo2.ravel()], axis=1)
@@ -235,13 +237,13 @@ def modulated_sum_l1(family: BumpFamily, which: np.ndarray | None = None,
                            & (base + cell_w <= T / 2 + 1e-12 * T), axis=1)
             base = base[~inner]
         first = False
-        pts = (np.repeat(base, samples_per_cell, axis=0)
-               + rng.uniform(0.0, cell_w, size=(base.shape[0] * samples_per_cell, 2)))
+        pts = (np.repeat(base, ENVELOPE_SAMPLES, axis=0)
+               + rng.uniform(0.0, cell_w, size=(base.shape[0] * ENVELOPE_SAMPLES, 2)))
         vals = np.abs(_envelope_at(pts, family) * _phase_sum_at(pts, centers))
         total += float(vals.mean() * base.shape[0] * cell_w ** 2)
         return total
 
-    return _l1_by_doubling(box_total, halfwidth_env, 0.5 / spacing_u, rel_tol, max_doublings)
+    return _l1_by_doubling(box_total, ENVELOPE_HALFWIDTH, 0.5 / spacing_u, ENVELOPE_DOUBLINGS)
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +265,12 @@ def bump_sup_omega(family: BumpFamily) -> float:
                             family.support_radius)
 
 
-def denominator_term(family: BumpFamily, p: float,
-                     pts_per_axis: int = NehariConfig.denominator_pts) -> float:
+def denominator_term(family: BumpFamily, p: float) -> float:
     """||phihat_1 w^(1/p)||_{p'}^p by midpoint quadrature on the local grid,
     with the closed-form disc autocorrelation as the weight."""
     pc = hankel.conjugate_exponent(p)
     x, rho, cell = scaled_ball_grid(family.freq_centers[0], family.support_radius,
-                                    pts_per_axis)
+                                    DENOMINATOR_PTS)
     w = disc_lens(np.linalg.norm(x, axis=0))
     integrand = bump_profile(rho) ** pc * w ** (pc / p)
     inner = float(np.sum(integrand) * cell)
@@ -301,8 +302,7 @@ class SweepRow:
         return asdict(self)
 
 
-def eq5_ratio(config: NehariConfig, eps: float, check_disjointness: bool = True,
-              max_tail_fraction: float = 0.01) -> SweepRow:
+def eq5_ratio(config: NehariConfig, eps: float, check_disjointness: bool = True) -> SweepRow:
     """One row of the counterexample ratio at a given eps.
 
     The numerator uses the exact scaling ||phihat_i||_2^2 = (2r)^n ||phi||_2^2;
@@ -312,18 +312,15 @@ def eq5_ratio(config: NehariConfig, eps: float, check_disjointness: bool = True,
     """
     cal = config.calibration
     y = pack_boundary_disc(eps)
-    family = build_bumps(y, eps, cal.containment_c, cal.bump_c1,
-                         config.local_grid_points, config.support_pad)
+    family = build_bumps(y, eps, cal.containment_c, cal.bump_c1)
     N = family.count
     if check_disjointness:
         check_interaction_disjointness(family, seed=config.seed)
     numerator = N * family.support_radius ** 2 * reference_bump_power_integral(2)
-    psi_l1, tail = modulated_sum_l1(
-        family, halfwidth_env=config.envelope_halfwidth, cells=config.envelope_cells,
-        samples_per_cell=config.envelope_samples, seed=config.seed)
-    if tail > max_tail_fraction * psi_l1:
+    psi_l1, tail = modulated_sum_l1(family, seed=config.seed)
+    if tail > MAX_TAIL_FRACTION * psi_l1:
         raise ConvergenceError("L1 tail estimate exceeds the error budget")
-    term = denominator_term(family, config.p, config.denominator_pts)
+    term = denominator_term(family, config.p)
     proxy = (N * term) ** (1.0 / config.p)
     a_max = bump_sup_omega(family)
     if a_max > cal.omega_c2 * eps ** 3:
@@ -356,12 +353,12 @@ class SweepReport:
             "seed": self.config.seed,
             "calibration": self.config.calibration.as_dict(),
             "grid": {
-                "local_grid_points": self.config.local_grid_points,
-                "support_pad": self.config.support_pad,
-                "envelope_cells": self.config.envelope_cells,
-                "envelope_samples": self.config.envelope_samples,
-                "envelope_halfwidth": self.config.envelope_halfwidth,
-                "denominator_pts": self.config.denominator_pts,
+                "local_grid_points": LOCAL_GRID_POINTS,
+                "support_pad": SUPPORT_PAD,
+                "envelope_cells": ENVELOPE_CELLS,
+                "envelope_samples": ENVELOPE_SAMPLES,
+                "envelope_halfwidth": ENVELOPE_HALFWIDTH,
+                "denominator_pts": DENOMINATOR_PTS,
             },
             "rows": [row.as_dict() for row in self.rows],
             "log_ratio_vs_log_N_slope": self.slope,
@@ -376,21 +373,19 @@ class SweepReport:
         return doc
 
 
-def orthogonality_spot_check(config: NehariConfig, eps: float,
-                             nodes_budget: int = 2200) -> hankel.OrthoCheck:
+def orthogonality_spot_check(config: NehariConfig, eps: float) -> hankel.OrthoCheck:
     """Delegate the orthogonal-sum law to the Hankel module for two antipodal
     bumps of the eps family, at a spacing sized to the node budget."""
     cal = config.calibration
     y = pack_boundary_disc(eps)
-    family = build_bumps(y, eps, cal.containment_c, cal.bump_c1,
-                         config.local_grid_points, config.support_pad)
+    family = build_bumps(y, eps, cal.containment_c, cal.bump_c1)
     pick = np.array([0, family.count // 2])
     supports = [family.supports()[i] for i in pick]
     symbols = [family.symbol(i) for i in pick]
     body = Ball(np.zeros(2), 1.0)
     # interaction lenses sit inside B(y_i, eps); size the grid from their area
     lens_area = 2.0 * math.pi * eps * eps
-    spacing = min(math.sqrt(lens_area / nodes_budget), family.r / 3.0)
+    spacing = min(math.sqrt(lens_area / ORTHO_NODES), family.r / 3.0)
     return hankel.orthogonal_sum_check(body, symbols, supports, spacing,
                                        seed=config.seed)
 

@@ -226,6 +226,8 @@ def omega_mc(body: ConvexBody, x, samples: int, seed: int) -> tuple[float, float
     point is in Omega and its reflection x - point is too.  The reflection is
     tested only on the draws inside Omega.
     """
+    if samples < 1:
+        raise GeometryError("the Monte Carlo estimate needs at least 1 sample")
     x = np.asarray(x, dtype=float).reshape(-1)
     lo, hi = body.bounding_box()
     c = 0.5 * (lo + hi)
@@ -415,6 +417,8 @@ def sublevel_fit(body: ConvexBody, t_min: float, t_max: float, count: int,
     """
     if not (0 < t_min < t_max) or count < 5:
         raise GeometryError("need 0 < t_min < t_max and at least 5 grid points")
+    if samples < 1:
+        raise GeometryError("the sublevel fit needs at least 1 sample")
     ev = OmegaEvaluator(body)
     lo, hi = ev.support_box()
     vol_box = float(np.prod(hi - lo))

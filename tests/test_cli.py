@@ -39,6 +39,16 @@ class TestDispatch:
         out = capsys.readouterr().out
         assert abs(float(out.split()[0]) - 0.5) < 0.02
 
+    @pytest.mark.parametrize("argv", [
+        ["omega", "--body", "triangle", "--point", "0.6,0.6", "--mode", "mc", "--samples", "-5"],
+        ["omega", "--body", "triangle", "--point", "0.6,0.6", "--mode", "mc", "--samples", "0"],
+        ["sublevel", "--body", "triangle", "--samples", "0"]])
+    def test_sample_count_below_one_is_failure(self, capsys, argv):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: .*at least 1 sample\n", captured.err)
+
     def test_unknown_command_usage_error(self, capsys):
         assert run(["frobnicate"]) == 2
 

@@ -145,9 +145,7 @@ class TestKernels:
 
 class TestTwoScaleIntegral:
     def test_single_bump_matches_synthesize_l1(self):
-        cfg = NehariConfig(p=6.0)
-        fam = build_bumps(pack_boundary_disc(0.4), 0.4, CAL.containment_c,
-                          CAL.bump_c1, cfg.local_grid_points)
+        fam = build_bumps(pack_boundary_disc(0.4), 0.4, CAL.containment_c, CAL.bump_c1)
         two_scale, _ = modulated_sum_l1(fam, which=np.array([0]), seed=3)
         offsets = fam.offsets_axes[0]
         half = offsets[-1] + 0.5 * (offsets[1] - offsets[0])
@@ -167,9 +165,7 @@ class TestTwoScaleIntegral:
             modulated_sum_l1(fam)
 
     def test_seed_determinism(self):
-        cfg = NehariConfig(p=6.0)
-        fam = build_bumps(pack_boundary_disc(0.4), 0.4, CAL.containment_c,
-                          CAL.bump_c1, cfg.local_grid_points)
+        fam = build_bumps(pack_boundary_disc(0.4), 0.4, CAL.containment_c, CAL.bump_c1)
         a = modulated_sum_l1(fam, seed=5)
         b = modulated_sum_l1(fam, seed=5)
         assert a == b
@@ -193,17 +189,14 @@ class TestRatioRow:
 
     def test_triangle_inequality(self):
         cfg = NehariConfig(p=6.0)
-        fam = build_bumps(pack_boundary_disc(0.3), 0.3, CAL.containment_c,
-                          CAL.bump_c1, cfg.local_grid_points)
+        fam = build_bumps(pack_boundary_disc(0.3), 0.3, CAL.containment_c, CAL.bump_c1)
         single, _ = modulated_sum_l1(fam, which=np.array([0]), seed=cfg.seed)
         row = eq5_ratio(cfg, 0.3, check_disjointness=False)
         assert row.psi_l1 <= row.N * single * 1.001
 
     def test_denominator_bound_by_sup(self):
         # || phihat w^(1/p) ||_{p'}^p <= a_max * (int phihat^{p'})^{p/p'}
-        cfg = NehariConfig(p=6.0)
-        fam = build_bumps(pack_boundary_disc(0.3), 0.3, CAL.containment_c,
-                          CAL.bump_c1, cfg.local_grid_points)
+        fam = build_bumps(pack_boundary_disc(0.3), 0.3, CAL.containment_c, CAL.bump_c1)
         from pwlab.nehari import bump_sup_omega
         term = denominator_term(fam, 6.0)
         pc = 1.2
@@ -214,13 +207,10 @@ class TestRatioRow:
         # the N=1 single-bump ratio reproduces within 1% across resolutions
         vals = []
         for K in (69, 99):
-            cfg = NehariConfig(p=6.0, local_grid_points=K)
             fam = build_bumps(pack_boundary_disc(0.4), 0.4, CAL.containment_c,
                               CAL.bump_c1, K)
-            l1, _ = modulated_sum_l1(fam, which=np.array([0]), seed=cfg.seed,
-                                     cells=cfg.envelope_cells,
-                                     samples_per_cell=cfg.envelope_samples)
-            term = denominator_term(fam, 6.0, cfg.denominator_pts)
+            l1, _ = modulated_sum_l1(fam, which=np.array([0]), seed=NehariConfig.seed)
+            term = denominator_term(fam, 6.0)
             num = fam.support_radius ** 2 * reference_bump_power_integral(2)
             vals.append(num / (l1 * term ** (1 / 6.0)))
         assert abs(vals[0] - vals[1]) < 0.01 * max(vals)

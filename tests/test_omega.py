@@ -338,6 +338,11 @@ class TestOmegaMC:
         b = omega_mc(disc, [0.5, 0.2], 100_000, seed=9)
         assert a == b
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_sample_count_below_one_raises(self, right_triangle, samples):
+        with pytest.raises(GeometryError, match="at least 1 sample"):
+            omega_mc(right_triangle, [0.6, 0.6], samples, seed=0)
+
     @pytest.mark.parametrize("name, x, samples, seed", [
         ("triangle", [2 / 3, 2 / 3], 1_200_000, 42),
         ("triangle", [0.3, 1.1], 200_000, 7),
@@ -552,6 +557,11 @@ class TestSublevel:
         iv = Ball([0.5], 0.5)
         with pytest.raises(GeometryError):
             sublevel_fit(iv, 1e-12, 1e-11, 6, 1000, seed=1)
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_sample_count_below_one_raises(self, samples):
+        with pytest.raises(GeometryError, match="at least 1 sample"):
+            sublevel_fit(Ball([0.5], 0.5), 1e-3, 1e-1, 8, samples, seed=1)
 
 
 class TestInverseIntegral:

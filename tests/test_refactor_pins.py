@@ -20,7 +20,7 @@ def pinned(value):
 
 def family(eps):
     return nehari.build_bumps(nehari.pack_boundary_disc(eps), eps, CAL.containment_c,
-                              CAL.bump_c1, 69, 1.05)
+                              CAL.bump_c1, 69)
 
 
 DISC = Ball(np.zeros(2), 1.0)
@@ -44,8 +44,7 @@ def test_halfline_ratio_seeded_pair():
 
 
 def test_modulated_sum_l1():
-    total, tail = nehari.modulated_sum_l1(family(0.4), halfwidth_env=8.0, cells=48,
-                                          samples_per_cell=32, seed=7)
+    total, tail = nehari.modulated_sum_l1(family(0.4), seed=7)
     assert total == pinned(6.260950041131373)
     assert tail == pinned(0.02445612747006583)
 
@@ -70,9 +69,18 @@ def test_omega_inverse_integral():
 
 def test_local_grids_and_bump_sup():
     fam = family(0.3)
-    assert nehari.denominator_term(fam, 6.0, 128) == pinned(1.23830396532635e-16)
+    assert nehari.denominator_term(fam, 6.0) == pinned(1.23830396532635e-16)
     assert nehari.bump_sup_omega(fam) == pinned(0.026554529839395546)
-    assert hardy.corner_family_ratio(1.5, 1e-2, 160, bump_l1=1.0) == pinned(38.84047486764231)
+    corner = hardy.corner_family_ratio(1.5, 1e-2) * hardy.canonical_bump_l1()
+    assert corner == pinned(38.84047486764231)
+
+
+def test_eq5_row():
+    # one full sweep row at the fixed quadrature constants
+    row = nehari.eq5_ratio(nehari.NehariConfig(p=6.0), 0.4)
+    assert row.psi_l1 == pinned(6.260950041131377)
+    assert row.schatten_proxy == pinned(0.009296629732338066)
+    assert row.ratio == pinned(0.5554529203061669)
 
 
 def test_evaluator_scalar_disc():

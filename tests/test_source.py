@@ -1,6 +1,8 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -87,3 +89,77 @@ def test_every_module_level_name_is_used():
             if not any(p != path or not lo <= line <= hi for p, line in found.get(name, [])):
                 unused.append(f"{module}:{name}")
     assert unused == []
+
+
+def pwlab_namespace(tree: ast.Module, module: str | None = None) -> dict:
+    """The pwlab objects a source can call by name: what it imports from
+    pwlab, plus, for a module of the package, its own namespace."""
+    names = dict(vars(importlib.import_module(module))) if module else {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update({a.asname or a.name: importlib.import_module(a.name)
+                          for a in node.names if a.name.split(".")[0] == "pwlab"})
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "pwlab" + (f".{base}" if base else "")
+            if base.split(".")[0] != "pwlab":
+                continue
+            source = importlib.import_module(base)
+            for a in node.names:
+                obj = getattr(source, a.name, None)
+                if obj is None:         # a submodule not yet imported
+                    obj = importlib.import_module(f"{base}.{a.name}")
+                names[a.asname or a.name] = obj
+    return names
+
+
+def unbindable_calls(source: str, module: str | None = None) -> list[str]:
+    """Calls to a pwlab function or class whose keywords, or number of
+    positional arguments, its signature does not accept."""
+    tree = ast.parse(source)
+    names = pwlab_namespace(tree, module)
+
+    def resolve(expr):
+        if isinstance(expr, ast.Name):
+            return names.get(expr.id)
+        if isinstance(expr, ast.Attribute):
+            return getattr(resolve(expr.value), expr.attr, None)
+        return None
+
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        target = resolve(node.func)
+        owner = getattr(target, "__module__", None) or ""
+        if not callable(target) or not owner.startswith("pwlab"):
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args):
+            continue
+        try:
+            signature = inspect.signature(target)
+        except ValueError:          # exception classes: any arguments
+            continue
+        keywords = {k.arg: None for k in node.keywords if k.arg is not None}
+        try:
+            signature.bind_partial(*node.args, **keywords)
+        except TypeError as exc:
+            out.append(f"line {node.lineno}: {ast.unparse(node.func)}: {exc}")
+    return out
+
+
+def test_call_scan_finds_a_removed_keyword():
+    source = ("from pwlab import hardy\nfrom pwlab.nehari import NehariConfig\n"
+              "hardy.tent_ratio(1, freq_points=40)\nNehariConfig(p=6.0, seed=1)\n"
+              "hardy.tent_ratio(1, 1.0, 40, 4.0)\nNehariConfig(p=6.0, cells=9)\n")
+    found = unbindable_calls(source)
+    assert [line.split(":")[0] for line in found] == ["line 5", "line 6"]
+
+
+@pytest.mark.parametrize("path", USERS, ids=lambda p: str(p.relative_to(ROOT)))
+def test_calls_match_signatures(path):
+    module = None
+    if path.parent == SRC:
+        module = "pwlab" if path.name == "__init__.py" else f"pwlab.{path.stem}"
+    assert unbindable_calls(path.read_text(), module) == []
