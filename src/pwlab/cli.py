@@ -118,6 +118,8 @@ def cmd_hardy(args) -> int:
         doc["expected_exact"] = (2.0 / (2.0 - args.d)) ** body.dim
         print(f"tent ratio (n={body.dim}, d={args.d}): {ratio:.6f}")
     elif args.family == "halfline_product":
+        if args.trials < 1:
+            raise GeometryError(f"--trials must be at least 1, got {args.trials}")
         rng = np.random.default_rng(args.seed)
         ratios = []
         for _ in range(args.trials):

@@ -6,6 +6,7 @@ combinatorics are restricted to dimension <= 3 and desk scale by design:
 Qhull gives hulls (H-forms, facet incidences, essential vertices, volumes)
 and boundedness; tuple_vertices, shared with the exact polytope batch of
 omega, gives the vertices of H-polytopes and the facets each lies on.
+Whether interaction regions of a ball body meet is decided exactly.
 """
 
 from __future__ import annotations
@@ -501,7 +502,8 @@ def polar_dual(body: ConvexBody) -> ConvexBody:
 
 def chebyshev_ball(h: HPolytope) -> tuple[np.ndarray, float]:
     """Largest inscribed ball of a bounded H-polytope, by linear programming:
-    maximize r subject to <a_i, c> + r|a_i| <= b_i."""
+    maximize r subject to <a_i, c> + r|a_i| <= b_i.  The interior is empty
+    below DET_TOL times the largest facet-plane distance |b_i|/|a_i|."""
     n = h.dim
     norms = np.linalg.norm(h.normals, axis=1)
     A_ub = np.hstack([h.normals, norms[:, None]])
@@ -512,7 +514,7 @@ def chebyshev_ball(h: HPolytope) -> tuple[np.ndarray, float]:
     if not res.success:
         raise GeometryError(f"chebyshev LP failed: {res.message}")
     center, radius = res.x[:n], float(res.x[n])
-    if radius <= DET_TOL:
+    if radius <= DET_TOL * np.max(np.abs(h.offsets) / norms):
         raise GeometryError("polytope has empty interior")
     return center, radius
 
@@ -536,11 +538,13 @@ def disc_containment_check(C: float, eps: float, samples: int, seed: int,
     at x = (1, 0, ..., 0).  The Minkowski combination on the left is the open
     ball B(2(1-C eps^2) x, 1 + 2C eps^2); points are drawn uniformly from it
     by rejection from its bounding box.  Returns the violation count.
-    Raises GeometryError if CONTAINMENT_MAX_ROUNDS rounds do not yield
-    `samples` points.
+    Raises GeometryError for no samples or if CONTAINMENT_MAX_ROUNDS rounds
+    do not yield `samples` points.
     """
     if C <= 0 or not (0 < eps < 1):
         raise GeometryError("need C > 0 and eps in (0,1)")
+    if samples < 1:
+        raise GeometryError("the containment check needs at least 1 sample")
     q = C * eps * eps
     x = np.zeros(dim)
     x[0] = 1.0
@@ -570,88 +574,55 @@ def disc_containment_check(C: float, eps: float, samples: int, seed: int,
 # interaction regions of ball bodies
 # ---------------------------------------------------------------------------
 
-# Rejection rounds the lens sampler may take before it gives up.
-LENS_MAX_ROUNDS = 64
+# Relative shrink of every radius in the three-ball test: regions that share
+# only a thinner sliver count as disjoint, so regions that touch pass.
+OVERLAP_MARGIN = 1e-9
 
 
-def sample_ball_lens(a: Ball, b: Ball, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform points of the lens a cap b; an empty lens gives no points.
-
-    Rejection runs in the exact bounding box of the lens in a frame along the
-    line of centres: axially from max(-r_a, d - r_b) to min(r_a, d + r_b),
-    and across up to the widest cross-section.  That is the crossing sphere
-    of the two boundaries, unless the smaller ball's great section through
-    its centre lies inside the other ball; then it is that section.  The
-    acceptance rate therefore does not fall however thin the lens gets.
-
-    Each round draws 8/5 of the points still needed, plus one.  A thin lens
-    fills its box like two paraboloid caps: about 2/3 of it in the plane and
-    pi/8 ~ 0.39 in space.  So a 2-D round yields about 16/15 of what it
-    needs, eleven standard deviations above it at 10^4 points, and finishes
-    in one round; a 3-D round leaves about 37 % of its need to the next.
-    Raises GeometryError if LENS_MAX_ROUNDS rounds do not yield `count`
-    points.
-    """
-    n = a.dim
-    axis = b.center - a.center
-    d = float(np.linalg.norm(axis))
-    ra, rb = a.radius, b.radius
-    if d >= ra + rb:
-        return np.empty((0, n))
-    e = axis / d if d > 0.0 else np.eye(n)[0]
-    x_c = (d * d + ra * ra - rb * rb) / (2.0 * d) if d > 0.0 else 0.0
-    half = math.sqrt(ra * ra - x_c * x_c) if 0.0 < x_c < d else min(ra, rb)
-    x_lo, x_hi = max(-ra, d - rb), min(ra, d + rb)
-    perp = np.linalg.svd(e[None, :])[2][1:]      # orthonormal complement of e
-    out, need = [], count
-    for _ in range(LENS_MAX_ROUNDS):
-        m = need * 8 // 5 + 1
-        xs = rng.uniform(x_lo, x_hi, size=m)
-        ys = rng.uniform(-half, half, size=(m, n - 1))
-        z = a.center + xs[:, None] * e + ys @ perp
-        z = z[a.contains_batch(z) & b.contains_batch(z)][:need]
-        out.append(z)
-        need -= z.shape[0]
-        if need == 0:
-            return np.concatenate(out)
-    raise GeometryError(f"lens sampler drew only {count - need} of {count} points "
-                        f"in {LENS_MAX_ROUNDS} rejection rounds")
+def _three_balls_meet(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Mask of the (m, 3, n) centre triples with (m, 3) radii whose open balls
+    share a point.  Projecting onto a plane through the centres (1-D ones get
+    a zero coordinate) moves no point farther from them, so the balls meet
+    iff the discs there do, and then the discs have a lowest point: a disc's
+    bottom or one of the six crossings of two circles.  These nine candidates
+    are built for radii shrunk by OVERLAP_MARGIN; one that lies in all three
+    discs shrunk by half that is a common point whatever rounding did."""
+    m, n = centers.shape[0], centers.shape[2]
+    spans = np.pad(np.swapaxes(centers[:, 1:] - centers[:, :1], 1, 2),
+                   ((0, 0), (0, max(2 - n, 0)), (0, 0)))                 # (m, n, 2)
+    P = np.concatenate([np.zeros((m, 1, 2)),
+                        np.swapaxes(np.linalg.qr(spans, mode="r"), 1, 2)], axis=1)
+    r = radii * (1.0 - OVERLAP_MARGIN)
+    k, l = np.array([0, 0, 1]), np.array([1, 2, 2])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.linalg.norm(P[:, l] - P[:, k], axis=2)
+        e = (P[:, l] - P[:, k]) / d[..., None]
+        along = (d * d + r[:, k] ** 2 - r[:, l] ** 2) / (2.0 * d)
+        across = np.sqrt(r[:, k] ** 2 - along ** 2)     # NaN: the circles do not cross
+        foot = P[:, k] + along[..., None] * e
+        turn = across[..., None] * np.stack([-e[..., 1], e[..., 0]], axis=2)
+        cand = np.concatenate([P - r[..., None] * np.array([0.0, 1.0]),
+                               foot + turn, foot - turn], axis=1)      # (m, 9, 2)
+        gap = np.sum((cand[:, :, None] - P[:, None]) ** 2, axis=3)
+        inside = gap < (radii * (1.0 - OVERLAP_MARGIN / 2.0))[:, None] ** 2
+    return np.any(np.all(inside, axis=2), axis=1)
 
 
-def check_ball_interactions_disjoint(body: ConvexBody, supports: list[Ball],
-                                     samples: int, seed: int) -> None:
+def check_ball_interactions_disjoint(body: ConvexBody, supports: list[Ball]) -> None:
     """Raise GeometryError unless the interaction regions
-    D_i = body cap (supp_i - body) are pairwise disjoint on `samples` exact
-    draws from each D_i.
-
-    For a ball body B(c, rho) and a support B(s, R), supp - body is the ball
-    B(s - c, R + rho), so each D_i is a two-ball lens and membership in D_j
-    is exact.  Only the supports whose reach ball comes within its radius
-    (times 1 + 1e-9, against rounding) of the bounding box of D_i's draws can
-    hold one of them, so the exact test runs on those candidates alone.
-    """
+    D_i = body cap (supp_i - body) are pairwise disjoint, naming the first
+    pair i < j that meets.  For a ball body B(c, rho) and a support B(s, R),
+    supp - body is the ball B(s - c, R + rho), so D_i cap D_j is the common
+    part of three balls, which _three_balls_meet decides for all pairs."""
     if not isinstance(body, Ball):
         raise GeometryError("interaction regions are computed for ball bodies only")
-    reaches = [Ball(s.center - body.center, s.radius + body.radius) for s in supports]
-    centers = np.array([r.center for r in reaches])
-    radii = np.array([r.radius for r in reaches])
-    rng = np.random.default_rng(seed)
-    for i, reach in enumerate(reaches):
-        pts = sample_ball_lens(body, reach, samples, rng)
-        if pts.shape[0] == 0:
-            continue
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
-        gap = np.linalg.norm(np.maximum(lo - centers, 0.0) + np.maximum(centers - hi, 0.0),
-                             axis=1)
-        near = gap < radii * (1.0 + 1e-9)
-        near[i] = False
-        cand = np.flatnonzero(near)
-        hit = np.linalg.norm(pts[:, None, :] - centers[None, cand, :], axis=2) < radii[cand]
-        if np.any(hit):
-            k = int(np.argmax(hit.any(axis=0)))
-            raise GeometryError(
-                f"interaction regions {i} and {int(cand[k])} overlap "
-                f"({int(np.count_nonzero(hit[:, k]))} of {samples} sampled points)")
+    centers = np.array([body.center] + [s.center - body.center for s in supports])
+    radii = np.array([body.radius] + [s.radius + body.radius for s in supports])
+    i, j = np.triu_indices(len(supports), 1)
+    triples = np.stack([np.zeros_like(i), i + 1, j + 1], axis=1)
+    meet = np.flatnonzero(_three_balls_meet(centers[triples], radii[triples]))
+    if meet.size:
+        raise GeometryError(f"interaction regions {i[meet[0]]} and {j[meet[0]]} overlap")
 
 
 # ---------------------------------------------------------------------------

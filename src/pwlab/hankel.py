@@ -247,11 +247,10 @@ class OrthoCheck:
     block_sizes: list
 
 
-def check_disjoint_interactions(body: ConvexBody, supports: list[Ball],
-                                samples_per_pair: int = 10_000, seed: int = 0) -> None:
+def check_disjoint_interactions(body: ConvexBody, supports: list[Ball]) -> None:
     """Raise unless the regions D = Omega cap (supp - Omega) of a ball body
-    Omega are pairwise disjoint on sampled points; non-ball bodies raise."""
-    check_ball_interactions_disjoint(body, supports, samples_per_pair, seed)
+    Omega are pairwise disjoint, decided exactly; non-ball bodies raise."""
+    check_ball_interactions_disjoint(body, supports)
 
 
 def orthogonal_sum_check(body: ConvexBody, symbols: list, supports: list[Ball],
@@ -263,9 +262,10 @@ def orthogonal_sum_check(body: ConvexBody, symbols: list, supports: list[Ball],
     B(s, R) is exactly the node set within R + rho of s - c.  All operators
     are assembled on the same node cloud, restricted per symbol to its
     interaction region; entries below SV_FLOOR_REL * sigma_max are ignored
-    in the comparison.
+    in the comparison.  seed is read by nothing, since the disjointness
+    test draws no points; it stays for callers that still pass it.
     """
-    check_disjoint_interactions(body, supports, seed=seed)
+    check_disjoint_interactions(body, supports)
     nodes, _ = grid_nodes_inside(body, spacing)
     block_masks = [np.linalg.norm(nodes - (supp.center - body.center), axis=1)
                    < body.radius + supp.radius for supp in supports]

@@ -277,12 +277,10 @@ def denominator_term(family: BumpFamily, p: float) -> float:
     return inner ** (p / pc)
 
 
-def check_interaction_disjointness(family: BumpFamily, samples_per_pair: int = 10_000,
-                                   seed: int = 0) -> None:
-    """Sample each D_i = Omega cap (supp_i - Omega) on the unit disc and
-    verify no point lands in any other D_j; membership is exact."""
-    check_ball_interactions_disjoint(Ball(np.zeros(2), 1.0), family.supports(),
-                                     samples_per_pair, seed)
+def check_interaction_disjointness(family: BumpFamily) -> None:
+    """Raise unless the regions D_i = Omega cap (supp_i - Omega) on the unit
+    disc are pairwise disjoint, by the exact three-ball test of geometry."""
+    check_ball_interactions_disjoint(Ball(np.zeros(2), 1.0), family.supports())
 
 
 @dataclass
@@ -315,7 +313,7 @@ def eq5_ratio(config: NehariConfig, eps: float, check_disjointness: bool = True)
     family = build_bumps(y, eps, cal.containment_c, cal.bump_c1)
     N = family.count
     if check_disjointness:
-        check_interaction_disjointness(family, seed=config.seed)
+        check_interaction_disjointness(family)
     numerator = N * family.support_radius ** 2 * reference_bump_power_integral(2)
     psi_l1, tail = modulated_sum_l1(family, seed=config.seed)
     if tail > MAX_TAIL_FRACTION * psi_l1:
@@ -386,8 +384,7 @@ def orthogonality_spot_check(config: NehariConfig, eps: float) -> hankel.OrthoCh
     # interaction lenses sit inside B(y_i, eps); size the grid from their area
     lens_area = 2.0 * math.pi * eps * eps
     spacing = min(math.sqrt(lens_area / ORTHO_NODES), family.r / 3.0)
-    return hankel.orthogonal_sum_check(body, symbols, supports, spacing,
-                                       seed=config.seed)
+    return hankel.orthogonal_sum_check(body, symbols, supports, spacing)
 
 
 def sweep_and_fit(config: NehariConfig, check_disjointness: bool = True,

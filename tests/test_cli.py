@@ -42,12 +42,21 @@ class TestDispatch:
     @pytest.mark.parametrize("argv", [
         ["omega", "--body", "triangle", "--point", "0.6,0.6", "--mode", "mc", "--samples", "-5"],
         ["omega", "--body", "triangle", "--point", "0.6,0.6", "--mode", "mc", "--samples", "0"],
-        ["sublevel", "--body", "triangle", "--samples", "0"]])
+        ["sublevel", "--body", "triangle", "--samples", "0"],
+        ["calibrate", "--samples", "0"],
+        ["calibrate", "--samples", "-5"]])
     def test_sample_count_below_one_is_failure(self, capsys, argv):
         assert run(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(r"error: .*at least 1 sample\n", captured.err)
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trial_count_below_one_is_failure(self, capsys, trials):
+        assert run(["hardy", "--family", "halfline_product", "--trials", trials]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --trials must be at least 1, got {trials}\n"
 
     def test_unknown_command_usage_error(self, capsys):
         assert run(["frobnicate"]) == 2

@@ -1,14 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
-from pwlab import geometry
+from pwlab import geometry, hankel
 from pwlab.geometry import (
     Ball,
-    LENS_MAX_ROUNDS,
     GeometryError,
     HPolytope,
     Product,
@@ -22,7 +23,6 @@ from pwlab.geometry import (
     disc_containment_check,
     polar_dual,
     pyramid_ball_check,
-    sample_ball_lens,
     solve_certificate,
     to_hpolytope,
     unit_box,
@@ -364,6 +364,16 @@ class TestChebyshevBall:
         _, r = chebyshev_ball(box([0, 0], [eps, 1.0]))
         assert abs(r - eps / 2) < 1e-12
 
+    def test_scaled_box(self):
+        # the empty-interior bound is relative to the body
+        c, r = chebyshev_ball(box([0, 0], [1e-12, 1e-12]))
+        assert np.allclose(c / 1e-12, 0.5, rtol=1e-9, atol=0)
+        assert abs(r / 1e-12 - 0.5) < 1e-9
+
+    def test_flat_box_rejected(self):
+        with pytest.raises(GeometryError, match="empty interior"):
+            chebyshev_ball(box([0, 0], [1.0, 0.0]))
+
     def test_ball_inside_body(self, right_triangle):
         c, r = chebyshev_ball(right_triangle)
         dists = (right_triangle.offsets - right_triangle.normals @ c) \
@@ -402,6 +412,11 @@ class TestDiscContainment:
         # doubling crosses the lens-corner threshold 1/(4 + eps^2)
         C = DEFAULT_CALIBRATION.containment_c * 2
         assert disc_containment_check(C, 0.1, 10 ** 6, seed=5) > 0
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_sample_count_below_one_rejected(self, samples):
+        with pytest.raises(GeometryError, match="at least 1 sample"):
+            disc_containment_check(DEFAULT_CALIBRATION.containment_c, 0.1, samples, seed=5)
 
     def test_rejection_rounds_capped(self, monkeypatch):
         # 10^6 samples take two rounds of at most 10^6 draws each
@@ -500,29 +515,79 @@ def thin_boundary_lens():
     return Ball([0.0, 0.0], 1.0), Ball(s.center, s.radius + 1.0)
 
 
-class CountingRng:
-    """A generator that records the leading size of every uniform draw; the
-    lens sampler draws the axial and the transverse coordinates of each
-    round's candidates in two such calls."""
-
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-        self.sizes = []
-
-    def uniform(self, lo, hi, size):
-        self.sizes.append(int(np.atleast_1d(size)[0]))
-        return self.rng.uniform(lo, hi, size=size)
-
-    @property
-    def rounds(self):
-        return len(self.sizes) // 2
-
-    @property
-    def candidates(self):
-        return sum(self.sizes[::2])
-
-
 LENS_3D = (Ball([0.0, 0.0, 0.2], 1.0), Ball([0.9, -0.6, 0.7], 0.8))
+
+
+def lens_support(a, b):
+    """A body and the support whose interaction region is the lens a cap b:
+    the smaller ball is the body and the larger its reach."""
+    body, reach = sorted((a, b), key=lambda ball: ball.radius)
+    return body, Ball(reach.center + body.center, reach.radius - body.radius)
+
+
+def reaches(body, supports):
+    return [Ball(s.center - body.center, s.radius + body.radius) for s in supports]
+
+
+def lens_draws(body, reach, count, rng):
+    """count draws of the lens body cap reach, none if it is empty."""
+    if np.linalg.norm(reach.center - body.center) >= reach.radius + body.radius:
+        return np.empty((0, body.dim))
+    return rejection_lens(body, reach, count, rng)
+
+
+def sampled_overlap(body, supports, count, rng):
+    """Monte Carlo reference: the first pair i < j for which some of count
+    draws of D_i or of D_j lands in the other region, or None.  Draws only
+    show an overlap that exists; a thin one they can miss."""
+    reach = reaches(body, supports)
+    draws = [lens_draws(body, r, count, rng) for r in reach]
+    for i, j in itertools.combinations(range(len(supports)), 2):
+        if reach[j].contains_batch(draws[i]).any() or reach[i].contains_batch(draws[j]).any():
+            return f"interaction regions {i} and {j} overlap"
+    return None
+
+
+def common_point(balls, pts):
+    """A point inside every ball, or None: a local search from the draw that
+    comes nearest to one, which finds overlaps too thin for the draws."""
+    if pts.shape[0] == 0:
+        return None
+
+    def excess(x):
+        return max(np.linalg.norm(x - b.center) / b.radius - 1.0 for b in balls)
+
+    x = optimize.minimize(excess, min(pts, key=excess), method="Nelder-Mead",
+                          options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 4000}).x
+    return x if all(b.contains(x) for b in balls) else None
+
+
+def region_draws(body, supports, count, rng):
+    """The three balls whose common part is D_0 cap D_1, and count draws of
+    each of the two lenses."""
+    balls = [body] + reaches(body, supports)
+    return balls, np.vstack([lens_draws(body, r, count, rng) for r in balls[1:]])
+
+
+def exact_outcome(body, supports):
+    try:
+        check_ball_interactions_disjoint(body, supports)
+    except GeometryError as err:
+        return str(err)
+    return None
+
+
+def random_configuration(rng, n):
+    """A ball body and two supports whose regions are lenses at least 5 %
+    of the largest depth 2 rho + R deep, in random directions."""
+    body = Ball(rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 1.5))
+    supports = []
+    for _ in range(2):
+        u = rng.normal(size=n)
+        R = rng.uniform(0.05, 1.0)
+        t = rng.uniform(0.6, 0.95) * (2.0 * body.radius + R)
+        supports.append(Ball(2.0 * body.center + t * u / np.linalg.norm(u), R))
+    return body, supports
 
 
 class TestBallLens:
@@ -533,87 +598,116 @@ class TestBallLens:
         LENS_3D,
     ], ids=["thin-boundary", "contains-centre", "3d"])
     def test_matches_plain_rejection(self, a, b):
-        count = 20_000
-        lens = sample_ball_lens(a, b, count, np.random.default_rng(31))
-        ref = rejection_lens(a, b, count, np.random.default_rng(32))
-        assert lens.shape == (count, a.dim)
-        assert np.all(a.contains_batch(lens) & b.contains_batch(lens))
-        mid = 0.5 * (ref.min(axis=0) + ref.max(axis=0))
-        for stat in (lambda z: z, lambda z: (z - mid) ** 2):
-            u, v = stat(lens), stat(ref)
-            se = np.sqrt(u.var(axis=0) / count + v.var(axis=0) / count)
-            assert np.all(np.abs(u.mean(axis=0) - v.mean(axis=0)) <= 3.0 * se)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_thin_lens_takes_one_round(self, seed):
-        a, b = thin_boundary_lens()
-        rng = CountingRng(seed)
-        assert sample_ball_lens(a, b, 10_000, rng).shape == (10_000, 2)
-        assert rng.rounds == 1
-        assert rng.candidates <= 2 * 10_000
-
-    def test_3d_lens_fills_its_count_within_the_cap(self):
-        rng = CountingRng(31)
-        assert sample_ball_lens(*LENS_3D, 20_000, rng).shape == (20_000, 3)
-        assert rng.rounds < LENS_MAX_ROUNDS
-
-    def test_empty_lens_gives_no_points(self):
-        pts = sample_ball_lens(Ball([0.0, 0.0], 1.0), Ball([3.1, 0.0], 2.1), 100,
-                               np.random.default_rng(0))
-        assert pts.shape == (0, 2)
-
-    def test_rejection_rounds_capped(self):
-        class EdgeOnly:
-            # every draw lands on the lens's far face, outside the open balls
-            def uniform(self, lo, hi, size):
-                return np.full(size, hi, dtype=float)
-
-        with pytest.raises(GeometryError, match="rejection rounds"):
-            sample_ball_lens(Ball([0.0, 0.0], 1.0), Ball([1.5, 0.0], 1.0), 10, EdgeOnly())
+        # probe balls through points of the lens, or just clear of them
+        body, support = lens_support(a, b)
+        rng = np.random.default_rng(31)
+        pts = rejection_lens(a, b, 2000, rng)
+        size = np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))
+        outcomes = []
+        for x in pts[:60]:
+            u = rng.normal(size=body.dim)
+            radius = body.radius + rng.uniform(0.01, 0.5) * size
+            probe = Ball(x + (radius + rng.uniform(-0.3, 0.3) * size) * u / np.linalg.norm(u),
+                         radius)
+            supports = [support, Ball(probe.center + body.center, radius - body.radius)]
+            overlap = exact_outcome(body, supports) is not None
+            if overlap and not probe.contains_batch(pts).any():
+                # an overlap the draws missed needs a common point
+                assert common_point([a, b, probe], pts) is not None
+            else:
+                assert overlap == probe.contains_batch(pts).any()
+            outcomes.append(overlap)
+        assert 0 < sum(outcomes) < len(outcomes)
 
     def test_disjoint_and_overlapping_regions(self):
         body = Ball([0.0, 0.0], 1.0)
         apart = [Ball([1.8, 0.0], 0.1), Ball([-1.8, 0.0], 0.1)]
-        check_ball_interactions_disjoint(body, apart, 1000, seed=0)
+        check_ball_interactions_disjoint(body, apart)
         with pytest.raises(GeometryError, match="overlap"):
-            check_ball_interactions_disjoint(body, [apart[0], apart[0]], 1000, seed=0)
+            check_ball_interactions_disjoint(body, [apart[0], apart[0]])
+
+    def test_empty_lens_gives_no_points(self):
+        # B((3.1, 0), 2.1) touches the disc at (1, 0) from outside, so its
+        # region is empty, though the second region reaches that point
+        supports = [Ball([3.1, 0.0], 1.1), Ball([1.8, 0.0], 0.1)]
+        assert exact_outcome(Ball([0.0, 0.0], 1.0), supports) is None
 
     def test_non_ball_body_rejected(self):
         with pytest.raises(GeometryError, match="ball bodies"):
-            check_ball_interactions_disjoint(unit_box(2), [Ball([1.8, 0.0], 0.1)], 10, seed=0)
+            check_ball_interactions_disjoint(unit_box(2), [Ball([1.8, 0.0], 0.1)])
 
 
-def all_pairs_disjoint(body, supports, samples, seed):
-    """Reference check: every draw of each lens against every other reach ball."""
-    reaches = [Ball(s.center - body.center, s.radius + body.radius) for s in supports]
-    centers = np.array([r.center for r in reaches])
-    radii = np.array([r.radius for r in reaches])
-    rng = np.random.default_rng(seed)
-    for i, reach in enumerate(reaches):
-        pts = sample_ball_lens(body, reach, samples, rng)
-        hit = np.linalg.norm(pts[:, None, :] - centers[None, :, :], axis=2) < radii
-        hit[:, i] = False
-        if np.any(hit):
-            j = int(np.argmax(hit.any(axis=0)))
-            raise GeometryError(
-                f"interaction regions {i} and {j} overlap "
-                f"({int(np.count_nonzero(hit[:, j]))} of {samples} sampled points)")
+class TestExactDisjointness:
+    def test_random_configurations_match_sampling(self):
+        rng = np.random.default_rng(2024)
+        verdicts = []
+        for trial in range(1200):
+            body, supports = random_configuration(rng, trial % 3 + 1)
+            msg = exact_outcome(body, supports)
+            ref = sampled_overlap(body, supports, 1000, rng)
+            if msg is not None and ref is None:
+                # an overlap the draws missed needs a common point
+                assert common_point(*region_draws(body, supports, 1000, rng)) is not None
+            else:
+                assert msg == ref
+            verdicts.append(msg is None)
+        assert 300 < sum(verdicts) < 900
 
+    def test_sliver_overlap_missed_by_sampling(self):
+        # two regions on the unit disc whose reach balls meet just inside
+        # the circle: they share a sliver some 8e-6 deep, a 1e-7 part of each
+        disc = Ball([0.0, 0.0], 1.0)
+        theta = 1.14086
+        supports = [Ball([1.8, 0.0], 0.1),
+                    Ball([1.8 * math.cos(theta), 1.8 * math.sin(theta)], 0.1)]
+        assert sampled_overlap(disc, supports, 10_000, np.random.default_rng(0)) is None
+        assert common_point(*region_draws(disc, supports, 10_000,
+                                          np.random.default_rng(0))) is not None
+        with pytest.raises(GeometryError, match="interaction regions 0 and 1 overlap"):
+            hankel.check_disjoint_interactions(disc, supports)
 
-def disjointness_outcome(check, supports, samples):
-    try:
-        check(Ball([0.0, 0.0], 1.0), supports, samples, 0)
-    except GeometryError as err:
-        return str(err)
-    return None
+    @pytest.mark.parametrize("body, supports", [
+        # 1-D: D_0 = (0, 1) and D_1 = (-1, 0) meet at 0 only
+        (Ball([0.0], 1.0), [Ball([1.5], 0.5), Ball([-1.5], 0.5)]),
+        # reach balls tangent at (0.8, 0), inside the disc
+        (Ball([0.0, 0.0], 1.0), [Ball([0.8, 1.2], 0.2), Ball([0.8, -1.2], 0.2)]),
+        # reach balls whose lens touches the disc at (1, 0) from outside
+        (Ball([0.0, 0.0], 1.0), [Ball([2.2, 0.5], 0.3), Ball([2.2, -0.5], 0.3)]),
+        # reach balls tangent at (0.6, 0.1, 0.1), inside a ball in space
+        (Ball([0.1, -0.2, 0.3], 1.0),
+         [Ball([0.7, 0.62, 1.36], 0.2), Ball([0.7, -0.82, -0.56], 0.2)]),
+    ], ids=["1d", "tangent-inside", "tangent-at-boundary", "3d"])
+    def test_tangent_regions_pass(self, body, supports):
+        assert exact_outcome(body, supports) is None
+        # pulled together by 1e-6 of their radii, they overlap
+        reach = reaches(body, supports)
+        mid = 0.5 * (reach[0].center + reach[1].center)
+        closer = [Ball(mid + (r.center - mid) * (1.0 - 1e-6) + body.center, s.radius)
+                  for r, s in zip(reach, supports)]
+        assert exact_outcome(body, closer) == "interaction regions 0 and 1 overlap"
+
+    @pytest.mark.parametrize("body, supports", [
+        (Ball([0.0], 1.0), [Ball([0.2], 0.5), Ball([-0.1], 0.3)]),
+        (Ball([0.0, 0.0], 1.0), [Ball([0.1, -0.2], 0.5), Ball([-0.2, 0.1], 0.4)]),
+        (Ball([0.1, 0.2, 0.3], 1.0), [Ball([0.3, 0.3, 0.6], 0.4), Ball([0.2, 0.5, 0.4], 0.3)]),
+    ], ids=["1d", "2d", "3d"])
+    def test_regions_filling_the_body_raise(self, body, supports):
+        # both reach balls hold the whole body, so both regions are the body
+        # and no two of the three circles cross inside it
+        assert exact_outcome(body, supports) == "interaction regions 0 and 1 overlap"
+
+    @pytest.mark.parametrize("support", [
+        Ball([1.5], 0.5), Ball([1.8, 0.3], 0.1), Ball([0.5, 1.2, -1.0], 0.4)])
+    def test_identical_supports_raise(self, support):
+        body = Ball(np.zeros(support.dim), 1.0)
+        assert exact_outcome(body, [support, support]) == "interaction regions 0 and 1 overlap"
 
 
 class TestPrunedDisjointness:
     # on the unit disc: FAR sits opposite the others, WIDE's lens covers most
     # of the disc, TINY's is a sliver at (1, 0) inside WIDE's and NEAR's,
-    # and TURNED's lens overlaps NEAR's; TINY is thin enough that WIDE's 200
-    # draws miss it whatever the stream (at radius 0.005 some 15 % of seeds
-    # hit it)
+    # and TURNED's lens overlaps NEAR's; the first pair i < j that overlaps
+    # is named
     FAR = Ball([-1.8, 0.0], 0.1)
     WIDE = Ball([0.5, 0.0], 0.1)
     TINY = Ball([1.999, 0.0], 0.0005)
@@ -621,30 +715,33 @@ class TestPrunedDisjointness:
     TURNED = Ball([1.8 * math.cos(0.5), 1.8 * math.sin(0.5)], 0.1)
 
     @pytest.mark.parametrize("supports, samples, pair", [
-        ([FAR, WIDE, TINY], 200, "2 and 1"),
+        ([FAR, WIDE, TINY], 200, "1 and 2"),
         ([FAR, NEAR, TURNED, TINY], 1000, "1 and 2"),
         ([NEAR, FAR, TURNED], 1000, "0 and 2"),
     ], ids=["j-below-i", "j-above-i-two-candidates", "j-above-i-skipping-one"])
     def test_overlap_message_matches_all_pairs(self, supports, samples, pair):
-        msg = disjointness_outcome(check_ball_interactions_disjoint, supports, samples)
-        assert msg == disjointness_outcome(all_pairs_disjoint, supports, samples)
-        assert msg.startswith(f"interaction regions {pair} overlap")
+        disc = Ball([0.0, 0.0], 1.0)
+        msg = exact_outcome(disc, supports)
+        assert msg == sampled_overlap(disc, supports, samples, np.random.default_rng(0))
+        assert msg == f"interaction regions {pair} overlap"
 
     def test_ball_touching_draw_box_without_hits(self):
-        # a reach ball of radius 1.1 over the outer corner of NEAR's draw box
+        # a reach ball of radius 1.1 over the outer corner of the box of
+        # NEAR's lens draws that misses the lens
+        disc = Ball([0.0, 0.0], 1.0)
         touch = Ball([1.0 + 1.05 / math.sqrt(2), 0.54 + 1.05 / math.sqrt(2)], 0.1)
-        pts = sample_ball_lens(Ball([0.0, 0.0], 1.0), Ball(self.NEAR.center, 1.1), 1000,
-                               np.random.default_rng(0))
+        pts = rejection_lens(disc, Ball(self.NEAR.center, 1.1), 1000, np.random.default_rng(0))
         lo, hi = pts.min(axis=0), pts.max(axis=0)
         gap = np.linalg.norm(np.maximum(lo - touch.center, 0.0)
                              + np.maximum(touch.center - hi, 0.0))
         assert gap < 1.1 <= np.linalg.norm(pts - touch.center, axis=1).min()
         supports = [self.NEAR, touch]
-        assert disjointness_outcome(check_ball_interactions_disjoint, supports, 1000) is None
-        assert disjointness_outcome(all_pairs_disjoint, supports, 1000) is None
+        assert exact_outcome(disc, supports) is None
+        assert sampled_overlap(disc, supports, 1000, np.random.default_rng(0)) is None
 
     def test_empty_lens_passes(self):
         # B(0,1) cap B((3,0), 1.1) is empty
+        disc = Ball([0.0, 0.0], 1.0)
         supports = [Ball([3.0, 0.0], 0.1), self.NEAR, self.FAR]
-        assert disjointness_outcome(check_ball_interactions_disjoint, supports, 1000) is None
-        assert disjointness_outcome(all_pairs_disjoint, supports, 1000) is None
+        assert exact_outcome(disc, supports) is None
+        assert sampled_overlap(disc, supports, 1000, np.random.default_rng(0)) is None

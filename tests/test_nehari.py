@@ -75,7 +75,11 @@ class TestBumpFamily:
 
     def test_interaction_regions_disjoint(self):
         fam = self.build(eps=0.3)
-        check_interaction_disjointness(fam, samples_per_pair=2000, seed=0)
+        check_interaction_disjointness(fam)
+
+    @pytest.mark.parametrize("eps", NehariConfig(p=6.0).epsilons)
+    def test_default_sweep_families_disjoint(self, eps):
+        check_interaction_disjointness(self.build(eps=eps))
 
     def test_overlapping_interactions_detected(self):
         # two copies of the same boundary point give identical D regions

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -163,3 +164,52 @@ def test_calls_match_signatures(path):
     if path.parent == SRC:
         module = "pwlab" if path.name == "__init__.py" else f"pwlab.{path.stem}"
     assert unbindable_calls(path.read_text(), module) == []
+
+
+# Parameters a function keeps without reading them, each with its reason.
+UNREAD_PARAMETERS = {
+    # run_suite calls every criterion alike; some have no cheaper budget
+    "checks.criterion_NN(fast)",
+    # abstract: each body variant implements it
+    "geometry.ConvexBody.contains_batch(pts)",
+    # the disjointness test draws no points; callers may still pass a seed
+    "hankel.orthogonal_sum_check(seed)",
+}
+
+
+def unread_parameters(source: str, module: str) -> list[str]:
+    """'module.Qualified.name(param)' for each parameter of a function that
+    its body never reads; self and cls are not counted, and numbered
+    criterion_NN functions share one name."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+                params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+                read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                name = re.sub(r"^criterion_\d+$", "criterion_NN", child.name)
+                out.extend(f"{module}.{prefix}{name}({p})" for p in params
+                           if p not in read and p not in ("self", "cls"))
+                visit(child, f"{prefix}{child.name}.")
+
+    visit(ast.parse(source), "")
+    return out
+
+
+def test_unread_scan_finds_a_dropped_parameter():
+    source = ("class A:\n    def f(self, x, y):\n        return x\n\n"
+              "def criterion_07(fast):\n    return 1\n\n"
+              "def g(z, *rest, **kw):\n    h = lambda: z\n    return h, kw\n")
+    assert unread_parameters(source, "m") == ["m.A.f(y)", "m.criterion_NN(fast)", "m.g(rest)"]
+
+
+def test_every_parameter_is_read():
+    found = {entry for module in MODULES
+             for entry in unread_parameters((SRC / module).read_text(), module[:-3])}
+    assert found == UNREAD_PARAMETERS
