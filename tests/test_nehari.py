@@ -3,10 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from pwlab import nehari
 from pwlab.calibration import DEFAULT_CALIBRATION
-from pwlab.fourier import ConvergenceError, GridFunction, GridSpec, synthesize_l1
+from pwlab.fourier import (
+    L1_REL_TOL,
+    ConvergenceError,
+    GridFunction,
+    GridSpec,
+    _l1_by_doubling,
+    synthesize_l1,
+)
 from pwlab.geometry import Ball, GeometryError
 from pwlab.nehari import (
+    ENVELOPE_CELLS,
+    ENVELOPE_DOUBLINGS,
+    ENVELOPE_HALFWIDTH,
+    ENVELOPE_SAMPLES,
     BumpFamily,
     NehariConfig,
     _envelope_at,
@@ -174,6 +186,79 @@ class TestTwoScaleIntegral:
         b = modulated_sum_l1(fam, seed=5)
         assert a == b
 
+    @pytest.mark.parametrize("eps", [0.4, 0.05])
+    def test_counts_cover_every_cell(self, monkeypatch, eps):
+        fam = build_bumps(pack_boundary_disc(eps), eps, CAL.containment_c, CAL.bump_c1)
+        first, shell = recorded_counts(monkeypatch, fam, seed=1)
+        assert first.size == ENVELOPE_CELLS ** 2
+        assert shell.size == ENVELOPE_CELLS ** 2 - (ENVELOPE_CELLS // 2) ** 2
+        assert first.min() >= 1 and shell.min() >= 1
+        assert abs(first.mean() - ENVELOPE_SAMPLES) < 1.0
+        # the shell's envelope is small, so it gets few samples a cell
+        assert shell.mean() < 0.25 * first.mean()
+
+    def test_counts_independent_of_seed_and_which(self, monkeypatch):
+        fam = build_bumps(pack_boundary_disc(0.1), 0.1, CAL.containment_c, CAL.bump_c1)
+        ref = recorded_counts(monkeypatch, fam, seed=1)
+        for kwargs in ({"seed": 2}, {"seed": 1, "which": np.array([0])},
+                       {"seed": 3, "which": np.arange(5)}):
+            got = recorded_counts(monkeypatch, fam, **kwargs)
+            assert len(got) == len(ref)
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+    @pytest.mark.parametrize("eps", [0.4, 0.05])
+    def test_mean_agrees_with_uniform_oracle(self, eps):
+        fam = build_bumps(pack_boundary_disc(eps), eps, CAL.containment_c, CAL.bump_c1)
+        new = np.array([modulated_sum_l1(fam, seed=s)[0] for s in range(1, 9)])
+        old = np.array([uniform_l1_oracle(fam, s) for s in range(101, 109)])
+        se = math.sqrt(new.var(ddof=1) / new.size + old.var(ddof=1) / old.size)
+        assert abs(new.mean() - old.mean()) <= 3.0 * se
+
+
+def recorded_counts(monkeypatch, family, **kwargs) -> list[np.ndarray]:
+    """The per-cell sample counts of each box of one modulated_sum_l1 call."""
+    seen = []
+    real = nehari._stratum_counts
+
+    def spy(*args):
+        counts, scale = real(*args)
+        seen.append(counts)
+        return counts, scale
+
+    monkeypatch.setattr(nehari, "_stratum_counts", spy)
+    modulated_sum_l1(family, **kwargs)
+    monkeypatch.undo()
+    return seen
+
+
+def uniform_l1_oracle(family, seed):
+    """The two-scale L1 integral with 32 uniform samples in every cell of
+    each box, whatever the envelope there: the stratified estimator that
+    the envelope allocation replaced."""
+    R = family.support_radius
+    spacing_u = (family.offsets_axes[0][1] - family.offsets_axes[0][0]) / R
+    rng = np.random.default_rng(seed)
+    boxes = []
+
+    def box_total(U):
+        T = U / R
+        edges = np.linspace(-T, T, ENVELOPE_CELLS + 1)
+        w = edges[1] - edges[0]
+        base = np.stack(np.meshgrid(edges[:-1], edges[:-1], indexing="ij"), axis=-1)
+        base = base.reshape(-1, 2)
+        if boxes:
+            inner = np.all((base >= -T / 2 - 1e-12 * T) & (base + w <= T / 2 + 1e-12 * T),
+                           axis=1)
+            base = base[~inner]
+        pts = (np.repeat(base, 32, axis=0)
+               + rng.uniform(0.0, w, size=(base.shape[0] * 32, 2)))
+        vals = np.abs(_envelope_at(pts, family) * _phase_sum_at(pts, family.freq_centers))
+        boxes.append(vals.mean() * base.shape[0] * w * w)
+        return sum(boxes)
+
+    return _l1_by_doubling(box_total, ENVELOPE_HALFWIDTH, 0.5 / spacing_u,
+                           ENVELOPE_DOUBLINGS)[0]
+
 
 class TestRatioRow:
     def test_row_properties(self):
@@ -230,6 +315,14 @@ class TestSweep:
             sweep_and_fit(NehariConfig(p=6.0, epsilons=(0.4, 0.3, 0.2)),
                           check_disjointness=False)
 
+    @pytest.mark.parametrize("eps", [(0.4, 0.4, 0.4, 0.4), (0.4, 0.39, 0.38, 0.37)])
+    def test_too_few_distinct_n_raises_before_any_row(self, monkeypatch, eps):
+        computed = []
+        monkeypatch.setattr(nehari, "eq5_ratio", lambda *a, **k: computed.append(a))
+        with pytest.raises(GeometryError, match="at least 4 distinct N"):
+            sweep_and_fit(NehariConfig(p=6.0, epsilons=eps))
+        assert computed == []
+
     def test_short_sweep_slopes(self):
         eps = (0.4, 0.3, 0.2, 0.15)
         r6 = sweep_and_fit(NehariConfig(p=6.0, epsilons=eps), check_disjointness=False)
@@ -239,3 +332,32 @@ class TestSweep:
         doc = r6.as_dict()
         assert len(doc["rows"]) == 4
         assert "calibration" in doc
+
+
+SPREAD_SEEDS = range(1, 9)
+
+
+@pytest.fixture(scope="module")
+def default_sweeps():
+    """The default p = 6 sweep at each of seeds 1-8."""
+    return [sweep_and_fit(NehariConfig(p=6.0, seed=s)) for s in SPREAD_SEEDS]
+
+
+class TestSeedSpread:
+    def test_tail_below_doubling_tolerance(self, default_sweeps):
+        # the doubling loop returns only once the last shell is this small,
+        # so the row carries no separate tail budget
+        for report in default_sweeps:
+            for row in report.rows:
+                assert row.psi_l1_tail < L1_REL_TOL * row.psi_l1
+
+    @pytest.mark.parametrize("eps", [0.4, 0.1, 0.05])
+    def test_row_spread(self, default_sweeps, eps):
+        vals = np.array([row.psi_l1 for report in default_sweeps
+                         for row in report.rows if row.eps == eps])
+        assert vals.size == len(SPREAD_SEEDS)
+        assert vals.std(ddof=1) <= 0.012 * vals.mean()
+
+    def test_slope_spread(self, default_sweeps):
+        slopes = np.array([report.slope for report in default_sweeps])
+        assert slopes.std(ddof=1) <= 0.005

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import json
 import re
 from pathlib import Path
 
@@ -213,3 +214,62 @@ def test_every_parameter_is_read():
     found = {entry for module in MODULES
              for entry in unread_parameters((SRC / module).read_text(), module[:-3])}
     assert found == UNREAD_PARAMETERS
+
+
+PERFBENCH = ROOT / "perfbench"
+
+
+def counter_arguments(source: str) -> dict[str, set[str]]:
+    """For each "<function>.<count>" key of a COUNTERS dict, the names its
+    counter reads as args["name"], whether the counter is a lambda or a
+    module-level function."""
+    tree = ast.parse(source)
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "COUNTERS" for t in node.targets))
+    out = {}
+    for key, value in zip(table.keys, table.values):
+        counter = functions[value.id] if isinstance(value, ast.Name) else value
+        out[key.value] = {node.slice.value for node in ast.walk(counter)
+                          if isinstance(node, ast.Subscript)
+                          and isinstance(node.value, ast.Name) and node.value.id == "args"
+                          and isinstance(node.slice, ast.Constant)}
+    return out
+
+
+def test_counter_scan_finds_the_arguments():
+    source = ("def f(args, result):\n    w = args['which']\n    return args['family'].count\n\n"
+              "COUNTERS = {'m.g.n': f, 'm.h.k': lambda args, result: args['A'].shape[0]}\n")
+    assert counter_arguments(source) == {"m.g.n": {"which", "family"}, "m.h.k": {"A"}}
+
+
+def traced_function(name: str):
+    """The pwlab object a "module.func" or "module.Class.method" name of
+    perfbench/layers.json wraps, or None if it does not resolve."""
+    module_name, *path = name.split(".")
+    obj = importlib.import_module(f"pwlab.{module_name}")
+    for attr in path:
+        obj = getattr(obj, attr, None)
+    return obj
+
+
+def test_traced_functions_and_counter_arguments_resolve():
+    # a rename in src/pwlab that breaks the traced benchmark run fails here
+    layers = json.loads((PERFBENCH / "layers.json").read_text())["functions"]
+    counters = counter_arguments((PERFBENCH / "spans.py").read_text())
+    broken = []
+    for entry in layers:
+        fn = traced_function(entry["name"])
+        if not callable(fn):
+            broken.append(f"{entry['name']}: not a pwlab function")
+            continue
+        params = set(inspect.signature(fn).parameters)
+        for count in entry["counts"]:
+            key = f"{entry['name']}.{count}"
+            if key not in counters:
+                broken.append(f"{key}: no counter")
+                continue
+            broken += [f"{key}: reads {arg!r}, not a parameter"
+                       for arg in sorted(counters[key] - params)]
+    assert broken == []
+    assert {f"{e['name']}.{c}" for e in layers for c in e["counts"]} == set(counters)
