@@ -13,8 +13,7 @@ from pwlab.nehari import NehariConfig, sweep_and_fit
 
 for p in (6.0, 3.0, 2.0):
     cfg = NehariConfig(p=p)
-    rep = sweep_and_fit(cfg, check_disjointness=(p == 6.0),
-                        orthogonality_eps=0.4 if p == 6.0 else None)
+    rep = sweep_and_fit(cfg, orthogonality_eps=0.4 if p == 6.0 else None)
     print(f"=== p = {p} ===")
     print(f"  {'eps':>6} {'N':>4} {'ratio':>10} {'|psi|_1':>10} {'a_max/eps^3':>12}")
     for row in rep.rows:

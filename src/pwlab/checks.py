@@ -144,7 +144,7 @@ def criterion_07(fast: bool = False) -> CheckResult:
     # The full ladder even when fast: the slope signs need N = 7..62.
     t0 = time.monotonic()
     rep6 = nehari.sweep_and_fit(nehari.NehariConfig(p=6.0), orthogonality_eps=None)
-    rep3 = nehari.sweep_and_fit(nehari.NehariConfig(p=3.0), check_disjointness=False)
+    rep3 = nehari.sweep_and_fit(nehari.NehariConfig(p=3.0))
     elapsed = time.monotonic() - t0
     counts = [row.N for row in rep6.rows]
     return CheckResult(7, "counterexample ratio grows for p=6 and decays for p=3",

@@ -6,6 +6,11 @@ matrix built from two small tables, or a chirp z-transform when large); the
 spatial box for L1 norms grows by doublings until the captured mass settles.
 No windowing is needed because every frequency function used here vanishes
 inside its grid box.
+
+The chirp z-transform and the full linear convolution `fft_convolve` are
+written on `scipy.fft` with scipy.signal's own formulas: the numbers are
+scipy's, but `import pwlab` skips `scipy.signal` and the `scipy.stats` it
+loads, which were half of the package's start-up.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import czt
+from scipy.fft import fft, fftn, ifft, ifftn, irfftn, next_fast_len, rfftn
 
 from .geometry import AffineImage, Ball, ConvexBody, GeometryError
 
@@ -163,6 +168,27 @@ def scaled_ball_grid(center, radius: float, per_axis: int
 # synthesis and L1 norms
 # ---------------------------------------------------------------------------
 
+def fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two arrays with the same number of axes.
+
+    The path of scipy.signal.fftconvolve(a, b, mode="full"): on the axes where
+    both inputs are longer than one, pad to next_fast_len of the full size,
+    rfftn/irfftn for real inputs or fftn/ifftn for complex, then slice; the
+    other axes broadcast.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    axes = [i for i in range(a.ndim) if a.shape[i] > 1 and b.shape[i] > 1]
+    if not axes:
+        return a * b
+    full = tuple(slice(m + n - 1) for m, n in zip(a.shape, b.shape))
+    real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
+    fshape = [next_fast_len(full[i].stop, real) for i in axes]
+    forward, inverse = (rfftn, irfftn) if real else (fftn, ifftn)
+    out = inverse(forward(a, fshape, axes=axes) * forward(b, fshape, axes=axes),
+                  fshape, axes=axes)
+    return out[full]
+
+
 def _axis_transform(F: np.ndarray, axis: int, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Contract axis `axis` of F with the matrix exp(2 pi i t_j x_k).
 
@@ -183,15 +209,28 @@ def _axis_transform(F: np.ndarray, axis: int, xs: np.ndarray, ts: np.ndarray) ->
         E = (A[:, :, None] * B[:, None, :]).reshape(M, K1 * K2)[:, :K]
         return np.moveaxis(np.tensordot(E, F, axes=(1, axis)), 0, axis)
     dt = ts[1] - ts[0] if M > 1 else 0.0
-    work = np.moveaxis(F, axis, 0)
-    k = np.arange(K)
-    pre = np.exp(2j * np.pi * ts[0] * (xs[0] + k * hx))
-    work = work * pre.reshape((K,) + (1,) * (work.ndim - 1))
-    # czt computes X[j] = sum_n x[n] a^{-n} w^{jn} along axis 0 here
-    out = czt(work, m=M, w=np.exp(2j * np.pi * dt * hx), a=1.0, axis=0)
+    pre = np.exp(2j * np.pi * ts[0] * (xs[0] + np.arange(K) * hx))
+    out = _chirp_z(np.swapaxes(F, axis, -1) * pre, M, np.exp(2j * np.pi * dt * hx))
     post = np.exp(2j * np.pi * xs[0] * (ts - ts[0]))
-    out = out * post.reshape((M,) + (1,) * (out.ndim - 1))
-    return np.moveaxis(out, 0, axis)
+    return np.swapaxes(out * post, axis, -1)
+
+
+def _chirp_z(x: np.ndarray, m: int, w: complex) -> np.ndarray:
+    """X[j] = sum_k x[k] w^(j k) for j < m along the last axis, by Bluestein.
+
+    With j k = (k^2 + j^2 - (j - k)^2) / 2 the sum is a convolution of
+    x[k] w^(k^2/2) with the chirp w^(-l^2/2), done by FFT at the length
+    next_fast_len(n + m - 1).  These are the formulas of scipy.signal.CZT
+    with a = 1 (Rabiner, Schafer and Rader, The chirp z-transform
+    algorithm, 1969).
+    """
+    n = x.shape[-1]
+    k = np.arange(max(m, n))
+    wk2 = w ** (k ** 2 / 2.0)
+    nfft = next_fast_len(n + m - 1)
+    chirp = fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), nfft)
+    y = ifft(chirp * fft(x * wk2[:n], nfft))
+    return y[..., n - 1:n + m - 1] * wk2[:m]
 
 
 def synthesize_on_grid(fhat: GridFunction, spatial: GridSpec) -> np.ndarray:

@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import svdvals
-from scipy.signal import fftconvolve
 
-from .fourier import GridSpec
+from .fourier import GridSpec, fft_convolve
 from .geometry import Ball, ConvexBody, GeometryError, check_ball_interactions_disjoint
 from .omega import OmegaEvaluator
 
@@ -74,7 +73,7 @@ def _symbol_on_sums(spec: GridSpec, mask: np.ndarray, spacing: float,
     the lattice in row-major order, with value 0 where no pair reaches.
     """
     weights = mask.astype(float)
-    counts = np.rint(fftconvolve(weights, weights)).astype(np.int64)
+    counts = np.rint(fft_convolve(weights, weights)).astype(np.int64)
     sum_axes = [2.0 * spec.lower[i] + (np.arange(2 * spec.npts[i] - 1) + 1.0) * spacing
                 for i in range(spec.dim)]
     grids = np.meshgrid(*sum_axes, indexing="ij")

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from . import geometry
 from .fourier import (
@@ -22,6 +21,7 @@ from .fourier import (
     GridSpec,
     _l1_by_doubling,
     bump_profile,
+    fft_convolve,
     scaled_ball_grid,
     smooth_step,
     synthesize_l1,
@@ -84,7 +84,7 @@ def halfline_ratio(ghat_vals: np.ndarray, hhat_vals: np.ndarray, freq_points: in
     hhat_vals = np.asarray(hhat_vals, dtype=complex).reshape(-1)
     if ghat_vals.size != K or hhat_vals.size != K:
         raise GeometryError("frequency sample count mismatch")
-    conv = fftconvolve(ghat_vals, hhat_vals) * h      # values at x = (k+l+1) h
+    conv = fft_convolve(ghat_vals, hhat_vals) * h     # values at x = (k+l+1) h
     xs = (np.arange(conv.size) + 1.0) * h
     numerator = float(np.sum(np.abs(conv) / xs) * h)
 

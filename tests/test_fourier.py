@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import signal
 from scipy.integrate import quad
 
 from pwlab.fourier import (
@@ -9,6 +10,7 @@ from pwlab.fourier import (
     _axis_transform,
     bump_profile,
     dilate_toward,
+    fft_convolve,
     smooth_step,
     synthesize_l1,
     synthesize_on_grid,
@@ -125,6 +127,53 @@ class TestAxisTransform:
         ref = np.moveaxis(np.tensordot(E, F, axes=(1, axis)), 0, axis)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("K", [2048, 2049])
+    @pytest.mark.parametrize("M", [1025, 1536])
+    @pytest.mark.parametrize("shape, axis", [((None,), 0), ((None, 3), 0), ((3, None), 1)])
+    def test_chirp_z_branch_matches_direct_matrix(self, K, M, shape, axis):
+        xs = GridSpec(lower=[0.0], upper=[1.0], npts=(K,)).axis_nodes(0)
+        ts = GridSpec(lower=[-31.0], upper=[33.0], npts=(M,)).axis_nodes(0)
+        # past the dense branch, with a reference matrix of at most 3.2e6 entries
+        assert 1 << 21 < K * M <= 3_200_000
+        rng = np.random.default_rng(K * 10_000 + M)
+        dims = tuple(K if s is None else s for s in shape)
+        F = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+        got = _axis_transform(F, axis, xs, ts)
+        E = np.exp(2j * np.pi * np.outer(ts, xs))
+        ref = np.moveaxis(np.tensordot(E, F, axes=(1, axis)), 0, axis)
+        assert got.shape == ref.shape
+        # the chirp w^(k^2/2) carries the rounding of |w| to powers ~k^2/2
+        assert np.max(np.abs(got - ref)) <= 2e-10 * np.max(np.abs(ref))
+
+
+def direct_convolution(a, b):
+    """The full linear convolution as an O(size(a) size(b)) sum of shifted copies."""
+    out = np.zeros(tuple(m + n - 1 for m, n in zip(a.shape, b.shape)),
+                   dtype=np.result_type(a, b))
+    for idx in np.ndindex(*a.shape):
+        out[tuple(slice(i, i + n) for i, n in zip(idx, b.shape))] += a[idx] * b
+    return out
+
+
+class TestConvolution:
+    @pytest.mark.parametrize("m", [1, 7, 400])
+    @pytest.mark.parametrize("n", [1, 7, 400])
+    def test_complex_1d_matches_direct_sum(self, m, n):
+        rng = np.random.default_rng(100 * m + n)
+        a = rng.normal(size=m) + 1j * rng.normal(size=m)
+        b = rng.normal(size=n) + 1j * rng.normal(size=n)
+        got, ref = fft_convolve(a, b), direct_convolution(a, b)
+        assert got.shape == ref.shape == (m + n - 1,)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.array_equal(got, signal.fftconvolve(a, b))
+
+    @pytest.mark.parametrize("shape", [(1, 9), (13, 17), (6, 7, 8), (1, 5, 4)])
+    def test_masks_count_pairs_exactly(self, shape):
+        mask = (np.random.default_rng(len(shape)).random(shape) < 0.6).astype(float)
+        got = fft_convolve(mask, mask)
+        assert np.array_equal(np.rint(got), direct_convolution(mask, mask))
+        assert np.array_equal(got, signal.fftconvolve(mask, mask))
 
 
 class TestDilation:

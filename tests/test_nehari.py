@@ -272,7 +272,7 @@ class TestRatioRow:
 
     def test_numerator_exact_scaling(self):
         cfg = NehariConfig(p=6.0)
-        row = eq5_ratio(cfg, 0.3, check_disjointness=False)
+        row = eq5_ratio(cfg, 0.3)
         r = CAL.bump_c1 * 0.3 ** 2
         assert abs(row.numerator - row.N * (2 * r) ** 2 * reference_bump_power_integral(2)) < 1e-12
 
@@ -280,7 +280,7 @@ class TestRatioRow:
         cfg = NehariConfig(p=6.0)
         fam = build_bumps(pack_boundary_disc(0.3), 0.3, CAL.containment_c, CAL.bump_c1)
         single, _ = modulated_sum_l1(fam, which=np.array([0]), seed=cfg.seed)
-        row = eq5_ratio(cfg, 0.3, check_disjointness=False)
+        row = eq5_ratio(cfg, 0.3)
         assert row.psi_l1 <= row.N * single * 1.001
 
     def test_denominator_bound_by_sup(self):
@@ -312,8 +312,7 @@ class TestSweep:
 
     def test_too_few_rows(self):
         with pytest.raises(GeometryError):
-            sweep_and_fit(NehariConfig(p=6.0, epsilons=(0.4, 0.3, 0.2)),
-                          check_disjointness=False)
+            sweep_and_fit(NehariConfig(p=6.0, epsilons=(0.4, 0.3, 0.2)))
 
     @pytest.mark.parametrize("eps", [(0.4, 0.4, 0.4, 0.4), (0.4, 0.39, 0.38, 0.37)])
     def test_too_few_distinct_n_raises_before_any_row(self, monkeypatch, eps):
@@ -325,8 +324,8 @@ class TestSweep:
 
     def test_short_sweep_slopes(self):
         eps = (0.4, 0.3, 0.2, 0.15)
-        r6 = sweep_and_fit(NehariConfig(p=6.0, epsilons=eps), check_disjointness=False)
-        r2 = sweep_and_fit(NehariConfig(p=2.0, epsilons=eps), check_disjointness=False)
+        r6 = sweep_and_fit(NehariConfig(p=6.0, epsilons=eps))
+        r2 = sweep_and_fit(NehariConfig(p=2.0, epsilons=eps))
         # the supercritical sweep must sit strictly above the p=2 one
         assert r6.slope > r2.slope
         doc = r6.as_dict()

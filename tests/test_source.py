@@ -4,7 +4,10 @@ import ast
 import importlib
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -273,3 +276,15 @@ def test_traced_functions_and_counter_arguments_resolve():
                        for arg in sorted(counters[key] - params)]
     assert broken == []
     assert {f"{e['name']}.{c}" for e in layers for c in e["counts"]} == set(counters)
+
+
+def test_import_loads_neither_scipy_signal_nor_stats():
+    # scipy.signal, and scipy.stats through it, were about half of the
+    # start-up of every run; pwlab.fourier has the two operations pwlab needs
+    probe = ("import json, sys\nimport pwlab, pwlab.cli, pwlab.checks\n"
+             "print(json.dumps(sorted(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    loaded = json.loads(done.stdout)
+    assert "pwlab.checks" in loaded and "scipy.fft" in loaded
+    assert [m for m in loaded if m.startswith(("scipy.signal", "scipy.stats"))] == []
