@@ -16,8 +16,7 @@ from .geometry import (
     body_from_json,
     body_to_json,
     box,
-    chebyshev_ball,
-    disc_containment_check,
+    disc_lens_reach,
     polar_dual,
     pyramid_ball_check,
     solve_certificate,

@@ -9,8 +9,11 @@ Three constants govern the shrinking-bump construction on the unit disc:
          triangle, so C1 = C / sqrt(2);
   C2  -- autocorrelation ceiling: sup w over a bump support is <= C2 e^3.
 
-calibrate() measures them; DEFAULT_CALIBRATION freezes a measured block with
-a safety margin so downstream runs are reproducible without re-sampling.
+The containment's lens reaches farthest from y at the rim where its two
+spheres cross, at distance e exactly when C = 1/(4 + e^2), so it holds iff
+C <= 1/(4 + e^2): geometry.disc_lens_reach decides it with no sampling.
+calibrate() gives the constants in closed form; DEFAULT_CALIBRATION freezes
+a block with a safety margin so downstream runs are reproducible.
 """
 
 from __future__ import annotations
@@ -18,14 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
-from .geometry import GeometryError, disc_containment_check
 from .omega import disc_sup_on_ball
 
-CALIBRATION_EPS = 0.1   # the eps at which C is bisected
-SAFETY = 0.9            # the stored C is this share of the bisected one
-BISECTION_STEPS = 30
+CALIBRATION_EPS = 0.1   # the eps at which the containment threshold is taken
+SAFETY = 0.9            # the stored C is this share of the threshold
 
 
 @dataclass(frozen=True)
@@ -35,28 +34,24 @@ class CalibrationBlock:
     omega_c2: float
     eps0: float
     calibration_eps: float
-    samples: int
-    seed: int
 
     def as_dict(self) -> dict:
         return asdict(self)
 
 
-# Frozen from calibrate(samples=10**6, seed=20240601), rounded down.  The
-# bisection lands slightly above the exact containment threshold at eps = 0.1
-# (the violating sliver there is a few-expected-hits event, and the threshold
-# works out to 1/(4 + eps^2) = 0.24938 by the lens-corner geometry); with the
-# safety factor and rounding the stored C = 0.24 sits below the threshold for
-# every eps up to eps0 = sqrt(1/C - 4) = 0.408, so the containment holds with
-# zero violations at any sample size, not just the calibrated budget.
+# Frozen from a sampled calibration run (a bisection of C at 10^6 rejection
+# samples, seed 20240601), rounded down.  That bisection landed 7.7 % above the
+# exact threshold 1/(4 + eps^2) = 0.24938 at eps = 0.1, since the violating
+# sliver there is a few-expected-hits event; with the safety factor and
+# rounding the stored C = 0.24 sits below the threshold for every eps up to
+# eps0 = 0.408 < sqrt(1/C - 4) = 0.40825: at eps0 it is 4.9e-5 relative below
+# 1/(4 + eps0^2), and the exact reach of the lens is (1 - 2.5e-5) eps0.
 DEFAULT_CALIBRATION = CalibrationBlock(
     containment_c=0.24,
     bump_c1=0.24 / math.sqrt(2.0),
     omega_c2=1.01,
     eps0=0.408,
     calibration_eps=CALIBRATION_EPS,
-    samples=10 ** 6,
-    seed=20240601,
 )
 
 
@@ -70,41 +65,18 @@ def max_omega_over_bump_ratio(C: float, C1: float, eps_list) -> float:
                 for eps in eps_list), default=0.0)
 
 
-def calibrate(samples: int = 10 ** 6, seed: int = 20240601) -> CalibrationBlock:
-    """Measure the constants on the unit disc.
+def calibrate() -> CalibrationBlock:
+    """The constants on the unit disc, in closed form.
 
-    C is found by bisection as the largest value with zero sampled violations
-    of the containment at CALIBRATION_EPS, then shrunk by the SAFETY factor;
-    C1 follows from the inscribed-pyramid formula; C2 is the measured maximum
-    of sup w / eps^3 over the default eps sweep with 2% headroom; eps0 is the
-    largest eps in a downward scan that still shows zero violations.
+    C is SAFETY times the containment threshold 1/(4 + eps^2) at
+    CALIBRATION_EPS; C1 follows from the inscribed-pyramid formula; C2 is the
+    measured maximum of sup w / eps^3 over the default eps sweep with 2%
+    headroom; eps0 = sqrt(1/C - 4) is the largest eps at which the
+    containment still holds for this C.
     """
-    lo, hi = 0.05, 0.60
-    if disc_containment_check(lo, CALIBRATION_EPS, samples, seed) != 0:
-        raise GeometryError("calibration non-monotone: violations at the lower bracket")
-    if disc_containment_check(hi, CALIBRATION_EPS, samples, seed) == 0:
-        raise GeometryError("calibration bracket too small: no violations at the upper bound")
-    for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if disc_containment_check(mid, CALIBRATION_EPS, samples, seed) == 0:
-            lo = mid
-        else:
-            hi = mid
-    c = SAFETY * lo
+    c = SAFETY / (4.0 + CALIBRATION_EPS ** 2)
     c1 = c / math.sqrt(2.0)
     eps_sweep = (0.4, 0.3, 0.2, 0.15, 0.1, 0.07, 0.05)
     c2 = 1.02 * max_omega_over_bump_ratio(c, c1, eps_sweep)
-    # The lens corner of the containment reaches distance eps from y exactly
-    # when C = 1/(4 + eps^2), so the admissible regime ends at sqrt(1/C - 4).
-    # The downward scan validates it; sampling alone would overshoot, since
-    # the violating sliver is a few-expected-hits event near the threshold.
-    eps_analytic = math.sqrt(1.0 / c - 4.0) if c < 0.25 else 0.0
-    eps0 = 0.0
-    for eps in np.arange(0.30, 0.60, 0.005):
-        if disc_containment_check(c, float(eps), samples // 10, seed + 1) == 0:
-            eps0 = float(eps)
-        else:
-            break
-    eps0 = min(eps0, eps_analytic) if eps_analytic > 0 else eps0
-    return CalibrationBlock(containment_c=c, bump_c1=c1, omega_c2=c2, eps0=eps0,
-                            calibration_eps=CALIBRATION_EPS, samples=samples, seed=seed)
+    return CalibrationBlock(containment_c=c, bump_c1=c1, omega_c2=c2,
+                            eps0=math.sqrt(1.0 / c - 4.0), calibration_eps=CALIBRATION_EPS)

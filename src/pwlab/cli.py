@@ -197,8 +197,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    block = calibrate(samples=args.samples, seed=args.seed)
-    doc = block.as_dict()
+    doc = calibrate().as_dict()
     doc["frozen_default"] = DEFAULT_CALIBRATION.as_dict()
     if args.out:
         write_json(args.out, doc)
@@ -266,9 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(checks.SUITES) + ["all"])
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("calibrate", help="re-measure the disc constants")
-    p.add_argument("--samples", type=int, default=10 ** 6)
-    p.add_argument("--seed", type=int, default=20240601)
+    p = sub.add_parser("calibrate", help="the disc constants in closed form")
     p.add_argument("--out")
     p.set_defaults(func=cmd_calibrate)
 

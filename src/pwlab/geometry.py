@@ -6,7 +6,8 @@ combinatorics are restricted to dimension <= 3 and desk scale by design:
 Qhull gives hulls (H-forms, facet incidences, essential vertices, volumes)
 and boundedness; tuple_vertices, shared with the exact polytope batch of
 omega, gives the vertices of H-polytopes and the facets each lies on.
-Whether interaction regions of a ball body meet is decided exactly.
+Whether interaction regions of a ball body meet, and how far the disc's
+boundary lens reaches, are decided exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import optimize
 from scipy.spatial import ConvexHull, QhullError
 
 # Shared tolerances, each relative to the body: vertices closer than DEDUP_TOL
@@ -497,77 +497,33 @@ def polar_dual(body: ConvexBody) -> ConvexBody:
 
 
 # ---------------------------------------------------------------------------
-# inscribed balls
+# boundary containment (disc geometry)
 # ---------------------------------------------------------------------------
 
-def chebyshev_ball(h: HPolytope) -> tuple[np.ndarray, float]:
-    """Largest inscribed ball of a bounded H-polytope, by linear programming:
-    maximize r subject to <a_i, c> + r|a_i| <= b_i.  The interior is empty
-    below DET_TOL times the largest facet-plane distance |b_i|/|a_i|."""
-    n = h.dim
-    norms = np.linalg.norm(h.normals, axis=1)
-    A_ub = np.hstack([h.normals, norms[:, None]])
-    c = np.zeros(n + 1)
-    c[n] = -1.0
-    res = optimize.linprog(c, A_ub=A_ub, b_ub=h.offsets,
-                           bounds=[(None, None)] * n + [(0, None)], method="highs")
-    if not res.success:
-        raise GeometryError(f"chebyshev LP failed: {res.message}")
-    center, radius = res.x[:n], float(res.x[n])
-    if radius <= DET_TOL * np.max(np.abs(h.offsets) / norms):
-        raise GeometryError("polytope has empty interior")
-    return center, radius
+def disc_lens_reach(C: float, eps: float, dim: int = 2) -> float:
+    """Farthest distance from x = (1, 0, ..., 0) of the open lens
 
+        (2 closure(B((1-q) x, q)) - B(0,1)) cap B(0,1) = B(2(1-q) x, 1 + 2q) cap B(0,1),
 
-# ---------------------------------------------------------------------------
-# boundary containment sampler (disc geometry)
-# ---------------------------------------------------------------------------
-
-# Rejection rounds the containment sampler may take before it gives up.  A
-# round draws up to 10^6 points and keeps about pi/4 of them in the plane, so
-# the cap admits some 5 * 10^7 samples per call there.
-CONTAINMENT_MAX_ROUNDS = 64
-
-
-def disc_containment_check(C: float, eps: float, samples: int, seed: int,
-                           dim: int = 2) -> int:
-    """Count sampled violations of the shrinking-disc containment
-
-        (2 closure(B((1-C eps^2) x, C eps^2)) - B(0,1)) cap B(0,1)  subset  B(x, eps)
-
-    at x = (1, 0, ..., 0).  The Minkowski combination on the left is the open
-    ball B(2(1-C eps^2) x, 1 + 2C eps^2); points are drawn uniformly from it
-    by rejection from its bounding box.  Returns the violation count.
-    Raises GeometryError for no samples or if CONTAINMENT_MAX_ROUNDS rounds
-    do not yield `samples` points.
+    q = C eps^2, so the lens lies in B(x, eps) iff the reach is at most eps.
+    Both centres are on the axis through x, and on each sphere the distance
+    from x grows with the angle to that axis.  So the farthest point is an
+    on-axis point of one sphere that lies in the other closed ball or, for
+    dim >= 2, a point of the rim where the spheres cross.
     """
-    if C <= 0 or not (0 < eps < 1):
-        raise GeometryError("need C > 0 and eps in (0,1)")
-    if samples < 1:
-        raise GeometryError("the containment check needs at least 1 sample")
+    if C <= 0 or not (0 < eps < 1) or dim < 1:
+        raise GeometryError("need C > 0, eps in (0,1) and dim >= 1")
     q = C * eps * eps
-    x = np.zeros(dim)
-    x[0] = 1.0
-    center = 2.0 * (1.0 - q) * x
-    radius = 1.0 + 2.0 * q
-    rng = np.random.default_rng(seed)
-    violations = 0
-    remaining = samples
-    rounds = 0
-    while remaining > 0:
-        if rounds == CONTAINMENT_MAX_ROUNDS:
-            raise GeometryError(f"containment sampler drew only {samples - remaining} of "
-                                f"{samples} points in {CONTAINMENT_MAX_ROUNDS} rejection rounds")
-        rounds += 1
-        batch = min(4 * remaining, 1_000_000)
-        pts = rng.uniform(center - radius, center + radius, size=(batch, dim))
-        inside = pts[np.linalg.norm(pts - center, axis=1) < radius]
-        take = inside[:remaining]
-        remaining -= take.shape[0]
-        in_unit = np.linalg.norm(take, axis=1) < 1.0
-        far = np.linalg.norm(take - x, axis=1) >= eps
-        violations += int(np.count_nonzero(in_unit & far))
-    return violations
+    a, R = 2.0 * (1.0 - q), 1.0 + 2.0 * q
+    ends = ([p for p in (-1.0, 1.0) if abs(p - a) <= R]
+            + [p for p in (a - R, a + R) if abs(p) <= 1.0])
+    reach = max(abs(p - 1.0) for p in ends)
+    if dim >= 2 and R - 1.0 < a:
+        # the spheres cross unless the unit ball lies in the other (q >= 1/2),
+        # at abscissa t = (a^2 + 1 - R^2) / (2a) and distance
+        # sqrt((t - 1)^2 + 1 - t^2) = sqrt(2 - 2t) from x, which is this product
+        reach = max(reach, math.sqrt((R + 1.0 - a) * (R - 1.0 + a) / a))
+    return reach
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import pwlab
 from pwlab import checks
+from pwlab.calibration import CALIBRATION_EPS, DEFAULT_CALIBRATION, SAFETY, calibrate
 from pwlab.cli import builtin_body, run
 from pwlab.geometry import GeometryError
 
@@ -42,14 +44,25 @@ class TestDispatch:
     @pytest.mark.parametrize("argv", [
         ["omega", "--body", "triangle", "--point", "0.6,0.6", "--mode", "mc", "--samples", "-5"],
         ["omega", "--body", "triangle", "--point", "0.6,0.6", "--mode", "mc", "--samples", "0"],
-        ["sublevel", "--body", "triangle", "--samples", "0"],
-        ["calibrate", "--samples", "0"],
-        ["calibrate", "--samples", "-5"]])
+        ["sublevel", "--body", "triangle", "--samples", "0"]])
     def test_sample_count_below_one_is_failure(self, capsys, argv):
         assert run(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(r"error: .*at least 1 sample\n", captured.err)
+
+    def test_calibrate_writes_closed_form(self, tmp_path, capsys):
+        out = tmp_path / "calib.json"
+        assert run(["calibrate", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert json.loads(capsys.readouterr().out) == doc
+        c = SAFETY / (4.0 + CALIBRATION_EPS ** 2)
+        assert doc["containment_c"] == c and doc["bump_c1"] == c / math.sqrt(2.0)
+        assert doc["eps0"] == math.sqrt(1.0 / c - 4.0)
+        assert doc["frozen_default"] == DEFAULT_CALIBRATION.as_dict()
+        assert {k: v for k, v in doc.items() if k != "frozen_default"} == calibrate().as_dict()
+        # the containment is decided exactly, so nothing is sampled or seeded
+        assert run(["calibrate", "--samples", "10"]) == 2
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_trial_count_below_one_is_failure(self, capsys, trials):

@@ -18,9 +18,8 @@ from pwlab.geometry import (
     body_from_json,
     body_to_json,
     box,
-    chebyshev_ball,
     check_ball_interactions_disjoint,
-    disc_containment_check,
+    disc_lens_reach,
     polar_dual,
     pyramid_ball_check,
     solve_certificate,
@@ -349,38 +348,6 @@ class TestPolarDuality:
         assert same_points(vertices(polar_dual(dual)), verts @ Q.T)
 
 
-class TestChebyshevBall:
-    def test_cube_center(self):
-        c, r = chebyshev_ball(box([-1, -1, -1], [1, 1, 1]))
-        assert np.allclose(c, 0.0, atol=1e-9)
-        assert abs(r - 1.0) < 1e-9
-
-    def test_triangle_incircle(self, right_triangle):
-        c, r = chebyshev_ball(right_triangle)
-        assert abs(r - (1 - math.sqrt(2) / 2)) < 1e-9
-
-    def test_thin_box(self):
-        eps = 1e-3
-        _, r = chebyshev_ball(box([0, 0], [eps, 1.0]))
-        assert abs(r - eps / 2) < 1e-12
-
-    def test_scaled_box(self):
-        # the empty-interior bound is relative to the body
-        c, r = chebyshev_ball(box([0, 0], [1e-12, 1e-12]))
-        assert np.allclose(c / 1e-12, 0.5, rtol=1e-9, atol=0)
-        assert abs(r / 1e-12 - 0.5) < 1e-9
-
-    def test_flat_box_rejected(self):
-        with pytest.raises(GeometryError, match="empty interior"):
-            chebyshev_ball(box([0, 0], [1.0, 0.0]))
-
-    def test_ball_inside_body(self, right_triangle):
-        c, r = chebyshev_ball(right_triangle)
-        dists = (right_triangle.offsets - right_triangle.normals @ c) \
-            / np.linalg.norm(right_triangle.normals, axis=1)
-        assert np.all(dists >= r - 1e-9)
-
-
 class TestPyramidBall:
     def test_anchor_radius(self):
         pyr = Pyramid(1.0, 1.0, dim=2)
@@ -395,44 +362,78 @@ class TestPyramidBall:
             pyramid_ball_check(1.0, 1.0, 0.25)
 
 
+def sampled_containment_violations(C, eps, dim, count, rng):
+    """Monte Carlo reference: how many of count draws of the lens
+    B(2(1 - q) x, 1 + 2q) cap B(0, 1), q = C eps^2, lie at least eps from
+    x = e_1.  Draws only show a violation that exists; a thin one they can miss."""
+    q = C * eps * eps
+    x = np.eye(dim)[0]
+    pts = rejection_lens(Ball(np.zeros(dim), 1.0), Ball(2.0 * (1.0 - q) * x, 1.0 + 2.0 * q),
+                         count, rng)
+    return int(np.count_nonzero(np.linalg.norm(pts - x, axis=1) >= eps))
+
+
+def containment_threshold(eps, dim):
+    """The largest C whose lens lies in B(x, eps): the rim reaches
+    sqrt(4q / (1 - q)) from x, and in 1-D the lens is the interval (1 - 4q, 1)."""
+    return 1.0 / (4.0 * eps) if dim == 1 else 1.0 / (4.0 + eps * eps)
+
+
 class TestDiscContainment:
     def test_zero_violations_at_calibrated_constant(self):
         C = DEFAULT_CALIBRATION.containment_c
-        assert disc_containment_check(C, 0.1, 100_000, seed=5) == 0
-        assert disc_containment_check(C, 0.05, 100_000, seed=5) == 0
+        for eps in (0.1, 0.05, 0.01, DEFAULT_CALIBRATION.eps0):
+            assert disc_lens_reach(C, eps) <= eps
 
     def test_violations_outside_regime(self):
-        assert disc_containment_check(10.0, 0.5, 100_000, seed=5) > 0
+        assert disc_lens_reach(10.0, 0.5) > 0.5
 
     def test_halved_constant_still_passes(self):
         C = DEFAULT_CALIBRATION.containment_c / 2
-        assert disc_containment_check(C, 0.1, 50_000, seed=5) == 0
+        assert disc_lens_reach(C, 0.1) <= 0.1
 
     def test_doubled_constant_fails(self):
         # doubling crosses the lens-corner threshold 1/(4 + eps^2)
         C = DEFAULT_CALIBRATION.containment_c * 2
-        assert disc_containment_check(C, 0.1, 10 ** 6, seed=5) > 0
+        assert disc_lens_reach(C, 0.1) > 0.1
 
-    @pytest.mark.parametrize("samples", [0, -5])
-    def test_sample_count_below_one_rejected(self, samples):
-        with pytest.raises(GeometryError, match="at least 1 sample"):
-            disc_containment_check(DEFAULT_CALIBRATION.containment_c, 0.1, samples, seed=5)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("eps", [0.01, 0.05, 0.1, 0.35, 0.9])
+    def test_verdict_flips_at_threshold(self, eps, dim):
+        C = containment_threshold(eps, dim)
+        assert disc_lens_reach(C * (1.0 - 1e-6), eps, dim) <= eps
+        assert disc_lens_reach(C * (1.0 + 1e-6), eps, dim) > eps
 
-    def test_rejection_rounds_capped(self, monkeypatch):
-        # 10^6 samples take two rounds of at most 10^6 draws each
-        C = DEFAULT_CALIBRATION.containment_c * 2
-        uncapped = disc_containment_check(C, 0.1, 10 ** 6, seed=5)
-        monkeypatch.setattr(geometry, "CONTAINMENT_MAX_ROUNDS", 2)
-        assert disc_containment_check(C, 0.1, 10 ** 6, seed=5) == uncapped
-        monkeypatch.setattr(geometry, "CONTAINMENT_MAX_ROUNDS", 1)
-        with pytest.raises(GeometryError, match="rejection rounds"):
-            disc_containment_check(C, 0.1, 10 ** 6, seed=5)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_reach_closed_form(self, dim):
+        # the unit ball lies in B(2(1 - q) x, 1 + 2q) once q >= 1/2, which
+        # includes the concentric balls at q = 1; its farthest point is -x
+        eps = 0.5
+        for q in (1e-6, 0.01, 0.2, 0.5 - 1e-9, 0.5, 0.5 + 1e-12, 0.7,
+                  1.0 - 1e-12, 1.0, 1.0 + 1e-12, 3.0):
+            if q >= 0.5:
+                want = 2.0
+            else:
+                want = 4.0 * q if dim == 1 else math.sqrt(4.0 * q / (1.0 - q))
+            got = disc_lens_reach(q / eps ** 2, eps, dim)
+            # the candidates are formed at the unit scale of the balls, so the
+            # squared reach is good to a few units in the last place of 1
+            assert abs(got ** 2 - want ** 2) <= 1e-12 * want ** 2 + 1e-15, (q, got, want)
 
-    def test_high_dimension_stops(self):
-        # the ball fills about 2.5e-8 of its bounding box in dimension 20
-        C = DEFAULT_CALIBRATION.containment_c
-        with pytest.raises(GeometryError, match="rejection rounds"):
-            disc_containment_check(C, 0.1, 100, seed=5, dim=20)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_agrees_with_sampling(self, dim, rng):
+        # away from the threshold the sampled verdict is the exact one
+        for eps in (0.1, 0.3, 0.6):
+            for factor in (0.5, 0.9, 2.0, 4.0):
+                C = factor * containment_threshold(eps, dim)
+                sampled = sampled_containment_violations(C, eps, dim, 1000, rng)
+                assert (sampled == 0) == (disc_lens_reach(C, eps, dim) <= eps), (eps, factor)
+
+    @pytest.mark.parametrize("args", [(0.0, 0.1, 2), (-1.0, 0.1, 2), (0.24, 0.0, 2),
+                                      (0.24, 1.0, 2), (0.24, 0.1, 0)])
+    def test_invalid_arguments_rejected(self, args):
+        with pytest.raises(GeometryError, match="need C > 0"):
+            disc_lens_reach(*args)
 
 
 class TestCertificates:
