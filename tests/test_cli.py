@@ -44,7 +44,9 @@ class TestDispatch:
     @pytest.mark.parametrize("argv", [
         ["omega", "--body", "triangle", "--point", "0.6,0.6", "--mode", "mc", "--samples", "-5"],
         ["omega", "--body", "triangle", "--point", "0.6,0.6", "--mode", "mc", "--samples", "0"],
-        ["sublevel", "--body", "triangle", "--samples", "0"]])
+        ["sublevel", "--body", "triangle", "--samples", "0"],
+        ["sublevel", "--body", "square", "--samples", "-5"],
+        ["omega", "--body", "cube", "--point", "0.5,0.5,0.5", "--mode", "mc", "--samples", "0"]])
     def test_sample_count_below_one_is_failure(self, capsys, argv):
         assert run(argv) == 1
         captured = capsys.readouterr()
