@@ -102,8 +102,12 @@ class HPolytope(ConvexBody):
         object.__setattr__(self, "dim", a.shape[1])
 
     def contains_batch(self, pts):
+        # one row at a time: k matrix-vector products beat one (m, k) product
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.all(pts @ self.normals.T < self.offsets, axis=1)
+        ok = np.ones(pts.shape[0], dtype=bool)
+        for a, b in zip(self.normals, self.offsets):
+            ok &= pts @ a < b
+        return ok
 
     @cached_property
     def _combinatorics(self) -> tuple[np.ndarray, np.ndarray]:

@@ -28,12 +28,10 @@ matrix 2 pi t . 2 x_i.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import hankel
 from .calibration import DEFAULT_CALIBRATION, CalibrationBlock
@@ -60,6 +58,7 @@ ENVELOPE_HALFWIDTH = 8.0
 ENVELOPE_DOUBLINGS = 4
 DENOMINATOR_PTS = 128       # midpoint cells a side for the denominator term
 ORTHO_NODES = 2200          # node budget of the orthogonality spot check
+BUMP_RULE = np.polynomial.legendre.leggauss(80)  # Gauss-Legendre on [-1, 1]
 
 
 @dataclass(frozen=True)
@@ -280,13 +279,13 @@ def modulated_sum_l1(family: BumpFamily, which: np.ndarray | None = None,
 # the Eq.-style ratio and the sweep
 # ---------------------------------------------------------------------------
 
-@functools.cache
 def reference_bump_power_integral(power: float) -> float:
-    """int_{B(0,1)} phi(|u|)^power du for the unit-scale bump, memoized: a
-    sweep asks for the same two powers on every row."""
-    val, _ = integrate.quad(lambda s: bump_profile(s) ** power * s, 0.0, 1.0,
-                            epsabs=1e-13, epsrel=1e-12)
-    return 2.0 * math.pi * val
+    """int_{B(0,1)} phi(|u|)^power du for the unit-scale bump.  phi is 1 on
+    [0, 1/2], so this is 2 pi (1/8 + int_{1/2}^1 phi(s)^power s ds); the
+    fixed 80-node Gauss-Legendre rule BUMP_RULE takes the second term."""
+    nodes, weights = BUMP_RULE
+    s = 0.75 + 0.25 * nodes
+    return 2.0 * math.pi * (0.125 + 0.25 * float(weights @ (bump_profile(s) ** power * s)))
 
 
 def bump_sup_omega(family: BumpFamily) -> float:

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.spatial import HalfspaceIntersection, QhullError
 from scipy.special import betainc, gamma
 
@@ -43,6 +42,8 @@ from .geometry import (
 # boundaries never coincide with box faces.
 BOX_INFLATION = 1.0 + 1e-12
 
+SLICE_RULE = np.polynomial.legendre.leggauss(40)  # Gauss-Legendre on [-1, 1]
+
 
 def unit_ball_volume(n: int) -> float:
     """Volume of the unit n-ball; kappa_0 = 1 by convention."""
@@ -53,18 +54,18 @@ def omega_ball(n: int, radius: float, x) -> float:
     """Autocorrelation of B(0, radius) in R^n at the point x.
 
     Uses the slice integral  2 kappa_{n-1} int_{s/2}^1 (1-t^2)^((n-1)/2) dt
-    with s = |x|/radius, scaled by radius^n; adaptive quadrature to 1e-10
-    relative accuracy.
+    with s = |x|/radius, scaled by radius^n; t = cos(theta) makes it
+    int_0^{acos(s/2)} sin(theta)^n dtheta, which SLICE_RULE takes to rounding.
     """
     if n < 1:
         raise GeometryError("dimension must be >= 1")
     s = float(np.linalg.norm(np.asarray(x, dtype=float))) / radius
     if s >= 2.0:
         return 0.0
-    kappa = unit_ball_volume(n - 1)
-    val, _ = integrate.quad(lambda t: (1.0 - t * t) ** ((n - 1) / 2.0),
-                            s / 2.0, 1.0, epsabs=1e-14, epsrel=1e-12)
-    return 2.0 * kappa * val * radius ** n
+    nodes, weights = SLICE_RULE
+    half = math.acos(s / 2.0) / 2.0
+    val = half * float(weights @ np.sin(half * (nodes + 1.0)) ** n)
+    return 2.0 * unit_ball_volume(n - 1) * val * radius ** n
 
 
 def disc_lens(s):
@@ -265,8 +266,8 @@ class OmegaEvaluator:
     or a product or affine image containing one, raises GeometryError at
     construction, as does an unbounded or flat H-form.  The scalar call
     evaluates a batch of one, so every path has a single dispatch; omega_ball
-    (the adaptive slice quadrature), omega_polytope_exact (Qhull's halfspace
-    intersection) and omega_mc stay separate as oracles.
+    (the slice integral by a fixed Gauss-Legendre rule), omega_polytope_exact
+    (Qhull's halfspace intersection) and omega_mc stay separate as oracles.
     """
 
     def __init__(self, body: ConvexBody):

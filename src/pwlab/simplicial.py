@@ -21,9 +21,6 @@ import numpy as np
 from . import geometry
 from .geometry import GeometryError, HPolytope, VPolytope, polar_dual, solve_certificate
 
-# Jitter draws perturb_vertices may take before it gives up.
-JITTER_MAX_RETRIES = 1000
-
 
 def _polytope_vertices(P) -> np.ndarray:
     if isinstance(P, HPolytope):
@@ -53,8 +50,9 @@ def perturb_vertices(P, eps: float, seed: int = 0) -> Perturbation:
     mu weights carry a relative jitter of at most 1e-3, which moves c_i off
     the centroid by at most 2.002e-3 times that spread, so every
     |y_i - x_i| <= 1.0021 eps/2.  The certificates solve the realized mu and
-    must rebuild each x_i within FEAS_TOL max_i |y_i|.  Jitter is redrawn
-    until every (dim+1)-subset of perturbed points is affinely independent.
+    must rebuild each x_i within FEAS_TOL max_i |y_i|.  One jitter draw is
+    taken; if some (dim+1)-subset of perturbed points is affinely dependent,
+    as when eps is too small to move P's coplanar vertices apart, it raises.
     """
     verts = _polytope_vertices(P)
     k, n = verts.shape
@@ -65,22 +63,20 @@ def perturb_vertices(P, eps: float, seed: int = 0) -> Perturbation:
         raise GeometryError("lambda schedule out of the admissible range")
     lam = np.full(k, lam_val)
     rng = np.random.default_rng(seed)
-    subsets = np.array(list(combinations(range(k), n + 1)))
-    for _ in range(JITTER_MAX_RETRIES):
-        mu = (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, size=(k, k))) / k
-        mu /= mu.sum(axis=1, keepdims=True)
-        targets = mu @ verts                       # c_i, interior points
-        perturbed = verts - lam[:, None] * (targets - verts)
-        sub = perturbed[subsets]
-        if np.all(geometry.nonsingular(sub[:, 1:] - sub[:, :1])):
-            certs = [solve_certificate(lam, mu, i) for i in range(k)]
-            tol = geometry.FEAS_TOL * np.linalg.norm(perturbed, axis=1).max()
-            for i, cert in enumerate(certs):
-                if np.linalg.norm(cert.rho @ perturbed - verts[i]) > tol:
-                    raise GeometryError("certificate does not reproduce its vertex")
-            return Perturbation(vertices=verts, perturbed=perturbed, lam=lam,
-                                mu=mu, certificates=certs)
-    raise GeometryError("jitter budget exhausted without affine independence")
+    mu = (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, size=(k, k))) / k
+    mu /= mu.sum(axis=1, keepdims=True)
+    targets = mu @ verts                       # c_i, interior points
+    perturbed = verts - lam[:, None] * (targets - verts)
+    sub = perturbed[np.array(list(combinations(range(k), n + 1)))]
+    if not np.all(geometry.nonsingular(sub[:, 1:] - sub[:, :1])):
+        raise GeometryError("perturbed points are not affinely independent")
+    certs = [solve_certificate(lam, mu, i) for i in range(k)]
+    tol = geometry.FEAS_TOL * np.linalg.norm(perturbed, axis=1).max()
+    for i, cert in enumerate(certs):
+        if np.linalg.norm(cert.rho @ perturbed - verts[i]) > tol:
+            raise GeometryError("certificate does not reproduce its vertex")
+    return Perturbation(vertices=verts, perturbed=perturbed, lam=lam, mu=mu,
+                        certificates=certs)
 
 
 def _margins(Q: VPolytope, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

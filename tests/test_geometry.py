@@ -54,6 +54,17 @@ class TestMembership:
         pts = rng.uniform(-0.5, 1.5, size=(1000, 2))
         assert np.array_equal(right_triangle.contains_batch(pts), v.contains_batch(pts))
 
+    @pytest.mark.parametrize("name", ["triangle", "square", "cube", "pyramid"])
+    def test_row_loop_matches_the_matrix_product(self, name, rng):
+        # the mask of the one-product form, which omega_mc's draws relied on
+        P = geometry.BUILTIN_BODIES[name]()
+        verts = vertex_enumerate(P)
+        pts = rng.uniform(-1.5, 1.5, size=(200000, P.dim))
+        pts[::2] = (verts[rng.integers(len(verts), size=100000)]
+                    * rng.uniform(0.999999, 1.000001, size=(100000, 1)))
+        expect = np.all(pts @ P.normals.T < P.offsets, axis=1)
+        assert np.array_equal(P.contains_batch(pts), expect)
+
     def test_product_and_affine(self, rng):
         body = Product((Ball([0.5], 0.5), Ball([0.5], 0.5)))
         img = geometry.AffineImage(base=body, matrix=2 * np.eye(2), shift=np.array([1.0, 0.0]))

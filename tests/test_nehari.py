@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -303,6 +304,24 @@ class TestRatioRow:
             num = fam.support_radius ** 2 * reference_bump_power_integral(2)
             vals.append(num / (l1 * term ** (1 / 6.0)))
         assert abs(vals[0] - vals[1]) < 0.01 * max(vals)
+
+
+class TestBumpPowerIntegral:
+    @pytest.mark.parametrize("power", [1.2, 1.5, 2.0, 3.0, 6.0])
+    def test_matches_mpmath(self, power):
+        # the bump profile from its definition, integrated over all of [0, 1]
+        def phi(s):
+            u = 2 * (1 - s)
+            if u >= 1:
+                return mpmath.mpf(1)
+            if u <= 0:
+                return mpmath.mpf(0)
+            g, g1 = mpmath.exp(-1 / u), mpmath.exp(-1 / (1 - u))
+            return g / (g + g1)
+
+        with mpmath.workdps(30):
+            exact = 2 * mpmath.pi * mpmath.quad(lambda s: phi(s) ** power * s, [0, 0.5, 0.75, 1])
+        assert abs(reference_bump_power_integral(power) / float(exact) - 1) < 1e-13
 
 
 class TestSweep:

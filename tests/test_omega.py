@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 import pwlab
@@ -26,6 +27,7 @@ from pwlab.omega import (
     omega_polytope_exact,
     sublevel_fit,
     unit_ball_omega_batch,
+    unit_ball_volume,
 )
 
 
@@ -50,6 +52,17 @@ class TestOmegaBall:
             batch = unit_ball_omega_batch(n, s)
             quad = [omega_ball(n, 1.0, np.append(si, np.zeros(n - 1))) for si in s]
             assert np.allclose(batch, quad, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_betainc_and_adaptive_quadrature(self, n):
+        # criterion 2's radii; the fixed rule shares no formula with betainc,
+        # and quad integrates the slice in t rather than in theta
+        radii = np.linspace(0.0, 1.999, 100)
+        rule = np.array([omega_ball(n, 1.0, np.append(s, np.zeros(n - 1))) for s in radii])
+        adaptive = [integrate.quad(lambda t: (1 - t * t) ** ((n - 1) / 2), s / 2, 1,
+                                   epsabs=1e-14, epsrel=1e-12)[0] for s in radii]
+        assert np.max(np.abs(rule - unit_ball_omega_batch(n, radii))) < 1e-13
+        assert np.max(np.abs(rule - 2 * unit_ball_volume(n - 1) * np.array(adaptive))) < 1e-13
 
     def test_radius_scaling(self):
         assert abs(omega_ball(2, 2.0, [1.0, 0.0]) - 4 * omega_ball(2, 1.0, [0.5, 0.0])) < 1e-10

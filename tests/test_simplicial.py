@@ -46,6 +46,14 @@ class TestPerturbation:
                 disp = np.linalg.norm(pert.perturbed - pert.vertices, axis=1).max()
                 assert disp <= 1.0021 * eps / 2
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dependent_points_raise_at_once(self, seed):
+        # at eps = 1e-8 no jitter moves the +-1 cube's coplanar corners
+        # apart; the one draw is checked and the error is immediate
+        cube = box([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0])
+        with pytest.raises(GeometryError, match="not affinely independent"):
+            perturb_vertices(cube, 1e-8, seed=seed)
+
     def test_simplex_stays_simplicial(self):
         simplex = VPolytope([[0.4, 0.4], [-0.8, 0.2], [0.1, -0.7]])
         approx = build_approximation(simplex, 0.1, seed=3)

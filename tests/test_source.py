@@ -278,13 +278,30 @@ def test_traced_functions_and_counter_arguments_resolve():
     assert {f"{e['name']}.{c}" for e in layers for c in e["counts"]} == set(counters)
 
 
+def fresh_modules(imports: str) -> list[str]:
+    """The modules a fresh interpreter has loaded after the given imports."""
+    probe = f"import json, sys\n{imports}\nprint(json.dumps(sorted(sys.modules)))\n"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    return json.loads(done.stdout)
+
+
+PWLAB_IMPORT = "import pwlab, pwlab.cli, pwlab.checks"
+# what pwlab cannot do without: numpy and the four scipy subpackages it calls
+SCIPY_FLOOR = "import numpy, scipy.fft, scipy.linalg, scipy.spatial, scipy.special"
+
+
 def test_import_loads_neither_scipy_signal_nor_stats():
     # scipy.signal, and scipy.stats through it, were about half of the
     # start-up of every run; pwlab.fourier has the two operations pwlab needs
-    probe = ("import json, sys\nimport pwlab, pwlab.cli, pwlab.checks\n"
-             "print(json.dumps(sorted(sys.modules)))\n")
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
-    loaded = json.loads(done.stdout)
+    loaded = fresh_modules(PWLAB_IMPORT)
     assert "pwlab.checks" in loaded and "scipy.fft" in loaded
     assert [m for m in loaded if m.startswith(("scipy.signal", "scipy.stats"))] == []
+
+
+def test_import_loads_no_scipy_module_beyond_the_floor():
+    # scipy.integrate, and scipy.optimize through it, came in for two
+    # one-dimensional integrals that fixed Gauss-Legendre rules now take
+    floor = set(fresh_modules(SCIPY_FLOOR))
+    extra = [m for m in fresh_modules(PWLAB_IMPORT) if m.startswith("scipy") and m not in floor]
+    assert extra == []
