@@ -115,7 +115,7 @@ def criterion_05(fast: bool = False) -> CheckResult:
         [lambda p: bump_hat_batch(p, center=2 * c, radius=2 * r),
          lambda p: bump_hat_batch(p, center=-2 * c, radius=2 * r)],
         [Ball(2 * c, 2 * r), Ball(-2 * c, 2 * r)],
-        spacing=0.018, seed=5)
+        spacing=0.018)
     elapsed = time.monotonic() - t0
     return CheckResult(5, "singular-value multiset union for disjoint boundary bumps",
                        chk.ok and chk.max_rel_dev <= 1e-6 and max(chk.block_sizes) <= 2000

@@ -114,6 +114,8 @@ def cmd_hardy(args) -> int:
                  "seed": args.seed, "version": __version__}
     if args.family == "tent_product":
         body = builtin_body(args.body)
+        if hardy.unit_box_corner(body) is None:
+            raise GeometryError("the tent product covers only translates of (0, 1)^n")
         ratio = hardy.tent_ratio(body.dim, d=args.d)
         doc["ratio"] = ratio
         doc["expected_exact"] = (2.0 / (2.0 - args.d)) ** body.dim

@@ -1,16 +1,16 @@
 """Midpoint tensor grids, smooth bump profiles, and Fourier synthesis.
 
 Functions with compactly supported frequency data are synthesized as plain
-trigonometric sums over midpoint grids, axis by axis (a dense exponential
-matrix built from two small tables, or a chirp z-transform when large); the
-spatial box for L1 norms grows by doublings until the captured mass settles.
-No windowing is needed because every frequency function used here vanishes
-inside its grid box.
+trigonometric sums over midpoint grids, axis by axis (one inverse FFT when
+the two node steps multiply to 1/N for an integer N, else the exponential
+matrix itself); the spatial box for L1 norms grows by doublings until the
+captured mass settles.  No windowing is needed because every frequency
+function used here vanishes inside its grid box.
 
-The chirp z-transform and the full linear convolution `fft_convolve` are
-written on `scipy.fft` with scipy.signal's own formulas: the numbers are
-scipy's, but `import pwlab` skips `scipy.signal` and the `scipy.stats` it
-loads, which were half of the package's start-up.
+The full linear convolution `fft_convolve` is written on `scipy.fft` with
+scipy.signal's own formulas: the numbers are scipy's, but `import pwlab`
+skips `scipy.signal` and the `scipy.stats` it loads, which were half of the
+package's start-up.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import fft, fftn, ifft, ifftn, irfftn, next_fast_len, rfftn
+from scipy.fft import fftn, ifft, ifftn, irfftn, next_fast_len, rfftn
 
 from .geometry import AffineImage, Ball, ConvexBody, GeometryError
 
@@ -192,45 +192,28 @@ def fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _axis_transform(F: np.ndarray, axis: int, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Contract axis `axis` of F with the matrix exp(2 pi i t_j x_k).
 
-    Both node sets are uniform, so the sum is a chirp z-transform; when
-    K*M <= 2^21 the matrix is built densely from two tables: with k = K1 a + b,
-    K1 = ceil(sqrt K) and K2 = ceil(K/K1), E[j, k] = A[j, a] B[j, b] for
-    A[j, a] = exp(2 pi i t_j (x_0 + K1 a h)) and B[j, b] = exp(2 pi i t_j b h),
-    so M (K1 + K2) exponentials give all M K entries.
+    With uniform nodes x_k = x_0 + k hx, t_j = t_0 + j dt (steps from the end
+    nodes) and dt hx = 1/N for an integer N >= K, the phase t_j x_k is
+    t_j x_0 + (t_0/dt) k/N + j k/N: one length-N inverse DFT, read at j mod N,
+    between two diagonal factors.  Other grids take the matrix itself, in row
+    blocks of at most 2^21 entries.
     """
     K, M = xs.size, ts.size
-    hx = xs[1] - xs[0] if K > 1 else 0.0
-    if K * M <= 1 << 21:
-        K1 = math.isqrt(K - 1) + 1
-        K2 = -(-K // K1)
-        phase = 2j * np.pi * ts[:, None]
-        A = np.exp(phase * (xs[0] + K1 * hx * np.arange(K2)))
-        B = np.exp(phase * (hx * np.arange(K1)))
-        E = (A[:, :, None] * B[:, None, :]).reshape(M, K1 * K2)[:, :K]
-        return np.moveaxis(np.tensordot(E, F, axes=(1, axis)), 0, axis)
-    dt = ts[1] - ts[0] if M > 1 else 0.0
-    pre = np.exp(2j * np.pi * ts[0] * (xs[0] + np.arange(K) * hx))
-    out = _chirp_z(np.swapaxes(F, axis, -1) * pre, M, np.exp(2j * np.pi * dt * hx))
-    post = np.exp(2j * np.pi * xs[0] * (ts - ts[0]))
-    return np.swapaxes(out * post, axis, -1)
-
-
-def _chirp_z(x: np.ndarray, m: int, w: complex) -> np.ndarray:
-    """X[j] = sum_k x[k] w^(j k) for j < m along the last axis, by Bluestein.
-
-    With j k = (k^2 + j^2 - (j - k)^2) / 2 the sum is a convolution of
-    x[k] w^(k^2/2) with the chirp w^(-l^2/2), done by FFT at the length
-    next_fast_len(n + m - 1).  These are the formulas of scipy.signal.CZT
-    with a = 1 (Rabiner, Schafer and Rader, The chirp z-transform
-    algorithm, 1969).
-    """
-    n = x.shape[-1]
-    k = np.arange(max(m, n))
-    wk2 = w ** (k ** 2 / 2.0)
-    nfft = next_fast_len(n + m - 1)
-    chirp = fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), nfft)
-    y = ifft(chirp * fft(x * wk2[:n], nfft))
-    return y[..., n - 1:n + m - 1] * wk2[:m]
+    if K > 1 and M > 1:
+        hx = (xs[-1] - xs[0]) / (K - 1)
+        dt = (ts[-1] - ts[0]) / (M - 1)
+        N = round(1.0 / (dt * hx))
+        # 1/N stands in for dt hx, which moves the phase of entry (j, k) by
+        # j k |N dt hx - 1| cycles: only a rounding-level mismatch is allowed
+        if N >= K and abs(N * dt * hx - 1.0) <= 16 * np.finfo(float).eps:
+            pre = np.exp(2j * np.pi * (ts[0] / dt) * np.arange(K) / N)
+            S = ifft(np.moveaxis(F, axis, -1) * pre, n=N, norm="forward")
+            out = S[..., np.arange(M) % N] * np.exp(2j * np.pi * ts * xs[0])
+            return np.moveaxis(out, -1, axis)
+    rows = max(1, (1 << 21) // K)
+    out = np.concatenate([np.tensordot(np.exp(2j * np.pi * np.outer(ts[i:i + rows], xs)),
+                                       F, axes=(1, axis)) for i in range(0, M, rows)])
+    return np.moveaxis(out, 0, axis)
 
 
 def synthesize_on_grid(fhat: GridFunction, spatial: GridSpec) -> np.ndarray:

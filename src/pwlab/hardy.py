@@ -194,6 +194,18 @@ class IntegrabilityRow:
     evidence: dict = field(default_factory=dict)
 
 
+def unit_box_corner(body: ConvexBody) -> np.ndarray | None:
+    """The corner c of a body that is the box c + (0, 1)^n, else None: its
+    bounding box has unit sides, and the body holds each corner of that box
+    moved DEDUP_TOL inward, so, being convex, it fills the box."""
+    lo, hi = body.bounding_box()
+    tol, n = geometry.DEDUP_TOL, body.dim
+    corners = lo + tol + (1.0 - 2 * tol) * np.indices((2,) * n).reshape(n, -1).T
+    if np.all(np.abs(hi - lo - 1.0) <= tol) and np.all(body.contains_batch(corners)):
+        return lo
+    return None
+
+
 def adjusted_integrability_report(body: ConvexBody, d_list) -> list[IntegrabilityRow]:
     """Numerical evidence table for the weight exponent d.
 
@@ -211,11 +223,8 @@ def adjusted_integrability_report(body: ConvexBody, d_list) -> list[Integrabilit
     n = body.dim
     is_polytope = isinstance(body, (HPolytope, VPolytope))
     if is_polytope:
-        # the unit square's corners, each within the merge window DEDUP_TOL
-        corners = geometry.unit_box(2)._vertices
-        verts = (body if isinstance(body, HPolytope) else body.hform)._vertices
-        if verts.shape != corners.shape or np.any(np.linalg.norm(
-                verts[:, None] - corners, axis=2).min(axis=0) > geometry.DEDUP_TOL):
+        corner = unit_box_corner(body)
+        if n != 2 or corner is None or np.any(np.abs(corner) > geometry.DEDUP_TOL):
             raise GeometryError("the integrability corner family covers only the unit square")
     for d in d_list:
         evidence: dict = {}

@@ -230,6 +230,8 @@ def omega_mc(body: ConvexBody, x, samples: int, seed: int) -> tuple[float, float
     if samples < 1:
         raise GeometryError("the Monte Carlo estimate needs at least 1 sample")
     x = np.asarray(x, dtype=float).reshape(-1)
+    if x.size != body.dim:
+        raise GeometryError(f"a {x.size}-D point for a {body.dim}-D body")
     lo, hi = body.bounding_box()
     c = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo) * BOX_INFLATION
@@ -363,6 +365,8 @@ class OmegaEvaluator:
         """Evaluate on an (m, dim) array, vectorized on every path."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         body = self.body
+        if pts.shape[1] != body.dim:
+            raise GeometryError(f"{pts.shape[1]}-D points for a {body.dim}-D body")
         if isinstance(body, Ball):
             s = np.linalg.norm(pts - 2.0 * body.center, axis=1) / body.radius
             return unit_ball_omega_batch(body.dim, s) * body.radius ** body.dim

@@ -66,6 +66,17 @@ class TestDispatch:
         # the containment is decided exactly, so nothing is sampled or seeded
         assert run(["calibrate", "--samples", "10"]) == 2
 
+    @pytest.mark.parametrize("argv, dims", [
+        (["omega", "--body", "square", "--point", "0.5,0.5,0.5"], (3, 2)),
+        (["omega", "--body", "square", "--point", "0.5"], (1, 2)),
+        (["omega", "--body", "ball2", "--point", "0.5,0.5,0.5"], (3, 2)),
+        (["omega", "--body", "cube", "--mode", "mc", "--point", "0.5,0.5"], (2, 3))])
+    def test_point_of_the_wrong_dimension_is_failure(self, capsys, argv, dims):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: (a )?%d-D points? for a %d-D body\n" % dims, captured.err)
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_trial_count_below_one_is_failure(self, capsys, trials):
         assert run(["hardy", "--family", "halfline_product", "--trials", trials]) == 1
@@ -172,6 +183,15 @@ class TestReports:
         assert run(["hardy", "--family", "integrability", "--body", "triangle",
                     "--d", "1.5"]) == 1
         assert "corner family covers only the unit square" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", ["triangle", "ball3"])
+    def test_tent_product_only_on_unit_boxes(self, tmp_path, capsys, body):
+        out = tmp_path / "tent.json"
+        assert run(["hardy", "--family", "tent_product", "--body", body,
+                    "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == "error: the tent product covers only translates of (0, 1)^n\n"
 
     def test_simplicial_report(self, tmp_path, capsys):
         out = tmp_path / "approx.json"

@@ -3,6 +3,7 @@ import pytest
 from scipy import signal
 from scipy.integrate import quad
 
+from pwlab import fourier
 from pwlab.fourier import (
     ConvergenceError,
     GridFunction,
@@ -78,6 +79,26 @@ class TestSynthesis:
         assert abs(l1 - 2 * oracle) < 0.005
         assert abs(l1 + tail - 1.0) < 0.01
 
+    def test_tent_boxes_match_long_double_sums(self):
+        # the doubling settles at L = 32, so the tail is box(32) - box(16);
+        # nodes, phases and sums in long double on the exact midpoint grids
+        spec = GridSpec(lower=[-1.0], upper=[1.0], npts=(4000,))
+        tent = GridFunction.from_function(spec, lambda p: np.maximum(0, 1 - np.abs(p[:, 0])))
+        total, tail = synthesize_l1(tent, box_halfwidth=4.0)
+        F = tent.values.real.astype(np.longdouble) / 2000
+        xs = -1 + (np.arange(4000, dtype=np.longdouble) + 0.5) / 2000
+        two_pi = 4 * np.arcsin(np.longdouble(1))
+
+        def box(L):
+            ts = -L + (np.arange(40 * L, dtype=np.longdouble) + 0.5) / 20
+            phases = [two_pi * np.outer(t, xs) for t in np.split(ts, 8)]
+            f = [np.hypot(np.cos(ph) @ F, np.sin(ph) @ F) for ph in phases]
+            return np.sum(np.concatenate(f)) / 20
+
+        box16, box32 = box(16), box(32)
+        assert total == pytest.approx(float(box32), rel=1e-13, abs=0.0)
+        assert tail == pytest.approx(float(box32 - box16), rel=1e-13, abs=0.0)
+
     def test_l1_dominates_frequency_values(self):
         # |fhat(x)| <= ||f||_1 pointwise; the bump peaks at fhat(0) = 1
         spec = GridSpec(lower=[-1.0, -1.0], upper=[1.0, 1.0], npts=(64, 64))
@@ -110,41 +131,85 @@ class TestSynthesis:
             synthesize_l1(tent, box_halfwidth=4.0)
 
 
+def axis_nodes(lo, hi, m):
+    return GridSpec(lower=[lo], upper=[hi], npts=(m,)).axis_nodes(0)
+
+
+def direct_transform(F, axis, xs, ts):
+    """The matrix exp(2 pi i t_j x_k) contracted with axis `axis` of F."""
+    E = np.exp(2j * np.pi * np.outer(ts, xs))
+    return np.moveaxis(np.tensordot(E, F, axes=(1, axis)), 0, axis)
+
+
+SHAPES = [((None,), 0), ((None, 3), 0), ((3, None), 1)]
+
+
+@pytest.fixture
+def ifft_calls(monkeypatch):
+    """Record the length of every FFT `_axis_transform` takes."""
+    calls, ifft = [], fourier.ifft
+
+    def counted(x, n, **kwargs):
+        calls.append(n)
+        return ifft(x, n, **kwargs)
+
+    monkeypatch.setattr(fourier, "ifft", counted)
+    return calls
+
+
+def check_axis_transform(xs, ts, shape, axis):
+    K = xs.size
+    rng = np.random.default_rng(K * 10_000 + ts.size)
+    dims = tuple(K if s is None else s for s in shape)
+    F = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+    got, ref = _axis_transform(F, axis, xs, ts), direct_transform(F, axis, xs, ts)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def fft_lengths(K, M):
+    """The FFTs taken on K nodes of (0, 1) and M nodes of (-31, 33): there
+    dt hx = 64/(M K), so one of length N = M K/64 when that is an integer
+    N >= K."""
+    return [M * K // 64] if K > 1 and M >= 64 and M * K % 64 == 0 else []
+
+
 class TestAxisTransform:
+    # an off-centre box, so that t_0/dt is not a half integer; up to 2^21
+    # matrix entries here, more in the next test, where K = 2049, M = 1025
+    # takes the direct matrix in two row blocks
     @pytest.mark.parametrize("K", [1, 2, 7, 400, 401])
-    @pytest.mark.parametrize("M", [1, 5, 1536])
-    @pytest.mark.parametrize("shape, axis", [((None,), 0), ((None, 3), 0), ((3, None), 1)])
-    def test_dense_branch_matches_direct_matrix(self, K, M, shape, axis):
-        xs = GridSpec(lower=[0.0], upper=[1.0], npts=(K,)).axis_nodes(0)
-        # off-centre box, so that a single spatial node is not t = 0
-        ts = GridSpec(lower=[-31.0], upper=[33.0], npts=(M,)).axis_nodes(0)
+    @pytest.mark.parametrize("M", [1, 5, 1536, 3072])
+    @pytest.mark.parametrize("shape, axis", SHAPES)
+    def test_dense_branch_matches_direct_matrix(self, K, M, shape, axis, ifft_calls):
         assert K * M <= 1 << 21
-        rng = np.random.default_rng(K * 10_000 + M)
-        dims = tuple(K if s is None else s for s in shape)
-        F = rng.normal(size=dims) + 1j * rng.normal(size=dims)
-        got = _axis_transform(F, axis, xs, ts)
-        E = np.exp(2j * np.pi * np.outer(ts, xs))
-        ref = np.moveaxis(np.tensordot(E, F, axes=(1, axis)), 0, axis)
-        assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        check_axis_transform(axis_nodes(0.0, 1.0, K), axis_nodes(-31.0, 33.0, M), shape, axis)
+        assert ifft_calls == fft_lengths(K, M)
 
     @pytest.mark.parametrize("K", [2048, 2049])
     @pytest.mark.parametrize("M", [1025, 1536])
-    @pytest.mark.parametrize("shape, axis", [((None,), 0), ((None, 3), 0), ((3, None), 1)])
-    def test_chirp_z_branch_matches_direct_matrix(self, K, M, shape, axis):
-        xs = GridSpec(lower=[0.0], upper=[1.0], npts=(K,)).axis_nodes(0)
-        ts = GridSpec(lower=[-31.0], upper=[33.0], npts=(M,)).axis_nodes(0)
-        # past the dense branch, with a reference matrix of at most 3.2e6 entries
+    @pytest.mark.parametrize("shape, axis", SHAPES)
+    def test_chirp_z_branch_matches_direct_matrix(self, K, M, shape, axis, ifft_calls):
         assert 1 << 21 < K * M <= 3_200_000
-        rng = np.random.default_rng(K * 10_000 + M)
-        dims = tuple(K if s is None else s for s in shape)
-        F = rng.normal(size=dims) + 1j * rng.normal(size=dims)
-        got = _axis_transform(F, axis, xs, ts)
-        E = np.exp(2j * np.pi * np.outer(ts, xs))
-        ref = np.moveaxis(np.tensordot(E, F, axes=(1, axis)), 0, axis)
-        assert got.shape == ref.shape
-        # the chirp w^(k^2/2) carries the rounding of |w| to powers ~k^2/2
-        assert np.max(np.abs(got - ref)) <= 2e-10 * np.max(np.abs(ref))
+        check_axis_transform(axis_nodes(0.0, 1.0, K), axis_nodes(-31.0, 33.0, M), shape, axis)
+        assert ifft_calls == fft_lengths(K, M)
+
+    @pytest.mark.parametrize("shape, axis", SHAPES)
+    def test_box_wider_than_the_period_wraps(self, shape, axis, ifft_calls):
+        # dt = 1/4 and hx = 1/64 give N = 256 < M = 600 spatial nodes
+        check_axis_transform(axis_nodes(0.0, 1.0, 64), axis_nodes(-74.0, 76.0, 600),
+                             shape, axis)
+        assert ifft_calls == [256]
+
+    @pytest.mark.parametrize("xs, ts", [
+        # dt hx 1e-10 off 1/9600
+        (axis_nodes(0.0, 1.0, 400), axis_nodes(-31.0, 33.0, 1536) * (1.0 + 1e-10)),
+        (axis_nodes(0.0, 1.0, 400), axis_nodes(-49.0, 51.0, 50)),      # N = 200 < K
+        (axis_nodes(-1.05, 1.05, 96), axis_nodes(-8.0, 8.0, 160))])    # the planar bump
+    @pytest.mark.parametrize("shape, axis", SHAPES)
+    def test_other_grids_take_the_direct_matrix(self, xs, ts, shape, axis, ifft_calls):
+        check_axis_transform(xs, ts, shape, axis)
+        assert ifft_calls == []
 
 
 def direct_convolution(a, b):

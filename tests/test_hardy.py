@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from pwlab.fourier import ConvergenceError
-from pwlab.geometry import Ball, GeometryError, VPolytope, unit_box
+from pwlab.geometry import Ball, GeometryError, Product, VPolytope, box, unit_box
 from pwlab.hardy import (
     adjusted_integrability_report,
     canonical_bump_l1,
@@ -14,6 +15,7 @@ from pwlab.hardy import (
     halfline_ratio,
     random_halfline_pair,
     tent_ratio,
+    unit_box_corner,
 )
 
 
@@ -100,11 +102,27 @@ class TestIntegrabilityReport:
         # the corner family is the unit square's, in H- or V-form alike
         square = VPolytope([[0, 0], [1, 0], [1, 1], [0, 1]])
         assert adjusted_integrability_report(square, [1.5])[0].verdict == "fails-evidence"
-        with pytest.raises(GeometryError, match="unit square"):
-            adjusted_integrability_report(VPolytope([[0, 0], [1, 0], [0, 1]]), [1.5])
+        for other in (VPolytope([[0, 0], [1, 0], [0, 1]]), box([1, 1], [2, 2]), unit_box(3)):
+            with pytest.raises(GeometryError, match="unit square"):
+                adjusted_integrability_report(other, [1.5])
 
     def test_ball_verdicts(self, disc):
         rows = adjusted_integrability_report(disc, [0.5, 0.8])
         verdicts = {r.d: r.verdict for r in rows}
         assert verdicts[0.5] == "holds-evidence"
         assert verdicts[0.8] == "inconclusive"
+
+
+class TestUnitBoxCorner:
+    def test_translates_of_the_unit_box(self):
+        assert np.array_equal(unit_box_corner(unit_box(2)), [0.0, 0.0])
+        cube = VPolytope(np.array(list(itertools.product([0, 1], repeat=3))) + [2, -1, 0.5])
+        assert np.allclose(unit_box_corner(cube), [2.0, -1.0, 0.5], rtol=0, atol=1e-12)
+        assert np.array_equal(unit_box_corner(Ball(np.array([0.5]), 0.5)), [0.0])
+        assert np.array_equal(unit_box_corner(Product((Ball([1.5], 0.5), Ball([0.5], 0.5)))),
+                              [1.0, 0.0])
+
+    def test_other_bodies(self):
+        for body in (box([0, 0], [2, 1]), VPolytope([[0, 0], [1, 0], [0, 1]]),
+                     Ball(np.zeros(1), 1.0), Ball(np.zeros(2), 0.5)):
+            assert unit_box_corner(body) is None

@@ -405,6 +405,23 @@ class TestEvaluator:
         with pytest.raises(GeometryError):
             OmegaEvaluator(body)
 
+    @pytest.mark.parametrize("body", [
+        unit_box(2),
+        Ball(np.zeros(3), 1.0),
+        Product((Ball([0.5], 0.5), unit_box(2))),
+        AffineImage(base=unit_box(2), matrix=2 * np.eye(2), shift=np.zeros(2)),
+    ], ids=["square", "ball3", "product3", "affine2"])
+    def test_points_of_another_dimension_raise(self, body):
+        ev = OmegaEvaluator(body)
+        for m in (body.dim - 1, body.dim + 1):
+            message = f"{m}-D points? for a {body.dim}-D body"
+            with pytest.raises(GeometryError, match=message):
+                ev.batch(np.full((4, m), 0.5))
+            with pytest.raises(GeometryError, match=message):
+                ev(np.full(m, 0.5))
+            with pytest.raises(GeometryError, match=message):
+                omega_mc(body, np.full(m, 0.5), 1000, seed=0)
+
     @pytest.mark.parametrize("body", [QUADRANT, WEDGE], ids=["quadrant", "wedge"])
     def test_monte_carlo_oracle_rejects_unbounded_polytopes(self, body):
         with pytest.raises(GeometryError, match="unbounded"):

@@ -176,7 +176,8 @@ UNREAD_PARAMETERS = {
     "checks.criterion_NN(fast)",
     # abstract: each body variant implements it
     "geometry.ConvexBody.contains_batch(pts)",
-    # the disjointness test draws no points; callers may still pass a seed
+    # the disjointness test draws no points; perfbench's `orthogonal sum`
+    # item still passes a seed
     "hankel.orthogonal_sum_check(seed)",
 }
 
