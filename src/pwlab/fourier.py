@@ -8,9 +8,10 @@ captured mass settles.  No windowing is needed because every frequency
 function used here vanishes inside its grid box.
 
 The full linear convolution `fft_convolve` is written on `scipy.fft` with
-scipy.signal's own formulas: the numbers are scipy's, but `import pwlab`
-skips `scipy.signal` and the `scipy.stats` it loads, which were half of the
-package's start-up.
+scipy.signal's own formulas: the numbers are scipy's, but pwlab never loads
+`scipy.signal` and the `scipy.stats` it brings.  `scipy.fft` is imported by
+the calls that take an FFT, when they run: `fft_convolve` and the FFT route
+of the axis transform.  `import pwlab` and the matrix route load no scipy.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import fftn, ifft, ifftn, irfftn, next_fast_len, rfftn
 
 from .geometry import AffineImage, Ball, ConvexBody, GeometryError
 
@@ -176,6 +176,7 @@ def fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rfftn/irfftn for real inputs or fftn/ifftn for complex, then slice; the
     other axes broadcast.
     """
+    from scipy.fft import fftn, ifftn, irfftn, next_fast_len, rfftn
     a, b = np.asarray(a), np.asarray(b)
     axes = [i for i in range(a.ndim) if a.shape[i] > 1 and b.shape[i] > 1]
     if not axes:
@@ -206,6 +207,7 @@ def _axis_transform(F: np.ndarray, axis: int, xs: np.ndarray, ts: np.ndarray) ->
         # 1/N stands in for dt hx, which moves the phase of entry (j, k) by
         # j k |N dt hx - 1| cycles: only a rounding-level mismatch is allowed
         if N >= K and abs(N * dt * hx - 1.0) <= 16 * np.finfo(float).eps:
+            from scipy.fft import ifft
             pre = np.exp(2j * np.pi * (ts[0] / dt) * np.arange(K) / N)
             S = ifft(np.moveaxis(F, axis, -1) * pre, n=N, norm="forward")
             out = S[..., np.arange(M) % N] * np.exp(2j * np.pi * ts * xs[0])

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 # Shared tolerances, each relative to the body: vertices closer than DEDUP_TOL
 # times the diagonal of its bounding box are one, a vertex y satisfies a row
@@ -332,7 +331,8 @@ BUILTIN_BODIES = {
 # vertex enumeration (brute force) and hulls (Qhull), dim <= 3
 # ---------------------------------------------------------------------------
 
-def _hull(pts: np.ndarray) -> ConvexHull:
+def _hull(pts: np.ndarray):
+    from scipy.spatial import ConvexHull, QhullError
     try:
         return ConvexHull(pts)
     except QhullError:
@@ -346,6 +346,7 @@ def _is_bounded(h: HPolytope) -> bool:
     A = h.normals
     if h.dim == 1:
         return bool(A.min() < 0.0 < A.max())
+    from scipy.spatial import ConvexHull, QhullError
     try:
         offsets = ConvexHull(A).equations[:, -1]
     except QhullError:

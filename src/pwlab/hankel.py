@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import svdvals
 
 from .fourier import GridSpec, fft_convolve
 from .geometry import Ball, ConvexBody, GeometryError, check_ball_interactions_disjoint
@@ -32,7 +31,7 @@ ORTHO_REL_TOL = 1e-6  # largest accepted spectral deviation of an orthogonal sum
 
 def schatten_norm(sv, p: float) -> float:
     """(sum sigma^p)^(1/p); p = inf gives the largest singular value."""
-    if p < 1:
+    if not p >= 1:                      # NaN fails too
         raise GeometryError("Schatten exponent must satisfy p >= 1")
     sv = np.asarray(sv, dtype=float)
     if sv.size == 0:
@@ -110,6 +109,7 @@ def singular_values(A: np.ndarray) -> np.ndarray:
     if np.isrealobj(A) and np.array_equal(A, A.T):
         sv = np.abs(np.linalg.eigvalsh(A))
     else:
+        from scipy.linalg import svdvals
         sv = svdvals(A)
     return np.sort(sv)[::-1]
 

@@ -56,6 +56,8 @@ def tent_ratio(n: int, d: float = 1.0, freq_points: int = 20_000) -> float:
     """
     if n < 1:
         raise GeometryError("dimension must be >= 1")
+    if not math.isfinite(d):
+        raise GeometryError(f"weight exponent d must be finite, got {d}")
     if d >= 2.0:
         raise GeometryError("the one-axis tent integral diverges for d >= 2")
     numerator_axis = 2.0 / (2.0 - d)           # int_{-1}^{1} (1-|x|)^{1-d} dx
@@ -155,6 +157,8 @@ def corner_family_ratio(d: float, t: float) -> float:
     """
     if not (0.0 < t < 1.0):
         raise GeometryError("corner parameter t must lie in (0, 1)")
+    if not math.isfinite(d):
+        raise GeometryError(f"weight exponent d must be finite, got {d}")
     root = math.sqrt(t)
     center = 2.0 * (1.0 - root / 2.0) * np.ones(2)   # doubled Chebyshev center
     x, rho, cell = scaled_ball_grid(center, root, CORNER_QUAD_POINTS)

@@ -69,7 +69,7 @@ class NehariConfig:
     seed: int = 7
 
     def __post_init__(self):
-        if self.p < 1:
+        if not self.p >= 1:             # NaN fails too
             raise GeometryError("Schatten exponent must satisfy p >= 1")
         bad = [e for e in self.epsilons if not (0 < e < self.calibration.eps0)]
         if bad:

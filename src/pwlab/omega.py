@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import HalfspaceIntersection, QhullError
-from scipy.special import betainc, gamma
 
 from . import geometry
 from .fourier import GridSpec
@@ -47,6 +45,7 @@ SLICE_RULE = np.polynomial.legendre.leggauss(40)  # Gauss-Legendre on [-1, 1]
 
 def unit_ball_volume(n: int) -> float:
     """Volume of the unit n-ball; kappa_0 = 1 by convention."""
+    from scipy.special import gamma
     return math.pi ** (n / 2) / gamma(n / 2 + 1)
 
 
@@ -98,6 +97,7 @@ def unit_ball_omega_batch(n: int, s: np.ndarray) -> np.ndarray:
     """
     if n == 2:
         return disc_lens(s)
+    from scipy.special import betainc
     s = np.asarray(s, dtype=float)
     out = np.zeros_like(s)
     inside = s < 2.0
@@ -134,6 +134,8 @@ def omega_polytope_exact(P: HPolytope, x) -> float:
     if P.dim > 3:
         raise GeometryError("exact polytope autocorrelation restricted to dim <= 3")
     x = np.asarray(x, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(x)):
+        raise GeometryError(f"point {x} is not finite")
     A, b = P.normals, P.offsets
     Ax = A @ x
     band = ZERO_BAND_ULPS * np.finfo(float).eps * (np.abs(Ax) + 2.0 * np.abs(b))
@@ -144,6 +146,7 @@ def omega_polytope_exact(P: HPolytope, x) -> float:
     if P.dim == 1:
         ends = offsets / planes[:, 0]
         return float(ends[planes[:, 0] > 0].min() - ends[planes[:, 0] < 0].max())
+    from scipy.spatial import HalfspaceIntersection, QhullError
     try:
         hs = HalfspaceIntersection(np.hstack([planes, -offsets[:, None]]), x / 2.0)
     except QhullError as err:
@@ -232,6 +235,8 @@ def omega_mc(body: ConvexBody, x, samples: int, seed: int) -> tuple[float, float
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != body.dim:
         raise GeometryError(f"a {x.size}-D point for a {body.dim}-D body")
+    if not np.all(np.isfinite(x)):
+        raise GeometryError(f"point {x} is not finite")
     lo, hi = body.bounding_box()
     c = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo) * BOX_INFLATION
@@ -367,6 +372,8 @@ class OmegaEvaluator:
         body = self.body
         if pts.shape[1] != body.dim:
             raise GeometryError(f"{pts.shape[1]}-D points for a {body.dim}-D body")
+        if not np.all(np.isfinite(pts)):
+            raise GeometryError("points must be finite")
         if isinstance(body, Ball):
             s = np.linalg.norm(pts - 2.0 * body.center, axis=1) / body.radius
             return unit_ball_omega_batch(body.dim, s) * body.radius ** body.dim
@@ -466,6 +473,8 @@ def omega_inverse_integral(body: ConvexBody, d: float, levels: int = 3,
     Divergent integrands keep growing at a near-zero floor; integrable ones
     stabilize at a resolvable floor.  The caller inspects the sequence.
     """
+    if not math.isfinite(d):
+        raise GeometryError(f"weight exponent d must be finite, got {d}")
     ev = OmegaEvaluator(body)
     values = []
     for level in range(levels):

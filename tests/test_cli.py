@@ -93,6 +93,30 @@ class TestDispatch:
         assert captured.err == ("error: need at least 4 distinct N for a slope fit, "
                                 f"the eps list gives N in {counts}\n")
 
+    def test_nan_schatten_exponent_is_failure(self, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        assert run(["nehari-sweep", "--p", "nan", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == "error: Schatten exponent must satisfy p >= 1\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["hardy", "--family", "corner_bumps", "--d", "nan"],
+         "weight exponent d must be finite, got nan"),
+        (["hardy", "--family", "tent_product", "--body", "square", "--d", "inf"],
+         "weight exponent d must be finite, got inf"),
+        (["hardy", "--family", "integrability", "--body", "ball2", "--d", "nan"],
+         "weight exponent d must be finite, got nan"),
+        (["omega", "--body", "triangle", "--point", "nan,0.2"], "points must be finite"),
+        (["omega", "--body", "triangle", "--point", "nan,0.2", "--mode", "mc"],
+         r"point \[nan 0.2\] is not finite")])
+    def test_non_finite_parameter_is_failure(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "report.json"
+        assert run(argv + (["--out", str(out)] if argv[0] == "hardy" else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert re.fullmatch(f"error: {message}\n", captured.err)
+
     def test_sweep_prints_the_n_range_of_an_ascending_ladder(self, capsys):
         assert run(["nehari-sweep", "--p", "6", "--eps", "0.15,0.2,0.3,0.4"]) == 0
         assert capsys.readouterr().out.endswith(" over N in [7, 20]\n")

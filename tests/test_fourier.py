@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+import scipy.fft
 from scipy import signal
 from scipy.integrate import quad
 
-from pwlab import fourier
 from pwlab.fourier import (
     ConvergenceError,
     GridFunction,
@@ -146,14 +146,15 @@ SHAPES = [((None,), 0), ((None, 3), 0), ((3, None), 1)]
 
 @pytest.fixture
 def ifft_calls(monkeypatch):
-    """Record the length of every FFT `_axis_transform` takes."""
-    calls, ifft = [], fourier.ifft
+    """Record the length of every FFT `_axis_transform` takes: it imports
+    scipy.fft.ifft when it calls it, so the spy sits on scipy's module."""
+    calls, ifft = [], scipy.fft.ifft
 
     def counted(x, n, **kwargs):
         calls.append(n)
         return ifft(x, n, **kwargs)
 
-    monkeypatch.setattr(fourier, "ifft", counted)
+    monkeypatch.setattr(scipy.fft, "ifft", counted)
     return calls
 
 

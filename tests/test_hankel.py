@@ -50,6 +50,10 @@ class TestSchattenNorm:
         with pytest.raises(GeometryError):
             schatten_norm([1.0], 0.5)
 
+    def test_nan_p_rejected(self):
+        with pytest.raises(GeometryError, match="p >= 1"):
+            schatten_norm([1.0], math.nan)
+
     def test_conjugate(self):
         assert conjugate_exponent(2.0) == 2.0
         assert conjugate_exponent(1.0) == math.inf

@@ -28,6 +28,11 @@ class TestTentRatio:
         with pytest.raises(GeometryError):
             tent_ratio(1, d=2.0)
 
+    @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
+    def test_non_finite_d_raises(self, d):
+        with pytest.raises(GeometryError, match="must be finite"):
+            tent_ratio(1, d=d)
+
 
 class TestHalflineRatio:
     def test_random_pairs_below_pi(self, rng):
@@ -78,6 +83,11 @@ class TestCornerFamily:
     def test_t_out_of_range(self):
         with pytest.raises(GeometryError):
             corner_family_ratio(1.0, 1.5)
+
+    @pytest.mark.parametrize("d", [math.nan, math.inf])
+    def test_non_finite_d_raises(self, d):
+        with pytest.raises(GeometryError, match="must be finite"):
+            corner_family_ratio(d, 1e-2)
 
     def test_monotone_in_d_at_fixed_t(self):
         # on the unit-volume square w <= 1, so w^{-d} grows pointwise with d

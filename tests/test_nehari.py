@@ -329,6 +329,11 @@ class TestSweep:
         with pytest.raises(GeometryError):
             NehariConfig(p=6.0, epsilons=(0.5, 0.3))
 
+    @pytest.mark.parametrize("p", [0.5, math.nan])
+    def test_schatten_exponent_below_one_or_nan_rejected(self, p):
+        with pytest.raises(GeometryError, match="p >= 1"):
+            NehariConfig(p=p)
+
     def test_too_few_rows(self):
         with pytest.raises(GeometryError):
             sweep_and_fit(NehariConfig(p=6.0, epsilons=(0.4, 0.3, 0.2)))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
@@ -100,6 +101,11 @@ class TestOmegaPolytope:
         with pytest.raises(GeometryError, match="dim <= 3"):
             omega_polytope_exact(unit_box(4), [1, 1, 1, 1])
 
+    @pytest.mark.parametrize("x", [[math.nan, 0.2], [0.2, math.inf]])
+    def test_non_finite_point_raises(self, right_triangle, x):
+        with pytest.raises(GeometryError, match="not finite"):
+            omega_polytope_exact(right_triangle, x)
+
     @pytest.mark.parametrize("name", ["triangle", "square", "pyramid"])
     def test_just_inside_a_vertex_of_the_doubled_body(self, name):
         P = geometry.BUILTIN_BODIES[name]()
@@ -114,7 +120,7 @@ class TestOmegaPolytope:
     def test_enumeration_failure_propagates(self, right_triangle, monkeypatch):
         def fail(*args, **kwargs):
             raise QhullError("initial simplex is flat")
-        monkeypatch.setattr(omega, "HalfspaceIntersection", fail)
+        monkeypatch.setattr(scipy.spatial, "HalfspaceIntersection", fail)
         # outside 2P, and inside it but within the zero band of the facet
         # x + y < 2, the value is 0.0 without a Qhull call
         band = np.array([1.0, 1.0 - 1e-14])
@@ -356,6 +362,10 @@ class TestOmegaMC:
         with pytest.raises(GeometryError, match="at least 1 sample"):
             omega_mc(right_triangle, [0.6, 0.6], samples, seed=0)
 
+    def test_non_finite_point_raises(self, right_triangle):
+        with pytest.raises(GeometryError, match="not finite"):
+            omega_mc(right_triangle, [math.nan, 0.2], 1000, seed=0)
+
     @pytest.mark.parametrize("name, x, samples, seed", [
         ("triangle", [2 / 3, 2 / 3], 1_200_000, 42),
         ("triangle", [0.3, 1.1], 200_000, 7),
@@ -421,6 +431,22 @@ class TestEvaluator:
                 ev(np.full(m, 0.5))
             with pytest.raises(GeometryError, match=message):
                 omega_mc(body, np.full(m, 0.5), 1000, seed=0)
+
+    @pytest.mark.parametrize("body", [
+        unit_box(2),
+        Ball(np.zeros(3), 1.0),
+        Product((Ball([0.5], 0.5), unit_box(2))),
+        AffineImage(base=unit_box(2), matrix=2 * np.eye(2), shift=np.zeros(2)),
+    ], ids=["square", "ball3", "product3", "affine2"])
+    def test_non_finite_points_raise(self, body):
+        ev = OmegaEvaluator(body)
+        pts = np.full((4, body.dim), 0.5)
+        for bad in (math.nan, math.inf):
+            pts[2, -1] = bad
+            with pytest.raises(GeometryError, match="points must be finite"):
+                ev.batch(pts)
+            with pytest.raises(GeometryError, match="points must be finite"):
+                ev(pts[2])
 
     @pytest.mark.parametrize("body", [QUADRANT, WEDGE], ids=["quadrant", "wedge"])
     def test_monte_carlo_oracle_rejects_unbounded_polytopes(self, body):
@@ -595,6 +621,10 @@ class TestSublevel:
 
 
 class TestInverseIntegral:
+    def test_non_finite_d_raises(self, disc):
+        with pytest.raises(GeometryError, match="must be finite"):
+            omega_inverse_integral(disc, math.nan)
+
     def test_d_zero_gives_support_measure(self, disc):
         vals = omega_inverse_integral(disc, 0.0, levels=2, base_per_axis=128, floor=0.0)
         assert abs(vals[-1] - 4 * math.pi) < 0.05

@@ -288,21 +288,48 @@ def fresh_modules(imports: str) -> list[str]:
 
 
 PWLAB_IMPORT = "import pwlab, pwlab.cli, pwlab.checks"
-# what pwlab cannot do without: numpy and the four scipy subpackages it calls
+# what pwlab cannot do without: numpy and the four scipy subpackages that
+# its Qhull hulls, ball closed forms, FFTs and varying-phase SVDs import
+# when they are called
 SCIPY_FLOOR = "import numpy, scipy.fft, scipy.linalg, scipy.spatial, scipy.special"
+# one call through each site that imports scipy
+LAZY_CALLS = """
+import numpy as np
+from pwlab import fourier, geometry, hankel, omega
+triangle = geometry.BUILTIN_BODIES["triangle"]()
+geometry.vertex_enumerate(triangle)
+omega.omega_polytope_exact(triangle, [0.2, 0.3])
+fourier.fft_convolve(np.ones((3, 4)), np.ones((2, 5)))
+fhat = fourier.GridFunction(fourier.GridSpec([0.0], [1.0], 64), np.ones(64))
+fourier.synthesize_on_grid(fhat, fourier.GridSpec([-32.0], [32.0], 256))
+omega.unit_ball_omega_batch(3, np.array([0.5]))
+hankel.singular_values(np.array([[1.0, 1j], [2.0, 1.0]]))
+"""
 
 
-def test_import_loads_neither_scipy_signal_nor_stats():
-    # scipy.signal, and scipy.stats through it, were about half of the
-    # start-up of every run; pwlab.fourier has the two operations pwlab needs
+def scipy_modules(loaded: list[str]) -> list[str]:
+    return [m for m in loaded if m.startswith("scipy")]
+
+
+def test_import_loads_no_scipy_module():
+    # each scipy subpackage comes in with the first call that needs it, so
+    # a run that calls none (the disc sweep, calibration) starts without one
     loaded = fresh_modules(PWLAB_IMPORT)
-    assert "pwlab.checks" in loaded and "scipy.fft" in loaded
-    assert [m for m in loaded if m.startswith(("scipy.signal", "scipy.stats"))] == []
+    assert "pwlab.checks" in loaded
+    assert scipy_modules(loaded) == []
 
 
 def test_import_loads_no_scipy_module_beyond_the_floor():
     # scipy.integrate, and scipy.optimize through it, came in for two
     # one-dimensional integrals that fixed Gauss-Legendre rules now take
     floor = set(fresh_modules(SCIPY_FLOOR))
-    extra = [m for m in fresh_modules(PWLAB_IMPORT) if m.startswith("scipy") and m not in floor]
-    assert extra == []
+    loaded = fresh_modules(f"{PWLAB_IMPORT}\n{LAZY_CALLS}")
+    assert {"scipy.fft", "scipy.linalg", "scipy.spatial", "scipy.special"} <= set(loaded)
+    assert [m for m in scipy_modules(loaded) if m not in floor] == []
+
+
+def test_calibration_and_a_sweep_row_load_no_scipy_module():
+    # the paper's sweep is numpy throughout
+    loaded = fresh_modules(f"{PWLAB_IMPORT}\nfrom pwlab import nehari\npwlab.calibrate()\n"
+                           "nehari.eq5_ratio(nehari.NehariConfig(p=6.0), 0.4)")
+    assert scipy_modules(loaded) == []
