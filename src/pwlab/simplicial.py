@@ -12,6 +12,7 @@ lambda with eps yields a decreasing family squeezing down to P.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -121,6 +122,8 @@ class SimplicialApprox:
 
 
 def build_approximation(P, eps: float, seed: int = 0) -> SimplicialApprox:
+    if not math.isfinite(eps):
+        raise GeometryError(f"eps must be finite, got {eps}")
     pert = perturb_vertices(P, eps, seed=seed)
     contains, margin = verify_strict_containment(P, pert.hull)
     disp = float(np.max(np.linalg.norm(pert.perturbed - pert.vertices, axis=1)))

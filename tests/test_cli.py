@@ -109,10 +109,13 @@ class TestDispatch:
          "weight exponent d must be finite, got nan"),
         (["omega", "--body", "triangle", "--point", "nan,0.2"], "points must be finite"),
         (["omega", "--body", "triangle", "--point", "nan,0.2", "--mode", "mc"],
-         r"point \[nan 0.2\] is not finite")])
+         r"point \[nan 0.2\] is not finite"),
+        (["simplicial", "--poly", "pyramid", "--eps", "inf"], "eps must be finite, got inf"),
+        (["simplicial", "--poly", "cube", "--eps", "0.2,nan"],
+         "eps must be finite, got nan")])
     def test_non_finite_parameter_is_failure(self, tmp_path, capsys, argv, message):
         out = tmp_path / "report.json"
-        assert run(argv + (["--out", str(out)] if argv[0] == "hardy" else [])) == 1
+        assert run(argv + (["--out", str(out)] if argv[0] != "omega" else [])) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
         assert re.fullmatch(f"error: {message}\n", captured.err)
@@ -185,6 +188,15 @@ class TestReports:
         reports = reports_at_blas_threads(tmp_path, ["nehari-sweep", "--p", "6",
                                                      "--eps", "0.4,0.3,0.2,0.15"])
         assert reports[0] == reports[1]
+
+    def test_orthogonality_report_independent_of_blas_threads(self, tmp_path):
+        # the union matrix's blocks are bitwise the part matrices and take
+        # the same eigensolve, so the deviation is 0 at any thread count
+        reports = reports_at_blas_threads(tmp_path, ["nehari-sweep", "--p", "6",
+                                                     "--eps", "0.4,0.3,0.2,0.15",
+                                                     "--orthogonality"])
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["orthogonality_check"]["max_rel_dev"] == 0.0
 
     def test_halfline_report_independent_of_blas_threads(self, tmp_path):
         reports = reports_at_blas_threads(tmp_path, ["hardy", "--family", "halfline_product",

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import svdvals
 
-from pwlab import hankel
+from pwlab import checks, hankel
 from pwlab.fourier import bump_hat_batch
 from pwlab.geometry import BUILTIN_BODIES, Ball, GeometryError, unit_box
 from pwlab.hankel import (
@@ -200,6 +200,103 @@ class TestSingularValues:
         assert np.max(np.abs(hankel.singular_values(A) - ref)) <= 1e-13 * ref[0]
 
 
+# sizes of the blocks of block_matrix, and of its zero and diagonal-only rows
+BLOCK_SIZES = (40, 2, 25, 60)
+ZERO_ROWS = 3
+DIAGONAL_ROWS = 4
+
+
+def block_matrix(rng, kind):
+    """A matrix that is block diagonal after a random symmetric permutation:
+    blocks of BLOCK_SIZES, ZERO_ROWS zero rows and DIAGONAL_ROWS rows whose
+    only nonzero is on the diagonal, all indices interleaved.  Returns the
+    matrix and the index set of each block."""
+    m = sum(BLOCK_SIZES) + ZERO_ROWS + DIAGONAL_ROWS
+    perm = rng.permutation(m)
+    A = np.zeros((m, m), dtype=float if kind == "real" else complex)
+    blocks, start = [], 0
+    for n in BLOCK_SIZES:
+        idx = np.sort(perm[start:start + n])
+        G = rng.normal(size=(n, n))
+        B = G + G.T
+        if kind == "phase per block":
+            B = np.exp(1j * rng.uniform(0.0, 2 * np.pi)) * B
+        elif kind == "varying phase":
+            B = B * np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=(n, n)))
+        A[np.ix_(idx, idx)] = B
+        blocks.append(idx)
+        start += n
+    diag = perm[start + ZERO_ROWS:]
+    A[diag, diag] = rng.uniform(0.5, 2.0, size=DIAGONAL_ROWS)
+    return A, blocks
+
+
+def full_solve(A):
+    """The spectrum of the unsplit matrix."""
+    if np.isrealobj(A) and np.array_equal(A, A.T):
+        return np.sort(np.abs(np.linalg.eigvalsh(A)))[::-1]
+    return svdvals(A)
+
+
+def solved_block_sizes(monkeypatch, A):
+    """singular_values(A) and the sizes of the blocks it solved."""
+    sizes = []
+    solve = hankel._block_singular_values
+
+    def recording(B):
+        sizes.append(B.shape[0])
+        return solve(B)
+    monkeypatch.setattr(hankel, "_block_singular_values", recording)
+    return hankel.singular_values(A), sorted(sizes)
+
+
+class TestBlockSplit:
+    @pytest.mark.parametrize("kind", ["real", "phase per block", "varying phase"])
+    def test_blocks_match_the_full_solve(self, monkeypatch, kind):
+        rng = np.random.default_rng(["real", "phase per block", "varying phase"].index(kind))
+        A, blocks = block_matrix(rng, kind)
+        sv, sizes = solved_block_sizes(monkeypatch, A)
+        ref = full_solve(A)
+        assert sizes == sorted(BLOCK_SIZES)
+        assert sv.shape == (A.shape[0],) and np.all(np.diff(sv) <= 0.0)
+        assert np.max(np.abs(sv - ref)) <= 1e-13 * ref[0]
+        # zero rows give exact zeros, diagonal-only rows their |A_ii| exactly
+        assert np.count_nonzero(sv == 0.0) == ZERO_ROWS
+        isolated = np.setdiff1d(np.arange(A.shape[0]), np.concatenate(blocks))
+        assert np.all(np.isin(np.abs(A[isolated, isolated]), sv))
+
+    def test_one_tiny_cross_entry_merges_two_blocks(self, monkeypatch):
+        A, blocks = block_matrix(np.random.default_rng(3), "real")
+        A[blocks[0][0], blocks[2][-1]] = 1e-30 * np.max(np.abs(A))
+        sv, sizes = solved_block_sizes(monkeypatch, A)
+        ref = svdvals(A)
+        assert sizes == sorted([BLOCK_SIZES[0] + BLOCK_SIZES[2], BLOCK_SIZES[1], BLOCK_SIZES[3]])
+        assert np.max(np.abs(sv - ref)) <= 1e-13 * ref[0]
+
+    def test_connected_matrix_is_solved_uncopied(self, monkeypatch):
+        A = HankelMatrix.build(BUILTIN_BODIES["ball2"](), 0.1,
+                               centered_bump([0.1, 0.0], 0.8)).matrix
+        seen = []
+        monkeypatch.setattr(hankel, "_block_singular_values",
+                            lambda B: seen.append(B) or np.abs(np.linalg.eigvalsh(B)))
+        hankel.singular_values(A)
+        assert len(seen) == 1 and seen[0] is A
+
+    def test_output_length_is_m(self, rng):
+        for m in (1, 2, 7):
+            for density in (0.0, 0.2, 1.0):
+                A = rng.normal(size=(m, m)) * (rng.random((m, m)) < density)
+                sv = hankel.singular_values(A)
+                assert sv.shape == (m,)
+                assert np.max(np.abs(sv - svdvals(A))) <= 1e-13 * max(sv[0], 1.0)
+
+    def test_non_square_takes_svdvals_whole(self, monkeypatch):
+        A = np.zeros((6, 4))
+        A[0, 0], A[5, 3] = 2.0, -1.0
+        sv, sizes = solved_block_sizes(monkeypatch, A)
+        assert sizes == [6] and np.max(np.abs(sv - [2.0, 1.0, 0.0, 0.0])) <= 1e-15
+
+
 class TestHSIdentity:
     def test_base_accuracy_and_refinement(self, disc):
         sym = centered_bump([0, 0], 0.8)
@@ -283,8 +380,13 @@ class TestOrthogonalSum:
             [Ball(2 * c, 2 * r), Ball(-2 * c, 2 * r)],
             spacing=0.03)
         assert chk.ok
-        assert chk.max_rel_dev <= 1e-6
+        # the union's blocks are bitwise the part matrices, solved alike
+        assert chk.max_rel_dev == 0.0
         assert chk.block_sizes == [320, 324, 644]
+
+    def test_criterion_five_deviation_is_exactly_zero(self):
+        res = checks.criterion_05()
+        assert res.passed and res.detail.startswith("dev 0.0e+00,")
 
     def test_single_symbol_trivial(self, disc):
         r = 0.1
@@ -297,7 +399,8 @@ class TestOrthogonalSum:
     def test_overlapping_supports_rejected(self, disc):
         r = 0.1
         c = np.array([0.8, 0.0])
-        with pytest.raises(GeometryError):
+        # overlapping regions fail on the geometry, before any matrix is built
+        with pytest.raises(GeometryError, match="interaction regions 0 and 1 overlap"):
             orthogonal_sum_check(
                 disc,
                 [centered_bump(2 * c, 2 * r), centered_bump(2 * c, 2 * r)],

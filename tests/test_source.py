@@ -333,3 +333,13 @@ def test_calibration_and_a_sweep_row_load_no_scipy_module():
     loaded = fresh_modules(f"{PWLAB_IMPORT}\nfrom pwlab import nehari\npwlab.calibrate()\n"
                            "nehari.eq5_ratio(nehari.NehariConfig(p=6.0), 0.4)")
     assert scipy_modules(loaded) == []
+
+
+def test_block_diagonal_spectrum_loads_no_scipy_module():
+    # the block split is a numpy search, not scipy.sparse.csgraph, and each
+    # real symmetric block takes numpy's eigensolve
+    loaded = fresh_modules(f"{PWLAB_IMPORT}\nimport numpy as np\nfrom pwlab import hankel\n"
+                           "A = np.kron(np.eye(3), [[2.0, 1.0], [1.0, 2.0]])\n"
+                           "sv = hankel.singular_values(A)\n"
+                           "assert np.max(np.abs(sv - ([3.0] * 3 + [1.0] * 3))) < 1e-14\n")
+    assert scipy_modules(loaded) == []
