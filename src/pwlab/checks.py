@@ -182,17 +182,33 @@ def criterion_09(fast: bool = False) -> CheckResult:
                        f"max random {worst:.4f}, extremal {extremal:.4f}{note}")
 
 
+def disc_inverse_integral(d: float) -> float:
+    """int_{2D} w^{-d} on the unit disc D for d < 2/3, criterion 10's oracle:
+    2 pi int_0^2 w(s)^{-d} s ds by 400-node Gauss-Legendre in v = (2 - s)^(1 - 3d/2),
+    with the lens x - sin x, x = 4 asin(sqrt(2 - s)/2), by Taylor below 1e-2."""
+    beta = 1.0 - 1.5 * d
+    t, weights = np.polynomial.legendre.leggauss(400)
+    v = 2.0 ** beta * (t + 1.0) / 2.0
+    u = v ** (1.0 / beta)                                   # u = 2 - s
+    x = 4.0 * np.arcsin(np.sqrt(u) / 2.0)
+    taylor = x ** 3 / 6.0 * (1.0 - x * x / 20.0 * (1.0 - x * x / 42.0))
+    lens = np.where(x < 1e-2, taylor, x - np.sin(x))
+    return math.pi * 2.0 ** beta * float(weights @ (lens ** -d * (2.0 - u) * u / (beta * v)))
+
+
 def criterion_10(fast: bool = False) -> CheckResult:
     res15 = hardy.corner_family_sweep(1.5)
     res10 = hardy.corner_family_sweep(1.0)
     half, high = hardy.adjusted_integrability_report(BUILTIN_BODIES["ball2"](), [0.5, 0.8])
-    stab = half.evidence["floored_change"]
-    growth = high.evidence["raw_growth"]
+    integral = half.evidence["integral"]
+    dev = abs(integral - disc_inverse_integral(0.5)) / disc_inverse_integral(0.5)
+    diverges = high.evidence["integral"] is None
     return CheckResult(10, "corner slopes, bounded d=1 ratios, integrability contrast",
                        abs(res15.slope + 0.5) <= 0.15 and res10.max_over_min <= 2.0
-                       and stab < 0.01 and min(growth) > 0.10,
+                       and dev <= 1e-8 and diverges,
                        f"slope {res15.slope:.3f}, max/min {res10.max_over_min:.3f}, "
-                       f"stab {stab:.4f}, growth {min(growth):.2f}")
+                       f"d=0.5 integral {integral:.6f} (oracle dev {dev:.1e}), "
+                       f"d=0.8 {'diverges' if diverges else 'finite'}")
 
 
 def criterion_11(fast: bool = False) -> CheckResult:

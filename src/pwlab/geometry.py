@@ -33,13 +33,6 @@ class GeometryError(ValueError):
     """Raised for dimension mismatches, unbounded or degenerate polytopes."""
 
 
-def _as_vector(x, dim: int) -> np.ndarray:
-    v = np.asarray(x, dtype=float).reshape(-1)
-    if v.size != dim:
-        raise GeometryError(f"expected vector of length {dim}, got {v.size}")
-    return v
-
-
 # ---------------------------------------------------------------------------
 # body variants
 # ---------------------------------------------------------------------------
@@ -51,7 +44,10 @@ class ConvexBody:
 
     def contains(self, x) -> bool:
         """Strict membership of one point, by contains_batch."""
-        return bool(self.contains_batch(_as_vector(x, self.dim)[None])[0])
+        v = np.asarray(x, dtype=float).reshape(-1)
+        if v.size != self.dim:
+            raise GeometryError(f"expected vector of length {self.dim}, got {v.size}")
+        return bool(self.contains_batch(v[None])[0])
 
     def contains_batch(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized strict membership for an (m, dim) array of points."""
@@ -189,11 +185,8 @@ class Product(ConvexBody):
         return out
 
     def contains_batch(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        ok = np.ones(pts.shape[0], dtype=bool)
-        for f, block in zip(self.factors, self._split(pts)):
-            ok &= f.contains_batch(block)
-        return ok
+        blocks = self._split(np.atleast_2d(np.asarray(pts, dtype=float)))
+        return np.logical_and.reduce([f.contains_batch(b) for f, b in zip(self.factors, blocks)])
 
     def bounding_box(self):
         los, his = zip(*(f.bounding_box() for f in self.factors))
@@ -220,13 +213,9 @@ class AffineImage(ConvexBody):
         object.__setattr__(self, "shift", s)
         object.__setattr__(self, "dim", self.base.dim)
 
-    def _pull(self, pts):
-        inv = np.linalg.inv(self.matrix)
-        return (pts - self.shift) @ inv.T
-
     def contains_batch(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self.base.contains_batch(self._pull(pts))
+        return self.base.contains_batch((pts - self.shift) @ np.linalg.inv(self.matrix).T)
 
     def bounding_box(self):
         lo, hi = self.base.bounding_box()
@@ -272,19 +261,9 @@ class Pyramid:
 
     def hpolytope(self) -> HPolytope:
         n, slope = self.dim, self.alpha / self.beta
-        rows, offs = [], []
-        for i in range(n - 1):
-            for sign in (1.0, -1.0):
-                a = np.zeros(n)
-                a[i] = sign
-                a[n - 1] = slope
-                rows.append(a)
-                offs.append(self.alpha)
-        base = np.zeros(n)
-        base[n - 1] = -1.0
-        rows.append(base)
-        offs.append(0.0)
-        return HPolytope(np.array(rows), np.array(offs))
+        sides = np.stack([np.eye(n - 1, n), -np.eye(n - 1, n)], axis=1).reshape(-1, n)
+        rows = np.vstack([sides + slope * np.eye(n)[-1], 0.0 - np.eye(n)[-1]])
+        return HPolytope(rows, np.append(np.full(2 * n - 2, self.alpha), 0.0))
 
     def inscribed_ball_radius(self, t: float) -> float:
         """Radius alpha*(beta-t)/sqrt(alpha^2+beta^2) of the axis ball at height t."""
@@ -494,8 +473,7 @@ def polar_dual(body: ConvexBody) -> ConvexBody:
     if isinstance(body, VPolytope):
         verts = _essential_vertices(body.vertices)
         h = HPolytope(verts, np.ones(verts.shape[0]))
-        # bounded iff (Gordan) the origin lies strictly inside conv(verts)
-        if not _is_bounded(h):
+        if not _is_bounded(h):          # the origin is not strictly inside conv(verts)
             raise GeometryError("origin not interior to the polytope")
         return h
     raise GeometryError("polar dual implemented for polytopes only")

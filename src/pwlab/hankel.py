@@ -23,13 +23,14 @@ import numpy as np
 
 from .fourier import GridSpec, fft_convolve
 from .geometry import Ball, ConvexBody, GeometryError, check_ball_interactions_disjoint
-from .omega import OmegaEvaluator
+from .omega import MAX_GRID_NODES, OmegaEvaluator
 
 SV_FLOOR_REL = 1e-12  # singular values below this times sigma_max count as zero
 # imaginary part, relative to max|A|, below which a rotated matrix counts as real
 ONE_PHASE_TOL = 4.0 * np.finfo(float).eps
 RUSSO_SLACK = 1e-9    # relative slack of the discrete Russo bound
 ORTHO_REL_TOL = 1e-6  # largest accepted spectral deviation of an orthogonal sum
+MAX_MATRIX_BYTES = 1 << 29  # largest kernel matrix HankelMatrix.build gathers
 
 
 def schatten_norm(sv, p: float) -> float:
@@ -51,9 +52,13 @@ def conjugate_exponent(p: float) -> float:
 
 
 def _inside_mask(body: ConvexBody, spacing: float) -> tuple[np.ndarray, GridSpec]:
-    """Strict membership of the bounding-box midpoint grid, shaped like the grid."""
+    """Strict membership on the bounding-box midpoint grid, shaped like it;
+    a grid of more than MAX_GRID_NODES nodes raises."""
     lo, hi = body.bounding_box()
     npts = tuple(int(math.ceil((hi[i] - lo[i]) / spacing)) for i in range(body.dim))
+    if math.prod(npts) > MAX_GRID_NODES:
+        raise GeometryError(f"spacing {spacing} gives {math.prod(npts)} grid nodes, "
+                            f"above the cap of {MAX_GRID_NODES}")
     spec = GridSpec(lower=lo, upper=lo + spacing * np.array(npts), npts=npts)
     return body.contains_batch(spec.nodes()).reshape(npts), spec
 
@@ -184,13 +189,18 @@ class HankelMatrix:
         gathered from those values.  keep, a boolean mask over the inside
         nodes, keeps only the rows/columns where the kernel can be nonzero.
         The matrix is float64 when every imaginary part is exactly zero and
-        complex otherwise, however small its imaginary part.
+        complex otherwise, however small its imaginary part.  A matrix that
+        could exceed MAX_MATRIX_BYTES as complex raises before the symbol runs.
         """
         mask, spec = _inside_mask(body, spacing)
         if keep is not None:
             inside = np.flatnonzero(mask)
             mask = np.zeros_like(mask)
             mask.flat[inside[keep]] = True
+        m = int(np.count_nonzero(mask))
+        if 16 * m * m > MAX_MATRIX_BYTES:
+            raise GeometryError(f"spacing {spacing} gives a {m} x {m} kernel matrix, "
+                                f"above the cap of {MAX_MATRIX_BYTES} bytes")
         vals, counts = _symbol_on_sums(spec, mask, spacing, symbol)
         S = vals * spacing ** body.dim
         if not np.any(S.imag):
@@ -333,10 +343,7 @@ def orthogonal_sum_check(body: ConvexBody, symbols: list, supports: list[Ball],
     sizes = [int(np.count_nonzero(keep)) for keep in block_masks]
     sv_union = np.sort(np.concatenate(parts))[::-1]
     pad = max(sv_all.size, sv_union.size)
-    a = np.zeros(pad)
-    b = np.zeros(pad)
-    a[:sv_all.size] = sv_all
-    b[:sv_union.size] = sv_union
+    a, b = (np.pad(sv, (0, pad - sv.size)) for sv in (sv_all, sv_union))
     scale = max(a[0], b[0], np.finfo(float).tiny)
     dev = float(np.max(np.abs(a - b)) / scale)
     return OrthoCheck(ok=dev <= ORTHO_REL_TOL, max_rel_dev=dev,

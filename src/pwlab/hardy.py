@@ -216,19 +216,18 @@ def adjusted_integrability_report(body: ConvexBody, d_list) -> list[Integrabilit
     Polytopes: the corner family decides (bounded ratios for d <= 1,
     negative slope meaning blow-up for d > 1).  That family lives in a
     corner of the unit square, so any other polytope raises GeometryError.
-    Smooth bounded bodies: the inverse-power integral decides below the
-    dimensional threshold 2/(n+1) (stabilizes at a resolvable floor and
-    does not grow at a tiny floor); above it, divergence of the integral
-    alone proves nothing, so rows without a corner family report
-    inconclusive unless d > 1 grows.
+    Other bodies: omega_inverse_integral gives int_{2 Omega} w^{-d} in
+    closed form.  When it is finite, |fhat| <= ||f||_1 bounds the ratio by
+    it, so the row holds; when it diverges (d >= 2/(n+1) for a ball), that
+    alone proves nothing and the row is inconclusive.  The evidence is the
+    integral, None where it diverges.
     Verdicts are evidence labels, never proofs.
     """
     rows = []
-    n = body.dim
     is_polytope = isinstance(body, (HPolytope, VPolytope))
     if is_polytope:
         corner = unit_box_corner(body)
-        if n != 2 or corner is None or np.any(np.abs(corner) > geometry.DEDUP_TOL):
+        if body.dim != 2 or corner is None or np.any(np.abs(corner) > geometry.DEDUP_TOL):
             raise GeometryError("the integrability corner family covers only the unit square")
     for d in d_list:
         evidence: dict = {}
@@ -243,19 +242,8 @@ def adjusted_integrability_report(body: ConvexBody, d_list) -> list[Integrabilit
             else:
                 verdict = "inconclusive"
         else:
-            fine = omega_inverse_integral(body, d, levels=3, base_per_axis=256,
-                                          floor=1e-3)
-            raw = omega_inverse_integral(body, d, levels=3, base_per_axis=128,
-                                         floor=1e-12)
-            stab = abs(fine[-1] - fine[-2]) / fine[-1]
-            growth = [(raw[i + 1] - raw[i]) / raw[i + 1] for i in range(len(raw) - 1)]
-            evidence["floored_change"] = stab
-            evidence["raw_growth"] = growth
-            if d < 2.0 / (n + 1) and stab < 0.01 and max(growth) < 0.10:
-                verdict = "holds-evidence"
-            elif d > 1.0 and min(growth) > 0.10:
-                verdict = "fails-evidence"
-            else:
-                verdict = "inconclusive"
+            integral = omega_inverse_integral(body, d)           # math.inf if divergent
+            evidence["integral"] = integral if integral < math.inf else None
+            verdict = "holds-evidence" if integral < math.inf else "inconclusive"
         rows.append(IntegrabilityRow(d=float(d), verdict=verdict, evidence=evidence))
     return rows

@@ -134,8 +134,7 @@ def build_bumps(y_list: np.ndarray, eps: float, C: float, C1: float,
     if np.any(reach >= 2.0):
         raise GeometryError("bump support exits 2 Omega; calibration violated")
     if y.shape[0] > 1:
-        diffs = freq_centers[:, None, :] - freq_centers[None, :, :]
-        dist = np.linalg.norm(diffs, axis=2)
+        dist = np.linalg.norm(freq_centers[:, None, :] - freq_centers[None, :, :], axis=2)
         np.fill_diagonal(dist, np.inf)
         if dist.min() <= 2.0 * R:
             raise GeometryError("bump supports overlap")

@@ -41,6 +41,8 @@ from .geometry import (
 BOX_INFLATION = 1.0 + 1e-12
 
 SLICE_RULE = np.polynomial.legendre.leggauss(40)  # Gauss-Legendre on [-1, 1]
+JACOBI_NODES = 40     # Gauss-Jacobi nodes of the radial inverse-power integral
+MAX_GRID_NODES = 1 << 22  # most nodes of a grid: 2048 a side in 2-D, 161 in 3-D
 
 
 def unit_ball_volume(n: int) -> float:
@@ -93,7 +95,8 @@ def unit_ball_omega_batch(n: int, s: np.ndarray) -> np.ndarray:
 
     The slice integral evaluates in closed form through the regularized
     incomplete beta function (substitute u = t^2); the plane keeps the lens
-    expression.
+    expression.  For (s/2)^2 >= 1/2 the tail 1 - I_{z^2}(a, b) is I_{(1-z)(1+z)}(b, a),
+    z = s/2, which keeps w's relative accuracy up to s = 2.
     """
     if n == 2:
         return disc_lens(s)
@@ -104,7 +107,9 @@ def unit_ball_omega_batch(n: int, s: np.ndarray) -> np.ndarray:
     z = np.clip(s[inside] / 2.0, 0.0, 1.0)
     a, b = 0.5, (n + 1) / 2.0
     full = math.gamma(a) * math.gamma(b) / math.gamma(a + b)  # Beta(a, b)
-    tail = 0.5 * full * (1.0 - betainc(a, b, z * z))
+    x = z * z
+    tail = 0.5 * full * np.where(x < 0.5, 1.0 - betainc(a, b, x),
+                                 betainc(b, a, (1.0 - z) * (1.0 + z)))
     out[inside] = 2.0 * unit_ball_volume(n - 1) * tail
     return out
 
@@ -378,11 +383,7 @@ class OmegaEvaluator:
             s = np.linalg.norm(pts - 2.0 * body.center, axis=1) / body.radius
             return unit_ball_omega_batch(body.dim, s) * body.radius ** body.dim
         if isinstance(body, Product):
-            val, k = np.ones(pts.shape[0]), 0
-            for f in self._factors:
-                val *= f.batch(pts[:, k:k + f.body.dim])
-                k += f.body.dim
-            return val
+            return math.prod(f.batch(p) for f, p in zip(self._factors, body._split(pts)))
         if isinstance(body, AffineImage):
             u = np.linalg.solve(body.matrix, (pts - 2.0 * body.shift).T).T
             return abs(np.linalg.det(body.matrix)) * self._base.batch(u)
@@ -396,7 +397,11 @@ class OmegaEvaluator:
 
     def support_grid(self, per_axis: int) -> tuple[np.ndarray, float, np.ndarray]:
         """Midpoint nodes of the support box with per_axis cells a side, the
-        cell weight, and w at the nodes."""
+        cell weight, and w at the nodes; more than MAX_GRID_NODES raise."""
+        count = per_axis ** self.body.dim
+        if count > MAX_GRID_NODES:
+            raise GeometryError(f"per_axis = {per_axis} gives {count} grid nodes, "
+                                f"above the cap of {MAX_GRID_NODES}")
         lo, hi = self.support_box()
         spec = GridSpec(lower=lo, upper=hi, npts=(per_axis,) * self.body.dim)
         nodes = spec.nodes()
@@ -460,25 +465,32 @@ def sublevel_fit(body: ConvexBody, t_min: float, t_max: float, count: int,
                             samples=samples, seed=seed)
 
 
-def omega_inverse_integral(body: ConvexBody, d: float, levels: int = 3,
-                           base_per_axis: int = 256, floor: float = 0.0) -> list[float]:
-    """Midpoint-rule values of int_{2 Omega} w(x)^{-d} dx at spacings
-    h, h/2, h/4, ...; cells where w <= floor are skipped.
+def omega_inverse_integral(body: ConvexBody, d: float) -> float:
+    """int_{2 Omega} w^{-d} dx in closed form, math.inf where it diverges.
 
-    A zero floor skips only the cells outside the support, so the raw sums
-    chase the full integral; for singular integrands their boundary band
-    converges like a small power of h and jitters with grid alignment.  A
-    positive floor instead targets the truncated integral over {w > floor},
-    which the grids resolve cleanly once the band width exceeds the spacing.
-    Divergent integrands keep growing at a near-zero floor; integrable ones
-    stabilize at a resolvable floor.  The caller inspects the sequence.
-    """
+    For a ball B(c, rho) in R^n it is rho^{n(1-d)} |S^{n-1}| int_0^2 W(s)^{-d}
+    s^{n-1} ds, W the unit ball's w (|S^0| = 2).  W ~ (2 - s)^{(n+1)/2} at 2,
+    so a JACOBI_NODES-node Gauss-Jacobi rule with weight (2 - s)^{-d(n+1)/2}
+    takes the singularity; the integral is finite iff d < 2/(n+1).  Products
+    multiply (w of A x B is w_A w_B on 2A x 2B), an affine image T Omega + v
+    scales by |det T|^{1-d}, and polytopes or other bodies raise."""
     if not math.isfinite(d):
         raise GeometryError(f"weight exponent d must be finite, got {d}")
-    ev = OmegaEvaluator(body)
-    values = []
-    for level in range(levels):
-        _, cell, w = ev.support_grid(base_per_axis * 2 ** level)
-        keep = w > floor
-        values.append(float(np.sum(w[keep] ** (-d)) * cell))
-    return values
+    if isinstance(body, Product):
+        return math.prod(omega_inverse_integral(f, d) for f in body.factors)
+    if isinstance(body, AffineImage):
+        scale = abs(float(np.linalg.det(body.matrix))) ** (1.0 - d)
+        return scale * omega_inverse_integral(body.base, d)
+    if not isinstance(body, Ball):
+        raise GeometryError(f"no closed-form inverse-power integral for {type(body).__name__}")
+    n = body.dim
+    if d * (n + 1) >= 2.0:
+        return math.inf
+    from scipy.special import roots_jacobi
+    x, weights = roots_jacobi(JACOBI_NODES, -0.5 * d * (n + 1), 0.0)   # weight (1 - x)^alpha
+    s = 1.0 + x     # 2 - s, not 1 - x, below: the rounding of s cancels against W(s)
+    smooth = unit_ball_omega_batch(n, s) ** (-d) * s ** (n - 1) * (2.0 - s) ** (0.5 * d * (n + 1))
+    value = float(body.radius ** (n * (1.0 - d)) * n * unit_ball_volume(n) * (weights @ smooth))
+    if not math.isfinite(value):            # a finite integral past the float range
+        raise GeometryError(f"the inverse-power integral overflows at d = {d}")
+    return value

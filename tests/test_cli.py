@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,13 @@ def reports_at_blas_threads(tmp_path, args: list[str]) -> list[bytes]:
                        env=env, check=True, capture_output=True, timeout=600)
         reports.append(out.read_bytes())
     return reports
+
+
+def strict_json(path) -> dict:
+    """A report parsed as strict JSON: NaN, Infinity and -Infinity raise."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
 
 
 class TestDispatch:
@@ -214,11 +222,41 @@ class TestReports:
         out = tmp_path / "square.json"
         assert run(["hardy", "--family", "integrability", "--body", "square",
                     "--d", "1.5", "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["verdict"] == "fails-evidence"
+        assert strict_json(out)["verdict"] == "fails-evidence"
         capsys.readouterr()
         assert run(["hardy", "--family", "integrability", "--body", "triangle",
                     "--d", "1.5"]) == 1
         assert "corner family covers only the unit square" in capsys.readouterr().err
+
+    def test_integrability_on_the_3_ball_is_fast(self, tmp_path, capsys):
+        # the closed form is radial, so the 3-ball builds no 3-D grid
+        out = tmp_path / "ball3.json"
+        t0 = time.monotonic()
+        assert run(["hardy", "--family", "integrability", "--body", "ball3",
+                    "--d", "0.4", "--out", str(out)]) == 0
+        assert time.monotonic() - t0 < 1.0
+        doc = strict_json(out)
+        assert doc["verdict"] == "holds-evidence"
+        assert doc["evidence"]["integral"] == pytest.approx(184.2040093076, rel=1e-10)
+        assert capsys.readouterr().out == "ball3 d=0.4: holds-evidence\n"
+
+    @pytest.mark.parametrize("body, d, verdict, integral", [
+        ("ball2", 0.6, "holds-evidence", 103.508090782),
+        ("halfline-model", 0.5, "holds-evidence", 4.0),  # 2 (2 rho)^(1-d) / (1-d), rho = 1/2
+        ("ball2", 0.8, "inconclusive", None),
+        ("ball3", 0.5, "inconclusive", None),
+        ("halfline-model", 1.5, "inconclusive", None)])
+    def test_integrability_reports(self, tmp_path, body, d, verdict, integral):
+        # a divergent integral is written as null, never as Infinity
+        out = tmp_path / "report.json"
+        assert run(["hardy", "--family", "integrability", "--body", body,
+                    "--d", str(d), "--out", str(out)]) == 0
+        doc = strict_json(out)
+        assert doc["verdict"] == verdict
+        if integral is None:
+            assert doc["evidence"] == {"integral": None}
+        else:
+            assert doc["evidence"]["integral"] == pytest.approx(integral, rel=1e-10)
 
     @pytest.mark.parametrize("body", ["triangle", "ball3"])
     def test_tent_product_only_on_unit_boxes(self, tmp_path, capsys, body):

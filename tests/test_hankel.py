@@ -160,6 +160,34 @@ class TestMatrixBuild:
         sv = H.singular_values
         assert np.all(sv >= 0) and np.all(np.diff(sv) <= 1e-14)
 
+    def test_refuses_a_matrix_above_the_byte_cap(self, disc):
+        # the symbol raises if it ever runs, so a broken guard stops before
+        # the lattice values and the gather instead of allocating
+        def reached(pts):
+            raise AssertionError("the symbol ran")
+
+        m = grid_nodes_inside(disc, 0.02)[0].shape[0]
+        assert 16 * m * m > hankel.MAX_MATRIX_BYTES
+        with pytest.raises(GeometryError, match=f"spacing 0.02 gives a {m} x {m} kernel matrix"):
+            HankelMatrix.build(disc, 0.02, reached)
+        # the cap counts the kept nodes only
+        keep = np.zeros(m, dtype=bool)
+        keep[:100] = True
+        H = HankelMatrix.build(disc, 0.02, centered_bump([0.0, 0.0], 0.5), keep=keep)
+        assert H.matrix.shape == (100, 100)
+
+    def test_refuses_a_grid_above_the_node_cap(self, disc, monkeypatch):
+        def reached(*args, **kwargs):
+            raise AssertionError("the grid was about to be built")
+
+        monkeypatch.setattr(hankel, "GridSpec", reached)
+        for call in (lambda: grid_nodes_inside(disc, 1e-4),
+                     lambda: hs_identity_check(disc, centered_bump([0.0, 0.0], 0.5), 1e-4),
+                     lambda: HankelMatrix.build(disc, 1e-4, centered_bump([0.0, 0.0], 0.5))):
+            with pytest.raises(GeometryError, match=r"spacing 0.0001 gives \d+ grid nodes, "
+                                                    r"above the cap of 4194304"):
+                call()
+
 
 class TestSingularValues:
     @pytest.fixture(scope="class")

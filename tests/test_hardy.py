@@ -17,6 +17,7 @@ from pwlab.hardy import (
     tent_ratio,
     unit_box_corner,
 )
+from pwlab.omega import omega_inverse_integral
 
 
 class TestTentRatio:
@@ -117,10 +118,24 @@ class TestIntegrabilityReport:
                 adjusted_integrability_report(other, [1.5])
 
     def test_ball_verdicts(self, disc):
-        rows = adjusted_integrability_report(disc, [0.5, 0.8])
-        verdicts = {r.d: r.verdict for r in rows}
-        assert verdicts[0.5] == "holds-evidence"
-        assert verdicts[0.8] == "inconclusive"
+        # finite below 2/3, 0.6 included; divergence from there on decides
+        # nothing, at d > 1 too
+        rows = adjusted_integrability_report(disc, [0.5, 0.6, 0.8, 1.5])
+        assert [r.verdict for r in rows] == ["holds-evidence"] * 2 + ["inconclusive"] * 2
+        assert rows[0].evidence == {"integral": omega_inverse_integral(disc, 0.5)}
+        assert rows[1].evidence["integral"] == pytest.approx(103.508090782, rel=1e-10)
+        assert rows[2].evidence == rows[3].evidence == {"integral": None}
+
+    def test_other_bodies(self):
+        # the unit square as a product of intervals takes the closed form,
+        # 4^2 at d = 1/2, and diverges from d = 1 on
+        square = Product((Ball([0.5], 0.5), Ball([0.5], 0.5)))
+        row, = adjusted_integrability_report(square, [0.5])
+        assert row.verdict == "holds-evidence" and row.evidence["integral"] == pytest.approx(16.0)
+        assert adjusted_integrability_report(square, [1.0])[0].verdict == "inconclusive"
+        ball3 = Ball(np.zeros(3), 1.0)
+        assert [r.verdict for r in adjusted_integrability_report(ball3, [0.4, 0.5])] == [
+            "holds-evidence", "inconclusive"]
 
 
 class TestUnitBoxCorner:

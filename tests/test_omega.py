@@ -16,7 +16,7 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 import pwlab
 
-from pwlab import geometry, omega
+from pwlab import checks, geometry, omega
 from pwlab.geometry import AffineImage, Ball, GeometryError, Product, unit_box
 from pwlab.omega import (
     OmegaEvaluator,
@@ -67,6 +67,13 @@ class TestOmegaBall:
 
     def test_radius_scaling(self):
         assert abs(omega_ball(2, 2.0, [1.0, 0.0]) - 4 * omega_ball(2, 1.0, [0.5, 0.0])) < 1e-10
+
+    def test_batch_keeps_relative_accuracy_up_to_the_boundary(self):
+        # closed forms: 2 - s on the line, (pi/12)(4 + s)(2 - s)^2 in space;
+        # 1 - I_{z^2}(a, b) cancels to nothing at 2 - s = 1e-8 in 3-D
+        s = np.concatenate([np.linspace(0.0, 1.99, 400), 2.0 - np.geomspace(1e-10, 1e-2, 60)])
+        for n, exact in ((1, 2.0 - s), (3, math.pi / 12.0 * (4.0 + s) * (2.0 - s) ** 2)):
+            assert np.max(np.abs(unit_ball_omega_batch(n, s) / exact - 1.0)) < 1e-13
 
 
 class TestOmegaBox:
@@ -609,6 +616,19 @@ class TestSublevel:
         # polytopes live in the t log(1/t) regime, recorded but only bounded below
         assert est.fitted_exponent > 0.75
 
+    @pytest.mark.parametrize("name, t_min, t_max, samples", [
+        ("square", 1e-4, 1e-2, 2 * 10 ** 5), ("cube", 1e-3, 1e-1, 3 * 10 ** 4)])
+    def test_unit_box_law(self, name, t_min, t_max, samples):
+        # w(x) = prod (1 - |x_i - 1|) on (0, 2)^n, so exactly
+        # m{w < t} = 2^n t sum_{k<n} log^k(1/t) / k!: the polytope batch's
+        # sampled measures lie within 4 standard errors of it
+        box = geometry.BUILTIN_BODIES[name]()
+        est = sublevel_fit(box, t_min, t_max, 8, samples, seed=11)
+        n, t = box.dim, est.t_values
+        law = 2 ** n * t * sum(np.log(1.0 / t) ** k / math.factorial(k) for k in range(n))
+        assert np.all(est.stderrs > 0)
+        assert np.all(np.abs(est.measures - law) <= 4.0 * est.stderrs)
+
     def test_all_zero_raises(self):
         iv = Ball([0.5], 0.5)
         with pytest.raises(GeometryError):
@@ -625,16 +645,114 @@ class TestInverseIntegral:
         with pytest.raises(GeometryError, match="must be finite"):
             omega_inverse_integral(disc, math.nan)
 
-    def test_d_zero_gives_support_measure(self, disc):
-        vals = omega_inverse_integral(disc, 0.0, levels=2, base_per_axis=128, floor=0.0)
-        assert abs(vals[-1] - 4 * math.pi) < 0.05
+    @pytest.mark.parametrize("n, volume", [(1, 2.0), (2, math.pi), (3, 4.0 * math.pi / 3.0)])
+    @pytest.mark.parametrize("radius", [1.0, 0.37])
+    def test_fubini_identities(self, n, volume, radius):
+        # int_{2 Omega} w^0 = m(2 Omega) and int w = m(Omega)^2
+        ball = Ball(np.full(n, 0.3), radius)
+        vol = volume * radius ** n
+        assert omega_inverse_integral(ball, 0.0) == pytest.approx(2 ** n * vol, rel=1e-12, abs=0)
+        assert omega_inverse_integral(ball, -1.0) == pytest.approx(vol * vol, rel=1e-12, abs=0)
 
-    def test_integrable_stabilizes_with_floor(self, disc):
-        vals = omega_inverse_integral(disc, 0.5, levels=3, base_per_axis=256, floor=1e-3)
-        rel = abs(vals[-1] - vals[-2]) / vals[-1]
-        assert rel < 0.01
+    @pytest.mark.parametrize("radius, d", [(0.5, 0.5), (0.3, 0.7), (2.0, -0.4), (1.0, 0.999)])
+    def test_interval(self, radius, d):
+        # w = 2 rho - |x - 2c| on (2c - 2 rho, 2c + 2 rho)
+        expected = 2.0 * (2.0 * radius) ** (1.0 - d) / (1.0 - d)
+        assert omega_inverse_integral(Ball([1.0], radius), d) == pytest.approx(
+            expected, rel=1e-12, abs=0)
 
-    def test_divergent_grows_raw(self, disc):
-        vals = omega_inverse_integral(disc, 0.8, levels=3, base_per_axis=128, floor=1e-12)
-        assert (vals[1] - vals[0]) / vals[1] > 0.10
-        assert (vals[2] - vals[1]) / vals[2] > 0.10
+    def test_product_multiplies_its_factors(self):
+        a, b = Ball([0.5], 0.5), Ball([-1.0], 0.8)
+        for d in (-1.0, 0.0, 0.3, 0.6):
+            expected = omega_inverse_integral(a, d) * omega_inverse_integral(b, d)
+            assert omega_inverse_integral(Product((a, b)), d) == pytest.approx(
+                expected, rel=1e-14, abs=0)
+        cylinder = Product((Ball(np.zeros(2), 1.0), Ball([0.0], 1.0)))
+        assert math.isfinite(omega_inverse_integral(cylinder, 0.66))
+        assert omega_inverse_integral(cylinder, 2.0 / 3.0) == math.inf
+
+    def test_affine_image_scales_by_the_determinant(self, disc):
+        T = np.array([[1.3, 0.4], [-0.2, 0.7]])
+        det = abs(np.linalg.det(T))
+        ellipse = AffineImage(disc, T, [0.3, -0.1])
+        for d in (0.2, 0.5, 0.6):
+            expected = det ** (1.0 - d) * omega_inverse_integral(disc, d)
+            assert omega_inverse_integral(ellipse, d) == pytest.approx(expected, rel=1e-14, abs=0)
+        # the Fubini identities of the ellipse itself, of area det * pi
+        assert omega_inverse_integral(ellipse, 0.0) == pytest.approx(4 * det * math.pi, rel=1e-12)
+        assert omega_inverse_integral(ellipse, -1.0) == pytest.approx((det * math.pi) ** 2,
+                                                                      rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_infinite_from_the_threshold_on(self, n):
+        ball = Ball(np.zeros(n), 1.0)
+        threshold = 2.0 / (n + 1)
+        for d in (threshold, threshold + 1e-9, 1.2 * threshold, 1.5, 4.0):   # 0.8 on the disc
+            assert omega_inverse_integral(ball, d) == math.inf
+        assert math.isfinite(omega_inverse_integral(ball, threshold - 1e-3))
+
+    def test_a_finite_integral_past_the_float_range_raises(self, disc):
+        # w <= pi, so at d = -1000 the integral is finite, near 10^497
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(GeometryError, match="overflows at d = -1000.0"):
+                omega_inverse_integral(disc, -1000.0)
+
+    def test_polytopes_and_other_bodies_raise(self, unit_square, right_triangle):
+        # the corner family of hardy decides polytopes
+        bodies = [unit_square, right_triangle, geometry.VPolytope([[0, 0], [1, 0], [0, 1]]),
+                  Product((Ball([0.5], 0.5), unit_box(1))),
+                  AffineImage(unit_square, np.eye(2), [0.0, 0.0])]
+        for body in bodies:
+            with pytest.raises(GeometryError, match="no closed-form inverse-power integral"):
+                omega_inverse_integral(body, 0.5)
+
+    def test_disc_against_a_midpoint_grid(self, disc):
+        # the grid oracle: midpoint cells of [-2, 2]^2, 1024 a side
+        h = 4.0 / 1024
+        axis = -2.0 + (np.arange(1024) + 0.5) * h
+        s = np.hypot(*np.meshgrid(axis, axis, indexing="ij"))
+        s = s[s < 2.0]
+        w = 2.0 * np.arccos(s / 2.0) - (s / 2.0) * np.sqrt(4.0 - s * s)
+        grid = float(np.sum(w ** -0.3)) * h * h
+        assert abs(grid / omega_inverse_integral(disc, 0.3) - 1.0) < 0.005
+
+    @pytest.mark.parametrize("d", [0.3, 0.5, 0.6])
+    def test_disc_against_the_criterion_oracle(self, disc, d):
+        assert omega_inverse_integral(disc, d) == pytest.approx(
+            checks.disc_inverse_integral(d), rel=1e-8, abs=0)
+
+    def test_ball3_against_its_polynomial_lens(self):
+        # w = (pi/12)(4 + s)(2 - s)^2 exactly; u = 2 - s = v^(1/(1 - 2d)) takes
+        # the (2 - s)^(-2d) singularity out, and Gauss-Legendre the rest
+        d = 0.4
+        t, weights = np.polynomial.legendre.leggauss(200)
+        beta = 1.0 - 2.0 * d
+        v = 2.0 ** beta * (t + 1.0) / 2.0
+        u = v ** (1.0 / beta)
+        w = math.pi / 12.0 * (6.0 - u) * u * u
+        radial = 2.0 ** beta / 2.0 * float(weights @ (w ** -d * (2.0 - u) ** 2 * u / (beta * v)))
+        ball3 = geometry.BUILTIN_BODIES["ball3"]()
+        assert omega_inverse_integral(ball3, d) == pytest.approx(4.0 * math.pi * radial,
+                                                                 rel=1e-10, abs=0)
+
+
+class TestSizeGuards:
+    # Each test stops the call before its first large allocation, so a
+    # broken guard fails the test instead of allocating.
+    def test_support_grid_refuses_above_the_cap(self, monkeypatch):
+        # a 1024^3 grid: 25.8 GB of coordinates in 3-D
+        def reached(self):
+            raise AssertionError("the grid was about to be built")
+
+        monkeypatch.setattr(OmegaEvaluator, "support_box", reached)
+        ev = OmegaEvaluator(geometry.BUILTIN_BODIES["ball3"]())
+        assert 1024 ** 3 > omega.MAX_GRID_NODES
+        with pytest.raises(GeometryError, match=r"per_axis = 1024 gives 1073741824 grid nodes"):
+            ev.support_grid(1024)
+
+    def test_support_grid_at_a_lowered_cap(self, disc, monkeypatch):
+        monkeypatch.setattr(omega, "MAX_GRID_NODES", 100)
+        ev = OmegaEvaluator(disc)
+        assert ev.support_grid(10)[0].shape == (100, 2)
+        with pytest.raises(GeometryError, match="per_axis = 11 gives 121 grid nodes"):
+            ev.support_grid(11)

@@ -1,5 +1,6 @@
 """Pinned values of the shared numerical paths: the box-doubling integrator,
-the support-box grid, the omega dispatch and the local bump grids.
+the support-box grid, the omega dispatch, the local bump grids and the
+closed-form inverse-power integral.
 
 Each value was recorded once and is checked to 1e-12 relative, so any
 restructuring of these paths must reproduce the same numbers.
@@ -65,8 +66,8 @@ def test_russo_bound_check():
 
 
 def test_omega_inverse_integral():
-    vals = omega.omega_inverse_integral(DISC, 0.5, levels=2, base_per_axis=64, floor=1e-3)
-    assert vals == [pinned(29.191698997349178), pinned(28.58860632062724)]
+    # the closed form; criterion 10's independent oracle gives 41.79042594698344
+    assert omega.omega_inverse_integral(DISC, 0.5) == pinned(41.79042594726817)
 
 
 def test_local_grids_and_bump_sup():

@@ -303,6 +303,7 @@ fourier.fft_convolve(np.ones((3, 4)), np.ones((2, 5)))
 fhat = fourier.GridFunction(fourier.GridSpec([0.0], [1.0], 64), np.ones(64))
 fourier.synthesize_on_grid(fhat, fourier.GridSpec([-32.0], [32.0], 256))
 omega.unit_ball_omega_batch(3, np.array([0.5]))
+omega.omega_inverse_integral(geometry.BUILTIN_BODIES["ball3"](), 0.4)
 hankel.singular_values(np.array([[1.0, 1j], [2.0, 1.0]]))
 """
 
