@@ -639,6 +639,31 @@ class TestSublevel:
         with pytest.raises(GeometryError, match="at least 1 sample"):
             sublevel_fit(Ball([0.5], 0.5), 1e-3, 1e-1, 8, samples, seed=1)
 
+    @pytest.mark.parametrize("name, t_min, t_max, samples, seed", [
+        ("interval", 1e-3, 1e-1, 2_300_000, 12),      # three chunks of draws
+        ("ball2", 1e-4, 1e-2, 200_000, 11),
+        ("triangle", 1e-4, 1e-2, 100_000, 5),
+    ])
+    def test_matches_count_of_every_draw(self, name, t_min, t_max, samples, seed):
+        body = Ball([0.5], 0.5) if name == "interval" else geometry.BUILTIN_BODIES[name]()
+        ev = OmegaEvaluator(body)
+        lo, hi = ev.support_box()
+        t = np.geomspace(t_min, t_max, 8)
+        rng = np.random.default_rng(seed)
+        counts, done = np.zeros(t.size, dtype=np.int64), 0
+        while done < samples:
+            batch = min(samples - done, 1_000_000)
+            w = ev.batch(rng.uniform(lo, hi, size=(batch, body.dim)))
+            counts += [np.count_nonzero((w > 0.0) & (w < s)) for s in t]
+            done += batch
+        assert counts[0] > 0
+        p = counts / samples
+        vol_box = float(np.prod(hi - lo))
+        est = sublevel_fit(body, t_min, t_max, t.size, samples, seed)
+        assert np.array_equal(est.t_values, t)
+        assert np.array_equal(est.measures, vol_box * p)
+        assert np.array_equal(est.stderrs, vol_box * np.sqrt(p * (1.0 - p) / samples))
+
 
 class TestInverseIntegral:
     def test_non_finite_d_raises(self, disc):
