@@ -270,11 +270,11 @@ class Pyramid:
         return self.alpha * (self.beta - t) / math.hypot(self.alpha, self.beta)
 
 
-def pyramid_ball_check(alpha: float, beta: float, t: float, tol: float = 1e-12) -> bool:
+def pyramid_ball_check(alpha: float, beta: float, t: float) -> bool:
     """Check B((0,..,0,t), alpha*(beta-t)/sqrt(alpha^2+beta^2)) fits in the pyramid.
 
     Exact test: the distance from the center to every facet hyperplane must be
-    at least the stated radius (up to tol).  Valid for t in (beta/2, beta).
+    at least the stated radius (up to 1e-12).  Valid for t in (beta/2, beta).
     """
     if not (beta / 2 < t < beta):
         raise GeometryError("t must lie in (beta/2, beta)")
@@ -283,7 +283,7 @@ def pyramid_ball_check(alpha: float, beta: float, t: float, tol: float = 1e-12) 
     center = np.array([0.0, t])
     rho = pyr.inscribed_ball_radius(t)
     dists = (h.offsets - h.normals @ center) / np.linalg.norm(h.normals, axis=1)
-    return bool(np.all(dists >= rho - tol))
+    return bool(np.all(dists >= rho - 1e-12))
 
 
 def _shifted_pyramid() -> HPolytope:

@@ -31,6 +31,7 @@ ONE_PHASE_TOL = 4.0 * np.finfo(float).eps
 RUSSO_SLACK = 1e-9    # relative slack of the discrete Russo bound
 ORTHO_REL_TOL = 1e-6  # largest accepted spectral deviation of an orthogonal sum
 MAX_MATRIX_BYTES = 1 << 29  # largest kernel matrix HankelMatrix.build gathers
+HS_INTEGRAL_PTS = 400  # midpoint cells a side of the Hilbert-Schmidt integral
 
 
 def schatten_norm(sv, p: float) -> float:
@@ -173,9 +174,6 @@ def _block_singular_values(A: np.ndarray) -> np.ndarray:
 class HankelMatrix:
     """Kernel matrix of a Hankel operator on PW(Omega), with cached spectrum."""
 
-    body: ConvexBody
-    nodes: np.ndarray
-    spacing: float
     matrix: np.ndarray
     _sv: np.ndarray | None = field(default=None, repr=False)
 
@@ -207,7 +205,7 @@ class HankelMatrix:
             S = S.real
         flat = np.ravel_multi_index(np.nonzero(mask), counts.shape)
         A = S[flat[:, None] + flat[None, :]]
-        return cls(body=body, nodes=spec.nodes()[mask.ravel()], spacing=spacing, matrix=A)
+        return cls(matrix=A)
 
     @property
     def singular_values(self) -> np.ndarray:
@@ -236,20 +234,20 @@ class HSCheck:
     rel_err: float
 
 
-def hs_identity_check(body: ConvexBody, symbol, spacing: float,
-                      integral_pts: int = 400) -> HSCheck:
+def hs_identity_check(body: ConvexBody, symbol, spacing: float) -> HSCheck:
     """Compare the discrete Frobenius norm with (int |phihat|^2 w)^(1/2).
 
     The Frobenius side never materializes the matrix: with x_i + x_j living
     on a shifted lattice, sum |A_ij|^2 equals h^{2n} sum_u |phihat(u)|^2 c(u)
-    where c counts the node pairs with sum u.
+    where c counts the node pairs with sum u.  The integral takes
+    HS_INTEGRAL_PTS midpoint cells a side of the support of w.
     """
     n = body.dim
     mask, spec = _inside_mask(body, spacing)
     vals, counts = _symbol_on_sums(spec, mask, spacing, symbol)
     frob = math.sqrt(float(np.sum(np.abs(vals) ** 2 * counts.ravel())) * spacing ** (2 * n))
 
-    ipts, cell, w = OmegaEvaluator(body).support_grid(integral_pts)
+    ipts, cell, w = OmegaEvaluator(body).support_grid(HS_INTEGRAL_PTS)
     f2 = np.abs(np.asarray(symbol(ipts), dtype=complex)) ** 2
     integral = math.sqrt(float(np.sum(f2 * w)) * cell)
     rel = abs(frob - integral) / integral if integral > 0 else float(frob > 0)

@@ -19,13 +19,12 @@ from . import geometry
 from .fourier import (
     GridFunction,
     GridSpec,
-    _l1_by_doubling,
     bump_profile,
     fft_convolve,
     scaled_ball_grid,
     smooth_step,
     synthesize_l1,
-    synthesize_on_grid,
+    synthesize_on_grid,     # not called here: perfbench's tests wrap it through this binding
 )
 from .geometry import ConvexBody, GeometryError, HPolytope, VPolytope
 from .omega import omega_inverse_integral
@@ -35,6 +34,7 @@ OMEGA_FLOOR = 1e-12
 TENT_BOX_HALFWIDTH = 4.0        # first box of the tent's sinc^2 L1 norm
 HALFLINE_POINTS_PER_UNIT = 24.0  # spatial nodes per unit length for |g h|
 HALFLINE_PIECES = 3             # bumps in each random half-line factor
+HALFLINE_FREQ_POINTS = 400      # frequency samples of each random half-line factor
 EXTREMAL_FREQ_POINTS = 20_000
 EXTREMAL_CUT = 0.0005           # the near-extremal pair vanishes below it
 CORNER_QUAD_POINTS = 160        # midpoint cells a side over a corner bump
@@ -77,8 +77,8 @@ def halfline_ratio(ghat_vals: np.ndarray, hhat_vals: np.ndarray, freq_points: in
 
     ghat, hhat are samples on the midpoint grid of (0,1); the convolution
     lands on the integer grid of (0,2), where the weight w(x) = x is the
-    half-line autocorrelation.  The denominator synthesizes g and h on a
-    growing spatial box and integrates |g h|.
+    half-line autocorrelation.  The denominator is synthesize_l1 of the
+    product g h.
     """
     K = freq_points
     h = 1.0 / K
@@ -91,28 +91,22 @@ def halfline_ratio(ghat_vals: np.ndarray, hhat_vals: np.ndarray, freq_points: in
     numerator = float(np.sum(np.abs(conv) / xs) * h)
 
     spec = GridSpec(lower=[0.0], upper=[1.0], npts=(K,))
-    ghat = GridFunction(spec=spec, values=ghat_vals)
-    hhat = GridFunction(spec=spec, values=hhat_vals)
-
-    def box_total(L: float) -> float:
-        m = int(math.ceil(2 * L * HALFLINE_POINTS_PER_UNIT))
-        spatial = GridSpec(lower=[-L], upper=[L], npts=(m,))
-        g = synthesize_on_grid(ghat, spatial)
-        hh = synthesize_on_grid(hhat, spatial)
-        return float(np.sum(np.abs(g * hh)) * spatial.weight)
-
-    total, _ = _l1_by_doubling(box_total, box_halfwidth, 0.5 * K, max_doublings)
+    total, _ = synthesize_l1(GridFunction(spec=spec, values=ghat_vals),
+                             GridFunction(spec=spec, values=hhat_vals),
+                             box_halfwidth=box_halfwidth,
+                             points_per_unit=HALFLINE_POINTS_PER_UNIT,
+                             max_doublings=max_doublings)
     return numerator / total
 
 
-def random_halfline_pair(rng: np.random.Generator,
-                         freq_points: int = 400) -> tuple[np.ndarray, np.ndarray]:
-    """Random smooth frequency data supported in (0,1): a few bumps with
-    random centers, widths and complex amplitudes."""
-    xs = (np.arange(freq_points) + 0.5) / freq_points
+def random_halfline_pair(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Random smooth frequency data supported in (0,1), HALFLINE_FREQ_POINTS
+    samples each: a few bumps with random centers, widths and complex
+    amplitudes."""
+    xs = (np.arange(HALFLINE_FREQ_POINTS) + 0.5) / HALFLINE_FREQ_POINTS
 
     def one() -> np.ndarray:
-        vals = np.zeros(freq_points, dtype=complex)
+        vals = np.zeros(HALFLINE_FREQ_POINTS, dtype=complex)
         for _ in range(HALFLINE_PIECES):
             width = rng.uniform(0.05, 0.2)
             center = rng.uniform(width + 0.02, 0.98 - width)

@@ -57,7 +57,6 @@ ENVELOPE_SAMPLES = 8
 ENVELOPE_HALFWIDTH = 8.0
 ENVELOPE_DOUBLINGS = 4
 DENOMINATOR_PTS = 128       # midpoint cells a side for the denominator term
-ORTHO_NODES = 2200          # node budget of the orthogonality spot check
 BUMP_RULE = np.polynomial.legendre.leggauss(80)  # Gauss-Legendre on [-1, 1]
 
 
@@ -399,7 +398,7 @@ class SweepReport:
 
 def orthogonality_spot_check(config: NehariConfig, eps: float) -> hankel.OrthoCheck:
     """Delegate the orthogonal-sum law to the Hankel module for two antipodal
-    bumps of the eps family, at a spacing sized to the node budget."""
+    bumps of the eps family, at a third of the bump radius r."""
     cal = config.calibration
     y = pack_boundary_disc(eps)
     family = build_bumps(y, eps, cal.containment_c, cal.bump_c1)
@@ -407,10 +406,7 @@ def orthogonality_spot_check(config: NehariConfig, eps: float) -> hankel.OrthoCh
     supports = [family.supports()[i] for i in pick]
     symbols = [family.symbol(i) for i in pick]
     body = Ball(np.zeros(2), 1.0)
-    # interaction lenses sit inside B(y_i, eps); size the grid from their area
-    lens_area = 2.0 * math.pi * eps * eps
-    spacing = min(math.sqrt(lens_area / ORTHO_NODES), family.r / 3.0)
-    return hankel.orthogonal_sum_check(body, symbols, supports, spacing)
+    return hankel.orthogonal_sum_check(body, symbols, supports, family.r / 3.0)
 
 
 def sweep_and_fit(config: NehariConfig, check_disjointness: bool = True,
@@ -418,19 +414,20 @@ def sweep_and_fit(config: NehariConfig, check_disjointness: bool = True,
     """Run eq5_ratio over the eps list and fit log ratio against log N.
 
     The fit needs at least 4 distinct N; the packing counts them before any
-    row is computed.
+    row is computed.  The orthogonality spot check, which draws nothing,
+    runs before the rows too, so a grid it refuses fails the sweep at once.
     """
     counts = sorted({pack_boundary_disc(eps).shape[0] for eps in config.epsilons})
     if len(counts) < 4:
         raise GeometryError(f"need at least 4 distinct N for a slope fit, "
                             f"the eps list gives N in {counts}")
+    ortho = None
+    if orthogonality_eps is not None:
+        ortho = orthogonality_spot_check(config, orthogonality_eps)
     rows = [eq5_ratio(config, eps, check_disjointness=check_disjointness)
             for eps in config.epsilons]
     logN = np.log([row.N for row in rows])
     logR = np.log([row.ratio for row in rows])
     slope, intercept = np.polyfit(logN, logR, 1)
-    ortho = None
-    if orthogonality_eps is not None:
-        ortho = orthogonality_spot_check(config, orthogonality_eps)
     return SweepReport(config=config, rows=rows, slope=float(slope),
                        intercept=float(intercept), orthogonality=ortho)

@@ -228,6 +228,26 @@ def _polygon_area(uv: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return 0.5 * np.abs(cross.sum(axis=-1))
 
 
+def _box_mc(lo: np.ndarray, hi: np.ndarray, samples: int, seed: int, count_hits):
+    """Monte Carlo measures of sets in the box [lo, hi], with binomial
+    standard errors: `samples` seeded uniform draws, at most 10^6 at a time.
+    count_hits(points) returns the hits of one chunk, an int for one set or
+    an array of counts, one per set.  Returns (box volume x hit ratio,
+    standard error), scalars or arrays as count_hits returns."""
+    if samples < 1:
+        raise GeometryError("the Monte Carlo estimate needs at least 1 sample")
+    rng = np.random.default_rng(seed)
+    hits = 0
+    done = 0
+    while done < samples:
+        batch = min(samples - done, 1_000_000)
+        hits += count_hits(rng.uniform(lo, hi, size=(batch, lo.size)))
+        done += batch
+    vol_box = float(np.prod(hi - lo))
+    p = np.asarray(hits) / samples
+    return vol_box * p, vol_box * np.sqrt(p * (1.0 - p) / samples)
+
+
 def omega_mc(body: ConvexBody, x, samples: int, seed: int) -> tuple[float, float]:
     """Hit-ratio estimate of m(Omega cap (x - Omega)) with its standard error.
 
@@ -235,8 +255,6 @@ def omega_mc(body: ConvexBody, x, samples: int, seed: int) -> tuple[float, float
     point is in Omega and its reflection x - point is too.  The reflection is
     tested only on the draws inside Omega.
     """
-    if samples < 1:
-        raise GeometryError("the Monte Carlo estimate needs at least 1 sample")
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != body.dim:
         raise GeometryError(f"a {x.size}-D point for a {body.dim}-D body")
@@ -245,21 +263,13 @@ def omega_mc(body: ConvexBody, x, samples: int, seed: int) -> tuple[float, float
     lo, hi = body.bounding_box()
     c = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo) * BOX_INFLATION
-    lo, hi = c - half, c + half
-    vol_box = float(np.prod(hi - lo))
-    rng = np.random.default_rng(seed)
-    hits = 0
-    done = 0
-    while done < samples:
-        batch = min(samples - done, 1_000_000)
-        pts = rng.uniform(lo, hi, size=(batch, body.dim))
+
+    def count_hits(pts: np.ndarray) -> int:
         inside = pts[body.contains_batch(pts)]
-        hits += int(np.count_nonzero(body.contains_batch(x - inside)))
-        done += batch
-    p = hits / samples
-    est = vol_box * p
-    se = vol_box * math.sqrt(max(p * (1.0 - p), 0.0) / samples)
-    return est, se
+        return int(np.count_nonzero(body.contains_batch(x - inside)))
+
+    est, se = _box_mc(c - half, c + half, samples, seed, count_hits)
+    return float(est), float(se)
 
 
 # ---------------------------------------------------------------------------
@@ -434,26 +444,16 @@ def sublevel_fit(body: ConvexBody, t_min: float, t_max: float, count: int,
     """
     if not (0 < t_min < t_max) or count < 5:
         raise GeometryError("need 0 < t_min < t_max and at least 5 grid points")
-    if samples < 1:
-        raise GeometryError("the sublevel fit needs at least 1 sample")
     ev = OmegaEvaluator(body)
     lo, hi = ev.support_box()
-    vol_box = float(np.prod(hi - lo))
-    rng = np.random.default_rng(seed)
     t_values = np.geomspace(t_min, t_max, count)
-    counts = np.zeros(count, dtype=np.int64)
-    done = 0
-    while done < samples:
-        batch = min(samples - done, 1_000_000)
-        pts = rng.uniform(lo, hi, size=(batch, body.dim))
+
+    def count_below(pts: np.ndarray) -> np.ndarray:
         w = ev.batch(pts)
         pos = w > 0.0
-        for i, t in enumerate(t_values):
-            counts[i] += int(np.count_nonzero(pos & (w < t)))
-        done += batch
-    p = counts / samples
-    measures = vol_box * p
-    stderrs = vol_box * np.sqrt(np.maximum(p * (1 - p), 0.0) / samples)
+        return np.array([np.count_nonzero(pos & (w < t)) for t in t_values])
+
+    measures, stderrs = _box_mc(lo, hi, samples, seed, count_below)
     mask = measures > 0
     if np.count_nonzero(mask) < 5:
         raise GeometryError("all sublevel estimates zero; t_min too small for the sample budget")

@@ -346,6 +346,15 @@ class TestSweep:
             sweep_and_fit(NehariConfig(p=6.0, epsilons=eps))
         assert computed == []
 
+    def test_orthogonality_grid_cap_raises_before_any_row(self, monkeypatch):
+        # at eps = 0.1 the spot check's grid, spacing r/3, has 3536^2 nodes
+        def no_row(*args, **kwargs):
+            raise AssertionError("a sweep row ran")
+        monkeypatch.setattr(nehari, "eq5_ratio", no_row)
+        cfg = NehariConfig(p=6.0, epsilons=(0.1, 0.07, 0.05, 0.04))
+        with pytest.raises(GeometryError, match="12503296 grid nodes, above the cap"):
+            sweep_and_fit(cfg, orthogonality_eps=0.1)
+
     def test_short_sweep_slopes(self):
         eps = (0.4, 0.3, 0.2, 0.15)
         r6 = sweep_and_fit(NehariConfig(p=6.0, epsilons=eps))
