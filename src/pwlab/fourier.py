@@ -16,7 +16,6 @@ of the axis transform.  `import pwlab` and the matrix route load no scipy.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -266,28 +265,24 @@ def _l1_by_doubling(box_total, halfwidth: float, half_period: float,
         f"(last value {prev:.6g})")
 
 
-def synthesize_l1(*factors: GridFunction, box_halfwidth: float,
-                  points_per_unit: float = 20.0, max_doublings: int = 4) -> tuple[float, float]:
-    """L1 norm over [-L, L]^n of the product of the functions synthesized
-    from the factors, L doubled until the increment falls below L1_REL_TOL
-    of the accumulated mass.
+def synthesize_l1(fhat: GridFunction, box_halfwidth: float, points_per_unit: float = 20.0,
+                  max_doublings: int = 4) -> tuple[float, float]:
+    """L1 norm of the synthesized f over [-L, L]^n, L doubled until the
+    increment falls below L1_REL_TOL of the accumulated mass.
 
     Returns (box integral, tail estimate); the tail estimate is the last
     increment.  Raises ConvergenceError if max_doublings is exhausted first.
     """
-    n = factors[0].spec.dim
-    maxfreq = max(float(np.max(np.abs(np.concatenate([f.spec.lower, f.spec.upper]))))
-                  for f in factors)
+    n = fhat.spec.dim
+    maxfreq = float(np.max(np.abs(np.concatenate([fhat.spec.lower, fhat.spec.upper]))))
     ppu = max(points_per_unit, 8.0 * max(maxfreq, 0.25))
 
     def box_total(L: float) -> float:
         m = int(math.ceil(2 * L * ppu))
         spatial = GridSpec(lower=-L * np.ones(n), upper=L * np.ones(n), npts=(m,) * n)
-        product = functools.reduce(np.multiply,
-                                   (synthesize_on_grid(f, spatial) for f in factors))
-        return float(np.sum(np.abs(product)) * spatial.weight)
+        return float(np.sum(np.abs(synthesize_on_grid(fhat, spatial))) * spatial.weight)
 
-    half_period = 0.5 / max(float(np.max(f.spec.spacing)) for f in factors)
+    half_period = 0.5 / float(np.max(fhat.spec.spacing))
     return _l1_by_doubling(box_total, box_halfwidth, half_period, max_doublings)
 
 

@@ -19,12 +19,13 @@ from . import geometry
 from .fourier import (
     GridFunction,
     GridSpec,
+    _l1_by_doubling,
     bump_profile,
     fft_convolve,
     scaled_ball_grid,
     smooth_step,
     synthesize_l1,
-    synthesize_on_grid,     # not called here: perfbench's tests wrap it through this binding
+    synthesize_on_grid,
 )
 from .geometry import ConvexBody, GeometryError, HPolytope, VPolytope
 from .omega import omega_inverse_integral
@@ -77,8 +78,8 @@ def halfline_ratio(ghat_vals: np.ndarray, hhat_vals: np.ndarray, freq_points: in
 
     ghat, hhat are samples on the midpoint grid of (0,1); the convolution
     lands on the integer grid of (0,2), where the weight w(x) = x is the
-    half-line autocorrelation.  The denominator is synthesize_l1 of the
-    product g h.
+    half-line autocorrelation.  The denominator synthesizes g and h on a
+    growing spatial box and integrates |g h|.
     """
     K = freq_points
     h = 1.0 / K
@@ -91,11 +92,17 @@ def halfline_ratio(ghat_vals: np.ndarray, hhat_vals: np.ndarray, freq_points: in
     numerator = float(np.sum(np.abs(conv) / xs) * h)
 
     spec = GridSpec(lower=[0.0], upper=[1.0], npts=(K,))
-    total, _ = synthesize_l1(GridFunction(spec=spec, values=ghat_vals),
-                             GridFunction(spec=spec, values=hhat_vals),
-                             box_halfwidth=box_halfwidth,
-                             points_per_unit=HALFLINE_POINTS_PER_UNIT,
-                             max_doublings=max_doublings)
+    ghat = GridFunction(spec=spec, values=ghat_vals)
+    hhat = GridFunction(spec=spec, values=hhat_vals)
+
+    def box_total(L: float) -> float:
+        m = int(math.ceil(2 * L * HALFLINE_POINTS_PER_UNIT))
+        spatial = GridSpec(lower=[-L], upper=[L], npts=(m,))
+        g = synthesize_on_grid(ghat, spatial)
+        hh = synthesize_on_grid(hhat, spatial)
+        return float(np.sum(np.abs(g * hh)) * spatial.weight)
+
+    total, _ = _l1_by_doubling(box_total, box_halfwidth, 0.5 * K, max_doublings)
     return numerator / total
 
 

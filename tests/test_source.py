@@ -37,17 +37,9 @@ def test_scan_finds_an_unused_name():
     assert unused_imports(source) == ["math", "path"]
 
 
-# Names a module imports without using them, each with its reason.
-KEPT_IMPORTS = {
-    # perfbench/tests/test_perfbench.py checks that its wrappers reach the
-    # binding hardy.synthesize_on_grid
-    "hardy.py": ["synthesize_on_grid"],
-}
-
-
 @pytest.mark.parametrize("name", MODULES)
 def test_no_unused_imports(name):
-    assert unused_imports((SRC / name).read_text()) == KEPT_IMPORTS.get(name, [])
+    assert unused_imports((SRC / name).read_text()) == []
 
 
 ROOT = SRC.parents[1]
