@@ -233,21 +233,32 @@ def synthesize_on_grid(fhat: GridFunction, spatial: GridSpec) -> np.ndarray:
     return F
 
 
+def _beyond_alias(L: float, half_period: float) -> bool:
+    """Whether the box of half-width L reaches past the alias half period."""
+    return L > half_period * (1.0 + 1e-9)
+
+
 def _l1_by_doubling(box_total, halfwidth: float, half_period: float,
                    max_doublings: int) -> tuple[float, float]:
     """Grow a box integral by doublings of its half-width until it settles.
 
-    box_total(L) is the integral over the box of half-width L.  The loop
+    box_total(L) is the integral over the box of half-width L, called with
+    L = halfwidth * 2^d for d = 0, 1, ..., max_doublings in turn.  The loop
     stops once the increment over the previous box falls below L1_REL_TOL
     of the total and returns (total, increment).  Trig sums are periodic, so a
     box beyond the alias half period would integrate alias copies instead of
     tails; that, a non-finite total and an exhausted budget raise
-    ConvergenceError.
+    ConvergenceError.  A half-width that is not finite and positive, or a
+    budget of fewer than one doubling, raises GeometryError before any box.
     """
     L = float(halfwidth)
+    if not (math.isfinite(L) and L > 0.0):
+        raise GeometryError(f"box_halfwidth must be finite and positive, got {halfwidth}")
+    if max_doublings < 1:
+        raise GeometryError(f"max_doublings must be at least 1, got {max_doublings}")
     prev = None
     for _ in range(max_doublings + 1):
-        if L > half_period * (1.0 + 1e-9):
+        if _beyond_alias(L, half_period):
             raise ConvergenceError(
                 f"box half-width {L:.3g} exceeds the alias half period {half_period:.3g}; "
                 "refine the frequency grid")

@@ -4,6 +4,7 @@ import scipy.fft
 from scipy import signal
 from scipy.integrate import quad
 
+from pwlab import fourier
 from pwlab.fourier import (
     ConvergenceError,
     GridFunction,
@@ -122,6 +123,22 @@ class TestSynthesis:
         with pytest.raises(ConvergenceError):
             synthesize_l1(tent, box_halfwidth=0.25, max_doublings=1)
 
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"box_halfwidth": np.nan}, "box_halfwidth"),
+        ({"box_halfwidth": np.inf}, "box_halfwidth"),
+        ({"box_halfwidth": 0.0}, "box_halfwidth"),
+        ({"box_halfwidth": -4.0}, "box_halfwidth"),
+        ({"box_halfwidth": 4.0, "max_doublings": 0}, "max_doublings"),
+        ({"box_halfwidth": 4.0, "max_doublings": -1}, "max_doublings")])
+    def test_bad_box_arguments_raise_before_any_synthesis(self, monkeypatch, kwargs, name):
+        calls = []
+        monkeypatch.setattr(fourier, "synthesize_on_grid", lambda *a: calls.append(a))
+        spec = GridSpec(lower=[-1.0], upper=[1.0], npts=(500,))
+        tent = GridFunction.from_function(spec, lambda p: np.maximum(0, 1 - np.abs(p[:, 0])))
+        with pytest.raises(GeometryError, match=name):
+            synthesize_l1(tent, **kwargs)
+        assert calls == []
 
     def test_alias_half_period_raises(self):
         # spacing 0.2 puts the alias half period at 2.5, inside the box

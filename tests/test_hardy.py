@@ -4,9 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from pwlab.fourier import ConvergenceError
+from pwlab import hardy
+from pwlab.fourier import (
+    ConvergenceError,
+    GridFunction,
+    GridSpec,
+    _l1_by_doubling,
+    fft_convolve,
+    synthesize_on_grid,
+)
 from pwlab.geometry import Ball, GeometryError, Product, VPolytope, box, unit_box
 from pwlab.hardy import (
+    HALFLINE_POINTS_PER_UNIT,
     adjusted_integrability_report,
     canonical_bump_l1,
     corner_family_ratio,
@@ -61,13 +70,112 @@ class TestHalflineRatio:
         assert 2.0 <= val <= math.pi * 1.02
 
 
-    def test_alias_half_period_raises(self):
+    def test_alias_half_period_raises(self, monkeypatch):
         # 40 samples on (0, 1) alias beyond |t| = 20, inside the first box
         from pwlab.fourier import bump_profile
+        boxes = count_syntheses(monkeypatch)
         xs = (np.arange(40) + 0.5) / 40
         g = bump_profile((xs - 0.5) / 0.2).astype(complex)
         with pytest.raises(ConvergenceError, match="alias half period"):
             halfline_ratio(g, g, freq_points=40, box_halfwidth=32.0)
+        assert boxes == []
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"box_halfwidth": math.nan}, "box_halfwidth"),
+        ({"box_halfwidth": math.inf}, "box_halfwidth"),
+        ({"box_halfwidth": 0.0}, "box_halfwidth"),
+        ({"box_halfwidth": -32.0}, "box_halfwidth"),
+        ({"max_doublings": 0}, "max_doublings"),
+        ({"max_doublings": -1}, "max_doublings")])
+    def test_bad_box_arguments_raise_before_any_synthesis(self, monkeypatch, kwargs, name):
+        boxes = count_syntheses(monkeypatch)
+        g, h = random_halfline_pair(np.random.default_rng(3))
+        with pytest.raises(GeometryError, match=name):
+            halfline_ratio(g, h, freq_points=g.size, **kwargs)
+        assert boxes == []
+
+
+def count_syntheses(monkeypatch) -> list[int]:
+    """Route hardy's synthesis through a wrapper; the list it returns grows
+    by the node count of each spatial grid synthesized."""
+    boxes = []
+
+    def counted(fhat, spatial):
+        boxes.append(spatial.npts[0])
+        return synthesize_on_grid(fhat, spatial)
+
+    monkeypatch.setattr(hardy, "synthesize_on_grid", counted)
+    return boxes
+
+
+def per_box_halfline_ratio(ghat_vals, hhat_vals, K, box_halfwidth=32.0, max_doublings=5):
+    """The half-line ratio with g and h synthesized afresh on every box, the
+    loop halfline_ratio ran before its boxes shared a synthesis.  Box d is
+    the midpoint grid of m0 2^d nodes on [-L0 2^d, L0 2^d]."""
+    h = 1.0 / K
+    conv = fft_convolve(ghat_vals, hhat_vals) * h
+    xs = (np.arange(conv.size) + 1.0) * h
+    numerator = float(np.sum(np.abs(conv) / xs) * h)
+    spec = GridSpec(lower=[0.0], upper=[1.0], npts=(K,))
+    ghat = GridFunction(spec=spec, values=ghat_vals)
+    hhat = GridFunction(spec=spec, values=hhat_vals)
+    m0 = 2 * math.ceil(box_halfwidth * HALFLINE_POINTS_PER_UNIT)
+
+    def box_total(L):
+        spatial = GridSpec(lower=[-L], upper=[L], npts=(m0 * round(L / box_halfwidth),))
+        g = synthesize_on_grid(ghat, spatial)
+        hh = synthesize_on_grid(hhat, spatial)
+        return float(np.sum(np.abs(g * hh)) * spatial.weight)
+
+    total, _ = _l1_by_doubling(box_total, box_halfwidth, 0.5 * K, max_doublings)
+    return numerator / total
+
+
+def same_ratio(value):
+    return pytest.approx(value, rel=1e-13, abs=0.0)
+
+
+class TestHalflineBoxes:
+    @pytest.mark.parametrize("L0", [32.0, 64.0])
+    def test_nested_grids_are_the_per_box_grids_of_the_callers(self, L0):
+        # 2 L0 HALFLINE_POINTS_PER_UNIT is an even integer for both callers,
+        # so box d has ceil(2 L HALFLINE_POINTS_PER_UNIT) nodes, as each box
+        # had when it was synthesized on its own
+        m0 = 2 * math.ceil(L0 * HALFLINE_POINTS_PER_UNIT)
+        for d in range(8):
+            assert m0 * 2 ** d == math.ceil(2 * L0 * 2 ** d * HALFLINE_POINTS_PER_UNIT)
+
+    def test_random_pairs_match_per_box_synthesis(self):
+        rng = np.random.default_rng(28)
+        for _ in range(3):
+            g, h = random_halfline_pair(rng)
+            assert halfline_ratio(g, h, freq_points=g.size) == same_ratio(
+                per_box_halfline_ratio(g, h, g.size))
+
+    def test_extremal_pair_matches_per_box_synthesis(self):
+        g, h = extremal_halfline_pair()
+        assert halfline_ratio(g, h, freq_points=g.size, box_halfwidth=64.0,
+                              max_doublings=7) == same_ratio(
+            per_box_halfline_ratio(g, h, g.size, box_halfwidth=64.0, max_doublings=7))
+
+    def test_fractional_halfwidth_reads_the_documented_grid(self, monkeypatch):
+        # 2 * 33.3 * 24 = 1598.4 nodes round up to the even m0 = 1600; the
+        # boxes are the centre windows of the box synthesized two doublings
+        # ahead, here capped at box 2 by the alias half period 200
+        boxes = count_syntheses(monkeypatch)
+        g, h = random_halfline_pair(np.random.default_rng(5))
+        val = halfline_ratio(g, h, freq_points=g.size, box_halfwidth=33.3)
+        assert boxes == [6400, 6400]
+        monkeypatch.undo()
+        assert val == same_ratio(per_box_halfline_ratio(g, h, g.size, box_halfwidth=33.3))
+
+    def test_extremal_pair_synthesizes_each_function_twice(self, monkeypatch):
+        # boxes 0-2 read the synthesis on box 2, boxes 3-5 the one on box 5,
+        # 98 304 nodes, the widest box the loop asks for
+        boxes = count_syntheses(monkeypatch)
+        g, h = extremal_halfline_pair()
+        halfline_ratio(g, h, freq_points=g.size, box_halfwidth=64.0, max_doublings=7)
+        assert boxes == [12_288, 12_288, 98_304, 98_304]
 
 
 class TestCornerFamily:
