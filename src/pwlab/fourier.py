@@ -26,6 +26,7 @@ from .geometry import AffineImage, Ball, ConvexBody, GeometryError
 
 # A box integral has settled once a doubling adds less than this share of it.
 L1_REL_TOL = 0.005
+MAX_GRID_NODES = 1 << 22  # most nodes of a grid: 2048 a side in 2-D, 161 in 3-D
 
 
 class ConvergenceError(RuntimeError):
@@ -244,12 +245,13 @@ def _l1_by_doubling(box_total, halfwidth: float, half_period: float,
 
     box_total(L) is the integral over the box of half-width L, called with
     L = halfwidth * 2^d for d = 0, 1, ..., max_doublings in turn.  The loop
-    stops once the increment over the previous box falls below L1_REL_TOL
-    of the total and returns (total, increment).  Trig sums are periodic, so a
-    box beyond the alias half period would integrate alias copies instead of
-    tails; that, a non-finite total and an exhausted budget raise
-    ConvergenceError.  A half-width that is not finite and positive, or a
-    budget of fewer than one doubling, raises GeometryError before any box.
+    returns (total, increment) once the increment over the previous box
+    falls below L1_REL_TOL of the total, or two boxes in a row give 0.
+    Trig sums are periodic, so a box beyond the alias half period would
+    integrate alias copies instead of tails; that, a non-finite total and an
+    exhausted budget raise ConvergenceError.  A half-width that is not
+    finite and positive, or a budget of fewer than one doubling, raises
+    GeometryError before any box.
     """
     L = float(halfwidth)
     if not (math.isfinite(L) and L > 0.0):
@@ -267,7 +269,7 @@ def _l1_by_doubling(box_total, halfwidth: float, half_period: float,
             raise ConvergenceError("box integral is not finite")
         if prev is not None:
             increment = total - prev
-            if increment < L1_REL_TOL * total:
+            if increment < L1_REL_TOL * total or total == prev == 0.0:
                 return total, max(increment, 0.0)
         prev = total
         L *= 2.0
@@ -276,25 +278,53 @@ def _l1_by_doubling(box_total, halfwidth: float, half_period: float,
         f"(last value {prev:.6g})")
 
 
+def nested_box_l1(modulus, dim: int, box_halfwidth: float, points_per_unit: float,
+                  half_period: float, max_doublings: int) -> tuple[float, float]:
+    """(total, increment) of the L1 norm of |f| = modulus(spatial) by box doubling.
+
+    Box d is the midpoint grid of m0 2^d nodes a side on [-L0 2^d, L0 2^d]^dim,
+    L0 = box_halfwidth, m0 = 2 ceil(L0 points_per_unit), so every box has the
+    first box's spacing and is the centre window of every wider one.  When
+    the loop first asks for box d, the modulus is taken on box d + 2, capped
+    at box max_doublings, the alias half period and MAX_GRID_NODES nodes but
+    never below box d; the boxes it holds are sums over its centre windows.
+    On the FFT route a synthesis costs one DFT a axis of the same length
+    whatever the box, so three syntheses become one.
+    """
+    L0 = float(box_halfwidth)
+    held, weight = np.empty((0,) * dim), 0.0    # |f| on the widest box taken so far
+
+    def box_total(L: float) -> float:
+        nonlocal held, weight
+        m0 = 2 * math.ceil(L0 * points_per_unit)     # L0 checked by the loop
+        scale = round(L / L0)                        # L = 2^d L0 exactly
+        if scale * m0 > held.shape[0]:
+            wide = min(4 * scale, 2 ** max_doublings)
+            while wide > scale and (_beyond_alias(wide * L0, half_period)
+                                    or (wide * m0) ** dim > MAX_GRID_NODES):
+                wide //= 2
+            spatial = GridSpec(lower=[-wide * L0] * dim, upper=[wide * L0] * dim,
+                               npts=(wide * m0,) * dim)
+            held, weight = modulus(spatial), spatial.weight
+        cut = (held.shape[0] - scale * m0) // 2
+        return float(np.sum(held[(slice(cut, held.shape[0] - cut),) * dim]) * weight)
+
+    return _l1_by_doubling(box_total, box_halfwidth, half_period, max_doublings)
+
+
 def synthesize_l1(fhat: GridFunction, box_halfwidth: float, points_per_unit: float = 20.0,
                   max_doublings: int = 4) -> tuple[float, float]:
     """L1 norm of the synthesized f over [-L, L]^n, L doubled until the
-    increment falls below L1_REL_TOL of the accumulated mass.
+    increment falls below L1_REL_TOL of the accumulated mass (nested_box_l1).
 
     Returns (box integral, tail estimate); the tail estimate is the last
     increment.  Raises ConvergenceError if max_doublings is exhausted first.
     """
-    n = fhat.spec.dim
     maxfreq = float(np.max(np.abs(np.concatenate([fhat.spec.lower, fhat.spec.upper]))))
     ppu = max(points_per_unit, 8.0 * max(maxfreq, 0.25))
-
-    def box_total(L: float) -> float:
-        m = int(math.ceil(2 * L * ppu))
-        spatial = GridSpec(lower=-L * np.ones(n), upper=L * np.ones(n), npts=(m,) * n)
-        return float(np.sum(np.abs(synthesize_on_grid(fhat, spatial))) * spatial.weight)
-
     half_period = 0.5 / float(np.max(fhat.spec.spacing))
-    return _l1_by_doubling(box_total, box_halfwidth, half_period, max_doublings)
+    return nested_box_l1(lambda spatial: np.abs(synthesize_on_grid(fhat, spatial)),
+                         fhat.spec.dim, box_halfwidth, ppu, half_period, max_doublings)
 
 
 def dilate_toward(fhat: GridFunction, z, r: float) -> GridFunction:

@@ -19,10 +19,9 @@ from . import geometry
 from .fourier import (
     GridFunction,
     GridSpec,
-    _beyond_alias,
-    _l1_by_doubling,
     bump_profile,
     fft_convolve,
+    nested_box_l1,
     scaled_ball_grid,
     smooth_step,
     synthesize_l1,
@@ -77,31 +76,16 @@ def halfline_ratio(ghat_vals: np.ndarray, hhat_vals: np.ndarray, freq_points: in
                    box_halfwidth: float = 32.0, max_doublings: int = 5) -> float:
     """int_0^inf |(ghat * hhat)(x)| / x dx over ||g h||_1.
 
-    ghat, hhat are samples on the midpoint grid of (0,1); the convolution
-    lands on the integer grid of (0,2), where the weight w(x) = x is the
-    half-line autocorrelation.  The denominator integrates |g h| over boxes
-    of half-width L0 2^d, L0 = box_halfwidth, doubled by
-    fourier._l1_by_doubling until the integral settles.
-
-    The boxes are nested grids: box d is the midpoint grid of m0 2^d nodes
-    on [-L0 2^d, L0 2^d], all at the first box's spacing 2 L0 / m0, with
-    m0 = 2 ceil(L0 HALFLINE_POINTS_PER_UNIT) even, so each box is the centre
-    window of every wider one.  When 2 L0 HALFLINE_POINTS_PER_UNIT is an
-    integer, as for every caller, one synthesis is a length-24 K inverse DFT
-    whatever the box size, so g and h are synthesized two doublings ahead:
-    on box d + 2 when the loop first asks for box d, capped at box
-    max_doublings and at the alias half period K/2.  Only |g h| is kept
-    there; box d and the two after it are sums over its centre windows, and
-    a box beyond it synthesizes again.  The kept array, and each synthesis
-    while it is made, hold at most four times the nodes of the widest box
-    the loop asks for.
+    ghat, hhat: freq_points samples on the midpoint grid of (0,1); their
+    convolution lands on the integer grid of (0,2), where w(x) = x.  The
+    denominator is fourier.nested_box_l1 of |g h|; a zero g h raises.
     """
-    K = freq_points
-    h = 1.0 / K
     ghat_vals = np.asarray(ghat_vals, dtype=complex).reshape(-1)
     hhat_vals = np.asarray(hhat_vals, dtype=complex).reshape(-1)
-    if ghat_vals.size != K or hhat_vals.size != K:
-        raise GeometryError("frequency sample count mismatch")
+    K = ghat_vals.size
+    if K < 1 or freq_points != K or hhat_vals.size != K:
+        raise GeometryError(f"freq_points {freq_points} is not the positive count of both samples")
+    h = 1.0 / K
     conv = fft_convolve(ghat_vals, hhat_vals) * h     # values at x = (k+l+1) h
     xs = (np.arange(conv.size) + 1.0) * h
     numerator = float(np.sum(np.abs(conv) / xs) * h)
@@ -109,24 +93,11 @@ def halfline_ratio(ghat_vals: np.ndarray, hhat_vals: np.ndarray, freq_points: in
     spec = GridSpec(lower=[0.0], upper=[1.0], npts=(K,))
     ghat = GridFunction(spec=spec, values=ghat_vals)
     hhat = GridFunction(spec=spec, values=hhat_vals)
-    L0 = float(box_halfwidth)
-    half_period = 0.5 * K
-    held = np.empty(0)          # |g h| on the widest box synthesized so far
-
-    def box_total(L: float) -> float:
-        nonlocal held
-        m0 = 2 * math.ceil(L0 * HALFLINE_POINTS_PER_UNIT)   # L0 checked by the loop
-        scale = round(L / L0)                             # L = 2^d L0 exactly
-        if scale * m0 > held.size:
-            wide = min(4 * scale, 2 ** max_doublings)
-            while _beyond_alias(wide * L0, half_period):
-                wide //= 2
-            spatial = GridSpec(lower=[-wide * L0], upper=[wide * L0], npts=(wide * m0,))
-            held = np.abs(synthesize_on_grid(ghat, spatial) * synthesize_on_grid(hhat, spatial))
-        cut = (held.size - scale * m0) // 2
-        return float(np.sum(held[cut:held.size - cut]) * (2 * L0 / m0))
-
-    total, _ = _l1_by_doubling(box_total, box_halfwidth, half_period, max_doublings)
+    total, _ = nested_box_l1(
+        lambda s: np.abs(synthesize_on_grid(ghat, s) * synthesize_on_grid(hhat, s)),
+        1, box_halfwidth, HALFLINE_POINTS_PER_UNIT, 0.5 * K, max_doublings)
+    if total == 0.0:
+        raise GeometryError("g h vanishes on every box, so the half-line ratio is undefined")
     return numerator / total
 
 

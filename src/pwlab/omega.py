@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .fourier import GridSpec
+from .fourier import MAX_GRID_NODES, GridSpec
 from .geometry import (
     DEDUP_TOL,
     AffineImage,
@@ -42,7 +42,6 @@ BOX_INFLATION = 1.0 + 1e-12
 
 SLICE_RULE = np.polynomial.legendre.leggauss(40)  # Gauss-Legendre on [-1, 1]
 JACOBI_NODES = 40     # Gauss-Jacobi nodes of the radial inverse-power integral
-MAX_GRID_NODES = 1 << 22  # most nodes of a grid: 2048 a side in 2-D, 161 in 3-D
 
 
 def unit_ball_volume(n: int) -> float:

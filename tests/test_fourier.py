@@ -1,15 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.fft
 from scipy import signal
 from scipy.integrate import quad
 
-from pwlab import fourier
+from pwlab import fourier, hardy
 from pwlab.fourier import (
     ConvergenceError,
     GridFunction,
     GridSpec,
     _axis_transform,
+    _l1_by_doubling,
     bump_profile,
     dilate_toward,
     fft_convolve,
@@ -146,6 +149,108 @@ class TestSynthesis:
         tent = GridFunction.from_function(spec, lambda p: np.maximum(0, 1 - np.abs(p[:, 0])))
         with pytest.raises(ConvergenceError, match="alias half period"):
             synthesize_l1(tent, box_halfwidth=4.0)
+
+
+def tent_data(K):
+    spec = GridSpec(lower=[-1.0], upper=[1.0], npts=(K,))
+    return GridFunction.from_function(spec, lambda p: np.maximum(0, 1 - np.abs(p[:, 0])))
+
+
+def planar_bump_data(npts=96, edge=1.05):
+    """The frequency data of hardy.canonical_bump_l1 at the defaults."""
+    spec = GridSpec(lower=[-edge, -edge], upper=[edge, edge], npts=(npts, npts))
+    return GridFunction.from_function(spec, lambda p: bump_profile(np.linalg.norm(p, axis=1)))
+
+
+def per_box_l1(fhat, box_halfwidth, points_per_unit=20.0, max_doublings=4):
+    """synthesize_l1 as it ran before its boxes were nested: the box of
+    half-width L synthesized afresh on ceil(2 L ppu) nodes a side."""
+    n = fhat.spec.dim
+    maxfreq = float(np.max(np.abs(np.concatenate([fhat.spec.lower, fhat.spec.upper]))))
+    ppu = max(points_per_unit, 8.0 * max(maxfreq, 0.25))
+
+    def box_total(L):
+        m = math.ceil(2 * L * ppu)
+        spatial = GridSpec(lower=[-L] * n, upper=[L] * n, npts=(m,) * n)
+        return float(np.sum(np.abs(synthesize_on_grid(fhat, spatial))) * spatial.weight)
+
+    half_period = 0.5 / float(np.max(fhat.spec.spacing))
+    return _l1_by_doubling(box_total, box_halfwidth, half_period, max_doublings)
+
+
+def count_syntheses(monkeypatch) -> list[tuple]:
+    """Route fourier's synthesis through a wrapper; the list it returns
+    grows by the node counts of each spatial grid synthesized."""
+    boxes = []
+
+    def counted(fhat, spatial):
+        boxes.append(spatial.npts)
+        return synthesize_on_grid(fhat, spatial)
+
+    monkeypatch.setattr(fourier, "synthesize_on_grid", counted)
+    return boxes
+
+
+class TestNestedBoxes:
+    # 4 * 20 and 8 * 10 nodes per half-width are integers, so every box is
+    # the grid it had when each box was synthesized on its own
+    @pytest.mark.parametrize("K", [20_000, 2000])
+    def test_tent_matches_per_box_synthesis(self, K):
+        total, tail = synthesize_l1(tent_data(K), box_halfwidth=4.0)
+        ref_total, ref_tail = per_box_l1(tent_data(K), 4.0)
+        assert total == pytest.approx(ref_total, rel=1e-13, abs=0.0)
+        assert tail == pytest.approx(ref_tail, rel=0.0, abs=1e-13 * ref_total)
+
+    def test_planar_bump_matches_per_box_synthesis(self):
+        # 96 nodes on 2.1 do not meet the FFT route: the matrix route
+        total, tail = synthesize_l1(planar_bump_data(), box_halfwidth=8.0,
+                                    points_per_unit=10.0)
+        ref_total, ref_tail = per_box_l1(planar_bump_data(), 8.0, points_per_unit=10.0)
+        assert total == pytest.approx(ref_total, rel=1e-13, abs=0.0)
+        assert tail == pytest.approx(ref_tail, rel=0.0, abs=1e-13 * ref_total)
+
+    @pytest.mark.parametrize("n, K", [(1, 20_000), (2, 20_000), (1, 2000)])
+    def test_tent_ratio_synthesizes_twice(self, monkeypatch, n, K):
+        # boxes 0-2 (L = 4, 8, 16) read the synthesis on box 2; box 3 asks
+        # for box 5, capped at the budget's box 4 (L = 64); it settles at 3
+        boxes = count_syntheses(monkeypatch)
+        hardy.tent_ratio(n, freq_points=K)
+        assert boxes == [(640,), (2560,)]
+
+    def test_canonical_bump_synthesizes_once(self, monkeypatch):
+        # box 2 (L = 32) lies beyond the alias half period 22.9, so the
+        # lookahead stops at box 1, where the integral settles
+        boxes = count_syntheses(monkeypatch)
+        hardy.canonical_bump_l1.cache_clear()
+        try:
+            hardy.canonical_bump_l1()
+        finally:
+            hardy.canonical_bump_l1.cache_clear()
+        assert boxes == [(320, 320)]
+
+    def test_lookahead_shrinks_to_the_node_cap(self, monkeypatch):
+        # m0 = 80 at L0 = 4; the alias half period 16 allows box 2, 320^2
+        # nodes, which a cap of 160^2 shrinks to box 1; box 2, once asked
+        # for, is synthesized whole
+        bump = planar_bump_data(npts=64, edge=1.0)
+        boxes = count_syntheses(monkeypatch)
+        free, _ = synthesize_l1(bump, box_halfwidth=4.0, points_per_unit=10.0)
+        assert boxes == [(320, 320)]
+        monkeypatch.setattr(fourier, "MAX_GRID_NODES", 160 ** 2)
+        capped, _ = synthesize_l1(bump, box_halfwidth=4.0, points_per_unit=10.0)
+        assert boxes[1:] == [(160, 160), (320, 320)]
+        assert capped == pytest.approx(free, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_zero_function_settles_at_zero(self, dim):
+        spec = GridSpec(lower=[-1.0] * dim, upper=[1.0] * dim, npts=(40,) * dim)
+        zero = GridFunction(spec=spec, values=np.zeros((40,) * dim))
+        assert synthesize_l1(zero, box_halfwidth=1.0) == (0.0, 0.0)
+
+    def test_loop_settles_on_two_zero_boxes(self):
+        boxes = []
+        assert _l1_by_doubling(lambda L: boxes.append(L) or 0.0, 1.0, 100.0, 4) == (0.0, 0.0)
+        assert boxes == [1.0, 2.0]
 
 
 def axis_nodes(lo, hi, m):

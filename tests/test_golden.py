@@ -20,6 +20,10 @@ FLOAT_REL_TOL = 1e-12
 REPORTS = {
     "hardy_halfline_product.json": ["hardy", "--family", "halfline_product",
                                     "--trials", "100", "--seed", "0"],
+    "hardy_tent_product_square.json": ["hardy", "--family", "tent_product",
+                                       "--body", "square"],
+    "hardy_tent_product_cube.json": ["hardy", "--family", "tent_product", "--body", "cube"],
+    "hardy_corner_bumps.json": ["hardy", "--family", "corner_bumps", "--d", "1.5"],
 }
 
 
@@ -84,7 +88,7 @@ def test_any_value_moved_by_1e10_fails(name):
     assert mismatch(golden, golden) is None
     numbers = [(keys, v) for keys, v in leaves(golden)
                if isinstance(v, (int, float)) and not isinstance(v, bool)]
-    assert len(numbers) > 100
+    assert len(numbers) >= 4          # d, seed and at least two results
     for keys, value in numbers:
         moved = json.loads(json.dumps(golden))
         target = moved

@@ -15,6 +15,7 @@ from pwlab.fourier import (
 )
 from pwlab.geometry import Ball, GeometryError, Product, VPolytope, box, unit_box
 from pwlab.hardy import (
+    HALFLINE_FREQ_POINTS,
     HALFLINE_POINTS_PER_UNIT,
     adjusted_integrability_report,
     canonical_bump_l1,
@@ -93,6 +94,24 @@ class TestHalflineRatio:
         with pytest.raises(GeometryError, match=name):
             halfline_ratio(g, h, freq_points=g.size, **kwargs)
         assert boxes == []
+
+    @pytest.mark.parametrize("freq_points", [0, -3, 2.5])
+    def test_bad_freq_points_raise_before_any_synthesis(self, monkeypatch, freq_points):
+        boxes = count_syntheses(monkeypatch)
+        g, h = random_halfline_pair(np.random.default_rng(3))
+        with pytest.raises(GeometryError, match="freq_points"):
+            halfline_ratio(g, h, freq_points=freq_points)
+        with pytest.raises(GeometryError, match="freq_points"):
+            halfline_ratio(g[:0], h[:0], freq_points=freq_points)
+        assert boxes == []
+
+    def test_zero_product_raises(self):
+        # ||g h||_1 = 0 on every box: the ratio is undefined, not an alias
+        zero = np.zeros(HALFLINE_FREQ_POINTS)
+        g, _ = random_halfline_pair(np.random.default_rng(3))
+        for ghat in (zero, g):
+            with pytest.raises(GeometryError, match="undefined"):
+                halfline_ratio(ghat, zero, freq_points=HALFLINE_FREQ_POINTS)
 
 
 def count_syntheses(monkeypatch) -> list[int]:
