@@ -145,27 +145,6 @@ def bump_hat_batch(pts: np.ndarray, center=None, radius: float = 1.0) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# quadrature
-# ---------------------------------------------------------------------------
-
-def scaled_ball_grid(center, radius: float, per_axis: int
-                     ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Midpoint grid of the cube around B(center, radius), per_axis cells a side.
-
-    Returns the nodes as a (dim, per_axis, ..., per_axis) array, their
-    scaled distances |x - center| / radius, and the cell weight.
-    """
-    center = np.asarray(center, dtype=float).reshape(-1)
-    n = center.size
-    h = 2.0 / per_axis
-    u = -1.0 + (np.arange(per_axis) + 0.5) * h
-    grids = np.meshgrid(*([u] * n), indexing="ij")
-    rho = np.sqrt(sum(g * g for g in grids))
-    nodes = center.reshape((n,) + (1,) * n) + radius * np.stack(grids)
-    return nodes, rho, (radius * h) ** n
-
-
-# ---------------------------------------------------------------------------
 # synthesis and L1 norms
 # ---------------------------------------------------------------------------
 
@@ -317,14 +296,20 @@ def synthesize_l1(fhat: GridFunction, box_halfwidth: float, points_per_unit: flo
     """L1 norm of the synthesized f over [-L, L]^n, L doubled until the
     increment falls below L1_REL_TOL of the accumulated mass (nested_box_l1).
 
-    Returns (box integral, tail estimate); the tail estimate is the last
-    increment.  Raises ConvergenceError if max_doublings is exhausted first.
+    A shift of the frequency data only modulates f, so the data are
+    synthesized about the centre of their box, with nodes enough for the
+    box's half-width rather than for its largest |frequency|.  Returns (box
+    integral, tail estimate); the tail estimate is the last increment.
+    Raises ConvergenceError if max_doublings is exhausted first.
     """
-    maxfreq = float(np.max(np.abs(np.concatenate([fhat.spec.lower, fhat.spec.upper]))))
-    ppu = max(points_per_unit, 8.0 * max(maxfreq, 0.25))
-    half_period = 0.5 / float(np.max(fhat.spec.spacing))
-    return nested_box_l1(lambda spatial: np.abs(synthesize_on_grid(fhat, spatial)),
-                         fhat.spec.dim, box_halfwidth, ppu, half_period, max_doublings)
+    spec = fhat.spec
+    half = 0.5 * (spec.upper - spec.lower)
+    centred = GridFunction(spec=GridSpec(lower=-half, upper=half, npts=spec.npts),
+                           values=fhat.values)
+    ppu = max(points_per_unit, 8.0 * max(float(np.max(half)), 0.25))
+    half_period = 0.5 / float(np.max(spec.spacing))
+    return nested_box_l1(lambda spatial: np.abs(synthesize_on_grid(centred, spatial)),
+                         spec.dim, box_halfwidth, ppu, half_period, max_doublings)
 
 
 def dilate_toward(fhat: GridFunction, z, r: float) -> GridFunction:

@@ -22,7 +22,6 @@ from .fourier import (
     bump_profile,
     fft_convolve,
     nested_box_l1,
-    scaled_ball_grid,
     smooth_step,
     synthesize_l1,
     synthesize_on_grid,
@@ -157,10 +156,13 @@ def corner_family_ratio(d: float, t: float) -> float:
         raise GeometryError(f"weight exponent d must be finite, got {d}")
     root = math.sqrt(t)
     center = 2.0 * (1.0 - root / 2.0) * np.ones(2)   # doubled Chebyshev center
-    x, rho, cell = scaled_ball_grid(center, root, CORNER_QUAD_POINTS)
-    w = np.maximum(0.0, 1.0 - np.abs(x[0] - 1.0)) * np.maximum(0.0, 1.0 - np.abs(x[1] - 1.0))
-    vals = bump_profile(rho)
+    grid = GridSpec(lower=[-1.0, -1.0], upper=[1.0, 1.0], npts=CORNER_QUAD_POINTS)
+    u = grid.nodes()
+    x = center + root * u
+    w = np.prod(np.maximum(0.0, 1.0 - np.abs(x - 1.0)), axis=1)   # w of P = (0, 1)^2
+    vals = bump_profile(np.linalg.norm(u, axis=1))
     mask = (vals > 0.0) & (w > OMEGA_FLOOR)
+    cell = (root * float(grid.spacing[0])) ** 2
     numerator = float(np.sum(vals[mask] * w[mask] ** (-d)) * cell)
     return numerator / canonical_bump_l1()
 

@@ -34,13 +34,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import hankel
-from .calibration import DEFAULT_CALIBRATION, CalibrationBlock
-from .fourier import (
-    _l1_by_doubling,
-    bump_hat_batch,
-    bump_profile,
-    scaled_ball_grid,
-)
+from .calibration import DEFAULT_CALIBRATION
+from .fourier import GridSpec, _l1_by_doubling, bump_hat_batch, bump_profile
 from .geometry import Ball, GeometryError, check_ball_interactions_disjoint
 from .omega import disc_lens, disc_sup_on_ball
 
@@ -64,16 +59,16 @@ BUMP_RULE = np.polynomial.legendre.leggauss(80)  # Gauss-Legendre on [-1, 1]
 class NehariConfig:
     p: float
     epsilons: tuple = (0.4, 0.3, 0.2, 0.15, 0.1, 0.07, 0.05)
-    calibration: CalibrationBlock = DEFAULT_CALIBRATION
     seed: int = 7
+    calibration = DEFAULT_CALIBRATION   # not a field: every sweep has these constants
 
     def __post_init__(self):
         if not self.p >= 1:             # NaN fails too
             raise GeometryError("Schatten exponent must satisfy p >= 1")
-        bad = [e for e in self.epsilons if not (0 < e < self.calibration.eps0)]
+        bad = [e for e in self.epsilons if not (0 < e < DEFAULT_CALIBRATION.eps0)]
         if bad:
             raise GeometryError(f"eps values {bad} outside the calibrated regime "
-                                f"(eps0 = {self.calibration.eps0})")
+                                f"(eps0 = {DEFAULT_CALIBRATION.eps0})")
 
 
 def pack_boundary_disc(eps: float) -> np.ndarray:
@@ -100,9 +95,8 @@ class BumpFamily:
     boundary_points: np.ndarray   # y_i on the unit circle
     centers: np.ndarray           # x_i = (1 - C eps^2) y_i
     freq_centers: np.ndarray      # 2 x_i
-    offsets_axes: list            # local grid offsets, one 1-D array per axis
-    values: np.ndarray            # bump samples on the offsets grid
-    local_weight: float
+    local_grid: GridSpec          # offsets from a centre, over SUPPORT_PAD times a support
+    values: np.ndarray            # bump samples on the local grid
 
     @property
     def count(self) -> int:
@@ -137,16 +131,12 @@ def build_bumps(y_list: np.ndarray, eps: float, C: float, C1: float,
         np.fill_diagonal(dist, np.inf)
         if dist.min() <= 2.0 * R:
             raise GeometryError("bump supports overlap")
-    K = local_grid_points
-    half = SUPPORT_PAD * R
-    h = 2.0 * half / K
-    offsets = -half + (np.arange(K) + 0.5) * h
-    grids = np.meshgrid(*([offsets] * y.shape[1]), indexing="ij")
-    rho = np.sqrt(sum(g * g for g in grids)) / R
-    values = bump_profile(rho)
+    n = y.shape[1]
+    grid = GridSpec(lower=[-SUPPORT_PAD * R] * n, upper=[SUPPORT_PAD * R] * n,
+                    npts=local_grid_points)
+    values = bump_profile(np.linalg.norm(grid.nodes(), axis=1) / R).reshape(grid.npts)
     return BumpFamily(eps=eps, r=r, boundary_points=y, centers=centers,
-                      freq_centers=freq_centers, offsets_axes=[offsets] * y.shape[1],
-                      values=values, local_weight=h ** y.shape[1])
+                      freq_centers=freq_centers, local_grid=grid, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -162,15 +152,16 @@ def _envelope_at(points: np.ndarray, family: BumpFamily) -> np.ndarray:
     cosines come from `_uniform_cosines`; one real GEMM and a contraction
     over the offsets finish the sum.
     """
-    K = family.offsets_axes[0].size
+    grid = family.local_grid
+    K = grid.npts[0]
     half = slice(K // 2, None)
     w = np.full(K - K // 2, 2.0)
     if K % 2:
         w[0] = 1.0                                  # the centre offset is its own mirror
-    c1 = _uniform_cosines(2.0 * np.pi * points[:, 0], family.offsets_axes[0][half])
-    c2 = _uniform_cosines(2.0 * np.pi * points[:, 1], family.offsets_axes[1][half])
+    c1 = _uniform_cosines(2.0 * np.pi * points[:, 0], grid.axis_nodes(0)[half])
+    c2 = _uniform_cosines(2.0 * np.pi * points[:, 1], grid.axis_nodes(1)[half])
     v = w[:, None] * family.values[half, half] * w[None, :]
-    return np.einsum("jp,jp->p", v.T @ c1, c2) * family.local_weight
+    return np.einsum("jp,jp->p", v.T @ c1, c2) * grid.weight
 
 
 def _uniform_cosines(angles: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -215,8 +206,7 @@ def _stratum_counts(family: BumpFamily, base: np.ndarray, cell_w: float,
     ENVELOPE_SAMPLES a cell before rounding; returns (counts, scale).  The
     counts depend on the family alone, never on the draws or on `which`.
     """
-    q = np.array([0.25, 0.75]) * cell_w
-    sub = np.stack(np.meshgrid(q, q, indexing="ij"), axis=-1).reshape(-1, 2)
+    sub = GridSpec(lower=[0.0, 0.0], upper=[cell_w, cell_w], npts=2).nodes()
     probes = (base[:, None, :] + sub[None, :, :]).reshape(-1, 2)
     ebar = np.abs(_envelope_at(probes, family)).reshape(base.shape[0], -1).mean(axis=1)
     if scale is None:
@@ -245,7 +235,7 @@ def modulated_sum_l1(family: BumpFamily, which: np.ndarray | None = None,
     more room.
     """
     centers = family.freq_centers if which is None else family.freq_centers[which]
-    spacing_u = (family.offsets_axes[0][1] - family.offsets_axes[0][0]) / family.support_radius
+    spacing_u = family.local_grid.spacing[0] / family.support_radius
     rng = np.random.default_rng(seed)
     total = 0.0
     scale = None
@@ -293,14 +283,16 @@ def bump_sup_omega(family: BumpFamily) -> float:
 
 
 def denominator_term(family: BumpFamily, p: float) -> float:
-    """||phihat_1 w^(1/p)||_{p'}^p by midpoint quadrature on the local grid,
-    with the closed-form disc autocorrelation as the weight."""
+    """||phihat_1 w^(1/p)||_{p'}^p by the midpoint rule with DENOMINATOR_PTS
+    cells a side on the square about the first support, with the
+    closed-form disc autocorrelation as the weight."""
     pc = hankel.conjugate_exponent(p)
-    x, rho, cell = scaled_ball_grid(family.freq_centers[0], family.support_radius,
-                                    DENOMINATOR_PTS)
-    w = disc_lens(np.linalg.norm(x, axis=0))
-    integrand = bump_profile(rho) ** pc * w ** (pc / p)
-    inner = float(np.sum(integrand) * cell)
+    R = family.support_radius
+    grid = GridSpec(lower=[-1.0, -1.0], upper=[1.0, 1.0], npts=DENOMINATOR_PTS)
+    u = grid.nodes()                                 # x = 2 x_1 + R u
+    w = disc_lens(np.linalg.norm(family.freq_centers[0] + R * u, axis=1))
+    integrand = bump_profile(np.linalg.norm(u, axis=1)) ** pc * w ** (pc / p)
+    inner = float(np.sum(integrand) * (R * float(grid.spacing[0])) ** 2)
     return inner ** (p / pc)
 
 
@@ -335,7 +327,7 @@ def eq5_ratio(config: NehariConfig, eps: float, check_disjointness: bool = True)
     is (N ||phihat_1 w^(1/p)||_{p'}^p)^(1/p) with all N terms equal by the
     rotational symmetry of the construction.
     """
-    cal = config.calibration
+    cal = DEFAULT_CALIBRATION
     y = pack_boundary_disc(eps)
     family = build_bumps(y, eps, cal.containment_c, cal.bump_c1)
     N = family.count
@@ -374,7 +366,7 @@ class SweepReport:
             "p": self.config.p,
             "epsilons": list(self.config.epsilons),
             "seed": self.config.seed,
-            "calibration": self.config.calibration.as_dict(),
+            "calibration": DEFAULT_CALIBRATION.as_dict(),
             "grid": {
                 "local_grid_points": LOCAL_GRID_POINTS,
                 "support_pad": SUPPORT_PAD,
@@ -396,10 +388,10 @@ class SweepReport:
         return doc
 
 
-def orthogonality_spot_check(config: NehariConfig, eps: float) -> hankel.OrthoCheck:
+def orthogonality_spot_check(eps: float) -> hankel.OrthoCheck:
     """Delegate the orthogonal-sum law to the Hankel module for two antipodal
     bumps of the eps family, at a third of the bump radius r."""
-    cal = config.calibration
+    cal = DEFAULT_CALIBRATION
     y = pack_boundary_disc(eps)
     family = build_bumps(y, eps, cal.containment_c, cal.bump_c1)
     pick = np.array([0, family.count // 2])
@@ -423,7 +415,7 @@ def sweep_and_fit(config: NehariConfig, check_disjointness: bool = True,
                             f"the eps list gives N in {counts}")
     ortho = None
     if orthogonality_eps is not None:
-        ortho = orthogonality_spot_check(config, orthogonality_eps)
+        ortho = orthogonality_spot_check(orthogonality_eps)
     rows = [eq5_ratio(config, eps, check_disjointness=check_disjointness)
             for eps in config.epsilons]
     logN = np.log([row.N for row in rows])

@@ -118,7 +118,9 @@ class TestSynthesis:
         shifted_spec = GridSpec(lower=[-1.0 + 5.0], upper=[1.0 + 5.0], npts=(2000,))
         shifted = GridFunction(spec=shifted_spec, values=tent.values.copy())
         l1s, _ = synthesize_l1(shifted, box_halfwidth=4.0)
-        assert abs(l1s - l1) < 1e-6 * l1
+        # a shift only modulates f, and the data are synthesized about the
+        # centre of their box, so the two norms are one computation
+        assert l1s == l1
 
     def test_budget_exhaustion_raises(self):
         spec = GridSpec(lower=[-1.0], upper=[1.0], npts=(500,))

@@ -1,12 +1,14 @@
 """Reports regenerated in-process against the committed files in tests/golden/.
 
-Each golden file was written by `pwlab.cli` at one BLAS thread.  Strings,
-integers, booleans, nulls and the shape of a report must match exactly,
-floats to 1e-12 relative, the tolerance of the pins in test_refactor_pins.
+Each golden file was written by `pwlab.cli` at one BLAS thread, a JSON report
+by `--out` and a CSV mirror by `--csv`.  Strings, integers, booleans, nulls
+and the shape of a report must match exactly, floats to 1e-12 relative, the
+tolerance of the pins in test_refactor_pins.
 A change that moves a report value on purpose re-records the file and lists
 the moved fields in CHANGES.md.
 """
 
+import csv
 import json
 from pathlib import Path
 
@@ -24,7 +26,30 @@ REPORTS = {
                                        "--body", "square"],
     "hardy_tent_product_cube.json": ["hardy", "--family", "tent_product", "--body", "cube"],
     "hardy_corner_bumps.json": ["hardy", "--family", "corner_bumps", "--d", "1.5"],
+    "nehari_sweep_p6.json": ["nehari-sweep", "--p", "6"],
+    "nehari_sweep_p6.csv": ["nehari-sweep", "--p", "6"],
 }
+
+
+def cell(text: str):
+    """A CSV cell as the value the writer repr'd: an int, else a float,
+    else the string itself."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def read_report(path: Path):
+    """A report file parsed to nested values: a JSON document as it is, a
+    CSV as a list with one {column: value} dict a row."""
+    if path.suffix == ".csv":
+        with open(path, newline="") as fh:
+            return [{key: cell(text) for key, text in row.items()}
+                    for row in csv.DictReader(fh)]
+    return json.loads(path.read_text())
 
 
 def mismatch(expected, actual, field: str = "") -> str | None:
@@ -77,14 +102,15 @@ def field_name(keys: tuple) -> str:
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_report_matches_golden(tmp_path, name):
     out = tmp_path / name
-    assert run(REPORTS[name] + ["--out", str(out)]) == 0
-    found = mismatch(json.loads((GOLDEN / name).read_text()), json.loads(out.read_text()))
+    flag = "--csv" if out.suffix == ".csv" else "--out"
+    assert run(REPORTS[name] + [flag, str(out)]) == 0
+    found = mismatch(read_report(GOLDEN / name), read_report(out))
     assert found is None, f"{name}: field {found} departs from the golden report"
 
 
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_any_value_moved_by_1e10_fails(name):
-    golden = json.loads((GOLDEN / name).read_text())
+    golden = read_report(GOLDEN / name)
     assert mismatch(golden, golden) is None
     numbers = [(keys, v) for keys, v in leaves(golden)
                if isinstance(v, (int, float)) and not isinstance(v, bool)]

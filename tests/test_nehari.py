@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from test_fourier import count_syntheses
 
 from pwlab import nehari
 from pwlab.calibration import DEFAULT_CALIBRATION
@@ -83,8 +84,7 @@ class TestBumpFamily:
 
     def test_grid_resolves_bumps(self):
         fam = self.build(K=33)
-        h = fam.offsets_axes[0][1] - fam.offsets_axes[0][0]
-        assert fam.r > 2 * h
+        assert fam.r > 2 * fam.local_grid.spacing[0]
 
     def test_interaction_regions_disjoint(self):
         fam = self.build(eps=0.3)
@@ -108,10 +108,11 @@ class TestBumpFamily:
 
 def envelope_oracle(points, family):
     """Direct complex sum E(t) = h^2 sum_kl v_kl e^{2 pi i (t_1 xi_k + t_2 xi_l)}."""
-    a1 = np.exp(2j * np.pi * np.outer(points[:, 0], family.offsets_axes[0]))
-    a2 = np.exp(2j * np.pi * np.outer(points[:, 1], family.offsets_axes[1]))
+    grid = family.local_grid
+    a1 = np.exp(2j * np.pi * np.outer(points[:, 0], grid.axis_nodes(0)))
+    a2 = np.exp(2j * np.pi * np.outer(points[:, 1], grid.axis_nodes(1)))
     return np.einsum("pi,ij,pj->p", a1, family.values.astype(complex), a2,
-                     optimize=True) * family.local_weight
+                     optimize=True) * grid.weight
 
 
 def phase_sum_oracle(points, freq_centers):
@@ -122,7 +123,7 @@ def phase_sum_oracle(points, freq_centers):
 def kernel_points(family, count=3000):
     """Seeded t spread over the largest box modulated_sum_l1 may integrate
     (the alias half period), plus the origin where |E| peaks."""
-    spacing_u = (family.offsets_axes[0][1] - family.offsets_axes[0][0]) / family.support_radius
+    spacing_u = family.local_grid.spacing[0] / family.support_radius
     T = 0.5 / spacing_u / family.support_radius
     pts = np.random.default_rng(17).uniform(-T, T, size=(count, 2))
     return np.vstack([np.zeros((1, 2)), pts])
@@ -161,18 +162,22 @@ class TestKernels:
 
 
 class TestTwoScaleIntegral:
-    def test_single_bump_matches_synthesize_l1(self):
+    def test_single_bump_matches_synthesize_l1(self, monkeypatch):
         fam = build_bumps(pack_boundary_disc(0.4), 0.4, CAL.containment_c, CAL.bump_c1)
         two_scale, _ = modulated_sum_l1(fam, which=np.array([0]), seed=3)
-        offsets = fam.offsets_axes[0]
-        half = offsets[-1] + 0.5 * (offsets[1] - offsets[0])
-        c = fam.freq_centers[0]
-        bump = GridFunction(spec=GridSpec(lower=c - half, upper=c + half, npts=(offsets.size,) * 2),
+        grid, c = fam.local_grid, fam.freq_centers[0]
+        bump = GridFunction(spec=GridSpec(lower=c + grid.lower, upper=c + grid.upper,
+                                          npts=grid.npts),
                             values=fam.values.astype(complex),
                             support=Ball(c, fam.support_radius))
+        boxes = count_syntheses(monkeypatch)
         direct, _ = synthesize_l1(bump, box_halfwidth=8.0 / fam.support_radius,
                                   points_per_unit=0.25 / fam.support_radius)
         assert abs(two_scale - direct) < 0.02 * direct
+        # nodes for the bump's half-width 0.057, not for its |frequency| 1.98:
+        # m0 = 2 ceil(147.3 * 4.60) = 1358; the node cap holds the lookahead
+        # to box 0, and box 1, the last below the alias half period, settles
+        assert boxes == [(1358, 1358), (2716, 2716)]
 
     def test_alias_half_period_raises(self):
         # a 9-point local grid aliases at about 2.1 envelope units, inside the box
@@ -237,7 +242,7 @@ def uniform_l1_oracle(family, seed):
     each box, whatever the envelope there: the stratified estimator that
     the envelope allocation replaced."""
     R = family.support_radius
-    spacing_u = (family.offsets_axes[0][1] - family.offsets_axes[0][0]) / R
+    spacing_u = family.local_grid.spacing[0] / R
     rng = np.random.default_rng(seed)
     boxes = []
 

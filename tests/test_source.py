@@ -220,6 +220,54 @@ def test_every_parameter_is_read():
     assert found == UNREAD_PARAMETERS
 
 
+# fourier.GridSpec is the one midpoint rule; the functions that may still
+# build a tensor grid with np.meshgrid, each with its reason.
+MESHGRID_CALLERS = {
+    # the rule itself
+    "fourier.GridSpec.nodes",
+    # the node-sum lattice 2 lower + (k + l + 1) h: as a GridSpec its nodes
+    # round differently and move sigma_1 of a disc matrix by 1e-15
+    "hankel._symbol_on_sums",
+    # cell corners from linspace edges, whose end points are exactly -T and
+    # T: GridSpec midpoints less half a cell round differently and would
+    # move the seeded samples by ulps
+    "nehari.modulated_sum_l1.box_total",
+}
+
+
+def meshgrid_callers(source: str, module: str) -> set[str]:
+    """'module.Qualified.name' of each function whose own body calls
+    meshgrid, as np.meshgrid or by name; 'module' for a call at module level."""
+    out = set()
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{name}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and "meshgrid" in (
+                    getattr(child.func, "attr", None), getattr(child.func, "id", None)):
+                out.add(name)
+            visit(child, name)
+
+    visit(ast.parse(source), module)
+    return out
+
+
+def test_meshgrid_scan_names_the_innermost_function():
+    source = ("import numpy as np\nG = np.meshgrid([0.0])\n\nclass A:\n"
+              "    def f(self):\n        def g():\n            return np.meshgrid([1.0])\n"
+              "        return g\n\ndef h(x):\n    return np.stack(x)\n\n"
+              "def k():\n    from numpy import meshgrid\n    return meshgrid([2.0])\n")
+    assert meshgrid_callers(source, "m") == {"m", "m.A.f.g", "m.k"}
+
+
+def test_grids_come_from_gridspec():
+    found = set().union(*(meshgrid_callers((SRC / module).read_text(), module[:-3])
+                          for module in MODULES))
+    assert found == MESHGRID_CALLERS
+
+
 PERFBENCH = ROOT / "perfbench"
 
 
