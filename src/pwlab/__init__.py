@@ -14,7 +14,6 @@ from .geometry import (
     Pyramid,
     VPolytope,
     body_from_json,
-    body_to_json,
     box,
     disc_lens_reach,
     polar_dual,

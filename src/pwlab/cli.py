@@ -39,9 +39,10 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def write_json(path: str, doc: dict) -> None:
+    """Write a report; a non-finite value raises ValueError before the file opens."""
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:

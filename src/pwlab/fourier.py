@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import AffineImage, Ball, ConvexBody, GeometryError
+from .geometry import GeometryError
 
 
 # A box integral has settled once a doubling adds less than this share of it.
@@ -81,15 +81,10 @@ class GridSpec:
 
 @dataclass
 class GridFunction:
-    """Complex frequency-side samples of a function on a GridSpec.
-
-    The data may declare the convex body supporting them, in which case
-    values at nodes outside the body must vanish to 1e-14.
-    """
+    """Complex frequency-side samples of a function on a GridSpec."""
 
     spec: GridSpec
     values: np.ndarray
-    support: ConvexBody | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -98,16 +93,10 @@ class GridFunction:
         if not np.all(np.isfinite(vals.view(float))):
             raise GeometryError("grid function has non-finite values")
         self.values = vals
-        if self.support is not None:
-            outside = ~self.support.contains_batch(self.spec.nodes())
-            if np.any(np.abs(vals.ravel()[outside]) > 1e-14):
-                raise GeometryError("frequency data does not vanish outside its declared support")
 
     @classmethod
-    def from_function(cls, spec: GridSpec, fn,
-                      support: ConvexBody | None = None) -> "GridFunction":
-        vals = np.asarray(fn(spec.nodes()), dtype=complex).reshape(spec.npts)
-        return cls(spec=spec, values=vals, support=support)
+    def from_function(cls, spec: GridSpec, fn) -> "GridFunction":
+        return cls(spec=spec, values=np.reshape(fn(spec.nodes()), spec.npts))
 
 
 # ---------------------------------------------------------------------------
@@ -311,27 +300,3 @@ def synthesize_l1(fhat: GridFunction, box_halfwidth: float, points_per_unit: flo
     return nested_box_l1(lambda spatial: np.abs(synthesize_on_grid(centred, spatial)),
                          spec.dim, box_halfwidth, ppu, half_period, max_doublings)
 
-
-def dilate_toward(fhat: GridFunction, z, r: float) -> GridFunction:
-    """Frequency data of f_r, where fhat_r(x) = fhat((x - 2(1-r)z)/r).
-
-    The grid maps affinely, so the samples are reused exactly; the spatial L1
-    norm is invariant analytically.  Support contracts toward z: the new
-    support is r * old + 2(1-r) z.
-    """
-    if not (0.0 < r < 1.0):
-        raise GeometryError("dilation parameter must lie in (0, 1)")
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if z.size != fhat.spec.dim:
-        raise GeometryError("dilation center dimension mismatch")
-    shift = 2.0 * (1.0 - r) * z
-    spec = GridSpec(lower=r * fhat.spec.lower + shift,
-                    upper=r * fhat.spec.upper + shift,
-                    npts=fhat.spec.npts)
-    support = fhat.support
-    if isinstance(support, Ball):
-        support = Ball(r * support.center + shift, r * support.radius)
-    elif support is not None:
-        support = AffineImage(base=support, matrix=r * np.eye(fhat.spec.dim),
-                              shift=shift)
-    return GridFunction(spec=spec, values=fhat.values.copy(), support=support)

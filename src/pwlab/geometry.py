@@ -623,36 +623,20 @@ def solve_certificate(lam, mu, target: int) -> CertificateSystem:
 
 
 # ---------------------------------------------------------------------------
-# polytope JSON schema
+# polytope JSON reader
 # ---------------------------------------------------------------------------
 
-def body_to_json(body: ConvexBody) -> str:
-    """Serialize a polytope to the {"dim", "halfspaces"|"vertices"} schema.
-    Floats round-trip exactly (repr uses shortest form, <= 17 significant digits)."""
-    if isinstance(body, HPolytope):
-        doc = {"dim": body.dim,
-               "halfspaces": [{"normal": list(a), "offset": float(b)}
-                              for a, b in zip(body.normals, body.offsets)]}
-    elif isinstance(body, VPolytope):
-        doc = {"dim": body.dim, "vertices": [list(v) for v in body.vertices]}
-    else:
-        raise GeometryError("JSON schema covers polytopes only")
-    return json.dumps(doc)
-
-
 def body_from_json(text: str) -> ConvexBody:
+    """A polytope from {"dim", "halfspaces": [{"normal", "offset"}]} or {"dim", "vertices"}."""
     doc = json.loads(text)
-    dim = int(doc["dim"])
     if "halfspaces" in doc:
-        normals = np.array([hs["normal"] for hs in doc["halfspaces"]], dtype=float)
-        offsets = np.array([hs["offset"] for hs in doc["halfspaces"]], dtype=float)
-        h = HPolytope(normals, offsets)
-        if h.dim != dim:
-            raise GeometryError("dim field inconsistent with halfspaces")
-        return h
-    if "vertices" in doc:
-        v = VPolytope(np.array(doc["vertices"], dtype=float))
-        if v.dim != dim:
-            raise GeometryError("dim field inconsistent with vertices")
-        return v
-    raise GeometryError("polytope JSON needs 'halfspaces' or 'vertices'")
+        key = "halfspaces"
+        body = HPolytope([hs["normal"] for hs in doc[key]], [hs["offset"] for hs in doc[key]])
+    elif "vertices" in doc:
+        key = "vertices"
+        body = VPolytope(doc[key])
+    else:
+        raise GeometryError("polytope JSON needs 'halfspaces' or 'vertices'")
+    if body.dim != int(doc["dim"]):
+        raise GeometryError(f"dim field inconsistent with {key}")
+    return body

@@ -163,8 +163,12 @@ def corner_family_ratio(d: float, t: float) -> float:
     vals = bump_profile(np.linalg.norm(u, axis=1))
     mask = (vals > 0.0) & (w > OMEGA_FLOOR)
     cell = (root * float(grid.spacing[0])) ** 2
-    numerator = float(np.sum(vals[mask] * w[mask] ** (-d)) * cell)
-    return numerator / canonical_bump_l1()
+    with np.errstate(over="ignore"):    # an overflow is refused below
+        numerator = float(np.sum(vals[mask] * w[mask] ** (-d)) * cell)
+    ratio = numerator / canonical_bump_l1()
+    if not (math.isfinite(ratio) and ratio > 0.0):
+        raise GeometryError(f"corner ratio {ratio} at d={d}: w^(-d) leaves the float range")
+    return ratio
 
 
 @functools.cache

@@ -146,6 +146,8 @@ def simplicial_sequence(P, eps_list, seed: int = 0) -> list[SimplicialApprox]:
     from convexity.  A stage that fails a check or the nesting raises
     GeometryError.
     """
+    if len(eps_list) == 0:
+        raise GeometryError("simplicial sequence needs at least one eps")
     out: list[SimplicialApprox] = []
     for eps in sorted(eps_list, reverse=True):
         approx = build_approximation(P, eps, seed=seed)

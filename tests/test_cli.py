@@ -13,7 +13,7 @@ import pytest
 import pwlab
 from pwlab import checks
 from pwlab.calibration import CALIBRATION_EPS, DEFAULT_CALIBRATION, SAFETY, calibrate
-from pwlab.cli import builtin_body, run
+from pwlab.cli import builtin_body, run, write_json
 from pwlab.geometry import GeometryError
 
 
@@ -120,13 +120,28 @@ class TestDispatch:
          r"point \[nan 0.2\] is not finite"),
         (["simplicial", "--poly", "pyramid", "--eps", "inf"], "eps must be finite, got inf"),
         (["simplicial", "--poly", "cube", "--eps", "0.2,nan"],
-         "eps must be finite, got nan")])
+         "eps must be finite, got nan"),
+        # finite parameters whose result is not a finite number
+        (["hardy", "--family", "integrability", "--body", "square", "--d", "100"],
+         r"corner ratio inf at d=100\.0: w\^\(-d\) leaves the float range"),
+        (["hardy", "--family", "corner_bumps", "--d", "100"],
+         r"corner ratio inf at d=100\.0: w\^\(-d\) leaves the float range"),
+        (["hardy", "--family", "corner_bumps", "--d", "-200"],
+         r"corner ratio 0\.0 at d=-200\.0: w\^\(-d\) leaves the float range"),
+        (["simplicial", "--poly", "pyramid", "--eps", ","],
+         "simplicial sequence needs at least one eps")])
     def test_non_finite_parameter_is_failure(self, tmp_path, capsys, argv, message):
         out = tmp_path / "report.json"
         assert run(argv + (["--out", str(out)] if argv[0] != "omega" else [])) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
         assert re.fullmatch(f"error: {message}\n", captured.err)
+
+    def test_non_finite_report_value_writes_no_file(self, tmp_path):
+        out = tmp_path / "report.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(str(out), {"ratios": [1.0, math.nan]})
+        assert not out.exists()
 
     def test_sweep_prints_the_n_range_of_an_ascending_ladder(self, capsys):
         assert run(["nehari-sweep", "--p", "6", "--eps", "0.15,0.2,0.3,0.4"]) == 0
@@ -153,9 +168,8 @@ class TestDispatch:
             builtin_body(name)
 
     def test_body_file_roundtrip(self, tmp_path):
-        from pwlab.geometry import body_to_json, unit_box
         path = tmp_path / "poly.json"
-        path.write_text(body_to_json(unit_box(2)))
+        path.write_text(json.dumps({"dim": 2, "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}))
         body = builtin_body(str(path))
         assert body.dim == 2
 

@@ -14,13 +14,12 @@ from pwlab.fourier import (
     _axis_transform,
     _l1_by_doubling,
     bump_profile,
-    dilate_toward,
     fft_convolve,
     smooth_step,
     synthesize_l1,
     synthesize_on_grid,
 )
-from pwlab.geometry import Ball, GeometryError
+from pwlab.geometry import GeometryError
 
 
 class TestBump:
@@ -57,12 +56,6 @@ class TestGrids:
         spec = GridSpec(lower=[0, 0], upper=[1, 1], npts=(4, 4))
         with pytest.raises(GeometryError):
             GridFunction(spec=spec, values=np.zeros((3, 4)))
-
-    def test_frequency_support_enforced(self):
-        spec = GridSpec(lower=[-2, -2], upper=[2, 2], npts=(16, 16))
-        with pytest.raises(GeometryError):
-            GridFunction.from_function(spec, lambda p: np.ones(p.shape[0]),
-                                       support=Ball(np.zeros(2), 1.0))
 
 
 class TestSynthesis:
@@ -365,39 +358,3 @@ class TestConvolution:
         assert np.array_equal(np.rint(got), direct_convolution(mask, mask))
         assert np.array_equal(got, signal.fftconvolve(mask, mask))
 
-
-class TestDilation:
-    def test_identity_limit(self):
-        spec = GridSpec(lower=[-1.0], upper=[1.0], npts=(100,))
-        tent = GridFunction.from_function(spec, lambda p: np.maximum(0, 1 - np.abs(p[:, 0])))
-        d = dilate_toward(tent, z=[0.0], r=0.999999)
-        assert np.allclose(d.spec.lower, tent.spec.lower, atol=1e-5)
-
-    def test_support_scaling(self):
-        spec = GridSpec(lower=[-1.0], upper=[1.0], npts=(100,))
-        tent = GridFunction.from_function(spec, lambda p: np.maximum(0, 1 - np.abs(p[:, 0])))
-        d = dilate_toward(tent, z=[0.0], r=0.5)
-        assert np.allclose([d.spec.lower[0], d.spec.upper[0]], [-0.5, 0.5])
-
-    def test_l1_invariance(self):
-        spec = GridSpec(lower=[-1.0], upper=[1.0], npts=(4000,))
-        tent = GridFunction.from_function(spec, lambda p: np.maximum(0, 1 - np.abs(p[:, 0])))
-        l1, _ = synthesize_l1(tent, box_halfwidth=4.0)
-        d = dilate_toward(tent, z=[0.3], r=0.5)
-        l1d, _ = synthesize_l1(d, box_halfwidth=8.0)
-        assert abs(l1d - l1) < 0.01 * l1
-
-    def test_r_out_of_range(self):
-        spec = GridSpec(lower=[-1.0], upper=[1.0], npts=(10,))
-        tent = GridFunction.from_function(spec, lambda p: np.maximum(0, 1 - np.abs(p[:, 0])))
-        with pytest.raises(GeometryError):
-            dilate_toward(tent, z=[0.0], r=1.5)
-
-    def test_ball_support_maps(self):
-        spec = GridSpec(lower=[-1.0], upper=[1.0], npts=(64,))
-        gf = GridFunction.from_function(spec, lambda p: bump_profile(p[:, 0]),
-                                        support=Ball(np.zeros(1), 1.0))
-        d = dilate_toward(gf, z=[0.5], r=0.5)
-        assert isinstance(d.support, Ball)
-        assert abs(d.support.radius - 0.5) < 1e-12
-        assert abs(d.support.center[0] - 0.5) < 1e-12

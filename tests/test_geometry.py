@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from pwlab.geometry import (
     Pyramid,
     VPolytope,
     body_from_json,
-    body_to_json,
     box,
     check_ball_interactions_disjoint,
     disc_lens_reach,
@@ -491,21 +491,30 @@ class TestCertificates:
 
 class TestJsonSchema:
     def test_hpolytope_roundtrip(self, right_triangle):
-        text = body_to_json(right_triangle)
+        text = json.dumps({"dim": 2, "halfspaces": [
+            {"normal": a.tolist(), "offset": float(b)}
+            for a, b in zip(right_triangle.normals, right_triangle.offsets)]})
         back = body_from_json(text)
         assert np.array_equal(back.normals, right_triangle.normals)
         assert np.array_equal(back.offsets, right_triangle.offsets)
 
     def test_vpolytope_roundtrip(self):
         v = VPolytope([[0.1234567890123456, 2.0], [1e-17, -1.0], [3.0, 0.5]])
-        back = body_from_json(body_to_json(v))
+        back = body_from_json(json.dumps({"dim": 2, "vertices": v.vertices.tolist()}))
         assert np.array_equal(back.vertices, v.vertices)
 
-    def test_schema_fields(self, right_triangle):
-        import json
-        doc = json.loads(body_to_json(right_triangle))
-        assert doc["dim"] == 2
-        assert set(doc["halfspaces"][0]) == {"normal", "offset"}
+    @pytest.mark.parametrize("doc, key", [
+        ({"dim": 3, "vertices": [[0, 0], [1, 0], [0, 1]]}, "vertices"),
+        ({"dim": 3, "halfspaces": [{"normal": [-1, 0], "offset": 0},
+                                   {"normal": [0, -1], "offset": 0},
+                                   {"normal": [1, 1], "offset": 1}]}, "halfspaces")])
+    def test_dim_field_must_match(self, doc, key):
+        with pytest.raises(GeometryError, match=f"dim field inconsistent with {key}"):
+            body_from_json(json.dumps(doc))
+
+    def test_schema_needs_halfspaces_or_vertices(self):
+        with pytest.raises(GeometryError, match="needs 'halfspaces' or 'vertices'"):
+            body_from_json(json.dumps({"dim": 2}))
 
 
 def rejection_lens(a, b, count, rng):

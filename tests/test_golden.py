@@ -28,6 +28,11 @@ REPORTS = {
     "hardy_corner_bumps.json": ["hardy", "--family", "corner_bumps", "--d", "1.5"],
     "nehari_sweep_p6.json": ["nehari-sweep", "--p", "6"],
     "nehari_sweep_p6.csv": ["nehari-sweep", "--p", "6"],
+    "hardy_integrability_square.json": ["hardy", "--family", "integrability",
+                                        "--body", "square", "--d", "1.5"],
+    "calibrate.json": ["calibrate"],
+    "sublevel_triangle.json": ["sublevel", "--body", "triangle", "--samples", "200000"],
+    "sublevel_triangle.csv": ["sublevel", "--body", "triangle", "--samples", "200000"],
 }
 
 

@@ -219,6 +219,12 @@ class TestCornerFamily:
         with pytest.raises(GeometryError, match="must be finite"):
             corner_family_ratio(d, 1e-2)
 
+    @pytest.mark.parametrize("d, ratio", [(100.0, "inf"), (-200.0, "0.0")])
+    def test_ratio_beyond_float_range_raises(self, d, ratio):
+        # w^(-d) overflows from d = 58.75 and underflows to 0 at d = -200
+        with pytest.raises(GeometryError, match=rf"corner ratio {ratio} at d={d}:"):
+            corner_family_sweep(d)
+
     def test_monotone_in_d_at_fixed_t(self):
         # on the unit-volume square w <= 1, so w^{-d} grows pointwise with d
         t = 1e-2

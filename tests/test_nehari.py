@@ -15,7 +15,7 @@ from pwlab.fourier import (
     _l1_by_doubling,
     synthesize_l1,
 )
-from pwlab.geometry import Ball, GeometryError
+from pwlab.geometry import GeometryError
 from pwlab.nehari import (
     ENVELOPE_CELLS,
     ENVELOPE_DOUBLINGS,
@@ -168,8 +168,7 @@ class TestTwoScaleIntegral:
         grid, c = fam.local_grid, fam.freq_centers[0]
         bump = GridFunction(spec=GridSpec(lower=c + grid.lower, upper=c + grid.upper,
                                           npts=grid.npts),
-                            values=fam.values.astype(complex),
-                            support=Ball(c, fam.support_radius))
+                            values=fam.values.astype(complex))
         boxes = count_syntheses(monkeypatch)
         direct, _ = synthesize_l1(bump, box_halfwidth=8.0 / fam.support_radius,
                                   points_per_unit=0.25 / fam.support_radius)

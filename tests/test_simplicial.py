@@ -98,6 +98,10 @@ class TestSequence:
         # lambda is capped at 1/(2k), so the hull still hugs the pyramid
         assert seq[0].contains_p and seq[0].simplicial
 
+    def test_empty_eps_list_raises(self, shifted_pyramid):
+        with pytest.raises(GeometryError, match="at least one eps"):
+            simplicial_sequence(shifted_pyramid, [])
+
     def test_displacement_below_eps(self, shifted_pyramid):
         for approx in simplicial_sequence(shifted_pyramid, [0.2, 0.05], seed=4):
             assert approx.max_displacement <= approx.epsilon

@@ -82,9 +82,11 @@ def test_reference_scan_skips_the_definition():
     assert unused == ["f", "g"]
 
 
-def test_every_module_level_name_is_used():
+def unused_names(users: list[Path]) -> list[str]:
+    """'module:name' of each module-level name of the package that no file
+    of `users` refers to outside the name's own definition."""
     found: dict[str, list] = {}
-    for p in USERS:
+    for p in users:
         for name, line in references(p.read_text()):
             found.setdefault(name, []).append((p, line))
     unused = []
@@ -93,7 +95,17 @@ def test_every_module_level_name_is_used():
         for name, lo, hi in definitions(path.read_text()):
             if not any(p != path or not lo <= line <= hi for p, line in found.get(name, [])):
                 unused.append(f"{module}:{name}")
-    assert unused == []
+    return unused
+
+
+def test_every_module_level_name_is_used():
+    assert unused_names(USERS) == []
+
+
+def test_every_module_level_name_has_a_user_outside_tests():
+    # API that only tests call is dead weight: no exemptions
+    users = [p for p in USERS if "tests" not in p.relative_to(ROOT).parts]
+    assert unused_names(users) == []
 
 
 def pwlab_namespace(tree: ast.Module, module: str | None = None) -> dict:
