@@ -7,13 +7,11 @@ grows with N once p crosses 4 and decays below, which is the finite-size
 signature of the bounded-symbol extension failing in that range.
 """
 
-import numpy as np
-
 from pwlab.nehari import NehariConfig, sweep_and_fit
 
 for p in (6.0, 3.0, 2.0):
     cfg = NehariConfig(p=p)
-    rep = sweep_and_fit(cfg, orthogonality_eps=0.4 if p == 6.0 else None)
+    rep = sweep_and_fit(cfg)
     print(f"=== p = {p} ===")
     print(f"  {'eps':>6} {'N':>4} {'ratio':>10} {'|psi|_1':>10} {'a_max/eps^3':>12}")
     for row in rep.rows:
@@ -21,8 +19,6 @@ for p in (6.0, 3.0, 2.0):
               f" {row.a_max / row.eps ** 3:>12.4f}")
     trend = "grows" if rep.slope > 0 else "decays"
     print(f"  slope of log ratio vs log N: {rep.slope:+.4f}  ({trend})")
-    if rep.orthogonality is not None:
-        print(f"  orthogonal-sum spot check: deviation {rep.orthogonality.max_rel_dev:.2e}")
     print()
 
 print("The p = 2 row is an observation only: at the Hilbert-Schmidt exponent the")

@@ -94,8 +94,7 @@ def cmd_sublevel(args) -> int:
 def cmd_nehari_sweep(args) -> int:
     cfg = nehari.NehariConfig(p=args.p, epsilons=tuple(_parse_floats(args.eps)),
                               seed=args.seed)
-    report = nehari.sweep_and_fit(
-        cfg, orthogonality_eps=max(cfg.epsilons) if args.orthogonality else None)
+    report = nehari.sweep_and_fit(cfg)
     doc = report.as_dict()
     doc["version"] = __version__
     if args.out:
@@ -138,6 +137,7 @@ def cmd_hardy(args) -> int:
         print(f"half-line: max of {args.trials} random ratios "
               f"{max(ratios):.4f}, extremal {extremal:.4f} (pi = {np.pi:.4f})")
     elif args.family == "corner_bumps":
+        hardy.require_unit_square(builtin_body(args.body))
         res = hardy.corner_family_sweep(args.d)
         doc["t_values"] = list(map(float, res.t_values))
         doc["ratios"] = list(map(float, res.ratios))
@@ -239,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--eps", default="0.4,0.3,0.2,0.15,0.1,0.07,0.05")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--orthogonality", action="store_true",
-                   help="also run the orthogonal-sum spot check")
     p.add_argument("--out")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_nehari_sweep)

@@ -273,10 +273,10 @@ def russo_bound_check(body: ConvexBody, symbol, spacing: float, p: float,
     The first inequality holds exactly for the discretized operator (the
     matrix is an integral operator with piecewise-constant kernel); the
     second is the continuum bound evaluated by quadrature with exact w.
-    Requires p > 2.
+    Requires finite p > 2.
     """
-    if p <= 2:
-        raise GeometryError("the mixed-norm bound needs p > 2")
+    if not 2 < p < math.inf:            # at p = inf, p' is nan and the bound reads nan
+        raise GeometryError(f"the mixed-norm bound needs a finite p > 2, got p = {p}")
     pc = conjugate_exponent(p)
     H = HankelMatrix.build(body, spacing, symbol)
     lhs = H.schatten(p)

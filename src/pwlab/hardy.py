@@ -212,6 +212,14 @@ def unit_box_corner(body: ConvexBody) -> np.ndarray | None:
     return None
 
 
+def require_unit_square(body: ConvexBody) -> None:
+    """Raise unless the body is the unit square (0, 1)^2, where the corner
+    family lives."""
+    corner = unit_box_corner(body)
+    if body.dim != 2 or corner is None or np.any(np.abs(corner) > geometry.DEDUP_TOL):
+        raise GeometryError("the corner family covers only the unit square")
+
+
 def adjusted_integrability_report(body: ConvexBody, d_list) -> list[IntegrabilityRow]:
     """Numerical evidence table for the weight exponent d.
 
@@ -228,9 +236,7 @@ def adjusted_integrability_report(body: ConvexBody, d_list) -> list[Integrabilit
     rows = []
     is_polytope = isinstance(body, (HPolytope, VPolytope))
     if is_polytope:
-        corner = unit_box_corner(body)
-        if body.dim != 2 or corner is None or np.any(np.abs(corner) > geometry.DEDUP_TOL):
-            raise GeometryError("the integrability corner family covers only the unit square")
+        require_unit_square(body)
     for d in d_list:
         evidence: dict = {}
         if is_polytope:

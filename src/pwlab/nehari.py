@@ -35,7 +35,7 @@ import numpy as np
 
 from . import hankel
 from .calibration import DEFAULT_CALIBRATION
-from .fourier import GridSpec, _l1_by_doubling, bump_hat_batch, bump_profile
+from .fourier import GridSpec, _l1_by_doubling, bump_profile
 from .geometry import Ball, GeometryError, check_ball_interactions_disjoint
 from .omega import disc_lens, disc_sup_on_ball
 
@@ -65,6 +65,8 @@ class NehariConfig:
     def __post_init__(self):
         if not self.p >= 1:             # NaN fails too
             raise GeometryError("Schatten exponent must satisfy p >= 1")
+        if math.isinf(self.p):          # the proxy would read nan ** 0 = 1
+            raise GeometryError(f"the sweep needs a finite Schatten exponent, got p = {self.p}")
         bad = [e for e in self.epsilons if not (0 < e < DEFAULT_CALIBRATION.eps0)]
         if bad:
             raise GeometryError(f"eps values {bad} outside the calibrated regime "
@@ -90,17 +92,14 @@ def pack_boundary_disc(eps: float) -> np.ndarray:
 class BumpFamily:
     """N translated copies of one local-grid bump, phihat_i(x) = phi((x-2x_i)/2r)."""
 
-    eps: float
     r: float
-    boundary_points: np.ndarray   # y_i on the unit circle
-    centers: np.ndarray           # x_i = (1 - C eps^2) y_i
-    freq_centers: np.ndarray      # 2 x_i
+    freq_centers: np.ndarray      # 2 x_i, with x_i = (1 - C eps^2) y_i
     local_grid: GridSpec          # offsets from a centre, over SUPPORT_PAD times a support
     values: np.ndarray            # bump samples on the local grid
 
     @property
     def count(self) -> int:
-        return self.centers.shape[0]
+        return self.freq_centers.shape[0]
 
     @property
     def support_radius(self) -> float:
@@ -109,19 +108,13 @@ class BumpFamily:
     def supports(self) -> list[Ball]:
         return [Ball(c, self.support_radius) for c in self.freq_centers]
 
-    def symbol(self, i: int):
-        c, R = self.freq_centers[i], self.support_radius
-        return lambda pts: bump_hat_batch(pts, center=c, radius=R)
 
-
-def build_bumps(y_list: np.ndarray, eps: float, C: float, C1: float,
-                local_grid_points: int = LOCAL_GRID_POINTS) -> BumpFamily:
+def build_bumps(y_list: np.ndarray, eps: float, C: float, C1: float) -> BumpFamily:
     """Plant one bump per boundary point; raises if a support leaves 2 Omega
     or if two supports touch."""
     y = np.atleast_2d(np.asarray(y_list, dtype=float))
     r = C1 * eps * eps
-    centers = (1.0 - C * eps * eps) * y
-    freq_centers = 2.0 * centers
+    freq_centers = 2.0 * (1.0 - C * eps * eps) * y
     R = 2.0 * r
     reach = np.linalg.norm(freq_centers, axis=1) + R
     if np.any(reach >= 2.0):
@@ -133,10 +126,9 @@ def build_bumps(y_list: np.ndarray, eps: float, C: float, C1: float,
             raise GeometryError("bump supports overlap")
     n = y.shape[1]
     grid = GridSpec(lower=[-SUPPORT_PAD * R] * n, upper=[SUPPORT_PAD * R] * n,
-                    npts=local_grid_points)
+                    npts=LOCAL_GRID_POINTS)
     values = bump_profile(np.linalg.norm(grid.nodes(), axis=1) / R).reshape(grid.npts)
-    return BumpFamily(eps=eps, r=r, boundary_points=y, centers=centers,
-                      freq_centers=freq_centers, local_grid=grid, values=values)
+    return BumpFamily(r=r, freq_centers=freq_centers, local_grid=grid, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +351,9 @@ class SweepReport:
     rows: list
     slope: float
     intercept: float
-    orthogonality: hankel.OrthoCheck | None = None
 
     def as_dict(self) -> dict:
-        doc = {
+        return {
             "p": self.config.p,
             "epsilons": list(self.config.epsilons),
             "seed": self.config.seed,
@@ -379,47 +370,22 @@ class SweepReport:
             "log_ratio_vs_log_N_slope": self.slope,
             "intercept": self.intercept,
         }
-        if self.orthogonality is not None:
-            doc["orthogonality_check"] = {
-                "ok": self.orthogonality.ok,
-                "max_rel_dev": self.orthogonality.max_rel_dev,
-                "block_sizes": self.orthogonality.block_sizes,
-            }
-        return doc
 
 
-def orthogonality_spot_check(eps: float) -> hankel.OrthoCheck:
-    """Delegate the orthogonal-sum law to the Hankel module for two antipodal
-    bumps of the eps family, at a third of the bump radius r."""
-    cal = DEFAULT_CALIBRATION
-    y = pack_boundary_disc(eps)
-    family = build_bumps(y, eps, cal.containment_c, cal.bump_c1)
-    pick = np.array([0, family.count // 2])
-    supports = [family.supports()[i] for i in pick]
-    symbols = [family.symbol(i) for i in pick]
-    body = Ball(np.zeros(2), 1.0)
-    return hankel.orthogonal_sum_check(body, symbols, supports, family.r / 3.0)
-
-
-def sweep_and_fit(config: NehariConfig, check_disjointness: bool = True,
-                  orthogonality_eps: float | None = None) -> SweepReport:
+def sweep_and_fit(config: NehariConfig, check_disjointness: bool = True) -> SweepReport:
     """Run eq5_ratio over the eps list and fit log ratio against log N.
 
     The fit needs at least 4 distinct N; the packing counts them before any
-    row is computed.  The orthogonality spot check, which draws nothing,
-    runs before the rows too, so a grid it refuses fails the sweep at once.
+    row is computed.
     """
     counts = sorted({pack_boundary_disc(eps).shape[0] for eps in config.epsilons})
     if len(counts) < 4:
         raise GeometryError(f"need at least 4 distinct N for a slope fit, "
                             f"the eps list gives N in {counts}")
-    ortho = None
-    if orthogonality_eps is not None:
-        ortho = orthogonality_spot_check(orthogonality_eps)
     rows = [eq5_ratio(config, eps, check_disjointness=check_disjointness)
             for eps in config.epsilons]
     logN = np.log([row.N for row in rows])
     logR = np.log([row.ratio for row in rows])
     slope, intercept = np.polyfit(logN, logR, 1)
     return SweepReport(config=config, rows=rows, slope=float(slope),
-                       intercept=float(intercept), orthogonality=ortho)
+                       intercept=float(intercept))

@@ -17,16 +17,21 @@ from pwlab.cli import builtin_body, run, write_json
 from pwlab.geometry import GeometryError
 
 
+def cli_at_blas_threads(threads: str, args: list[str]) -> str:
+    """The stdout of `pwlab.cli *args` run in a subprocess at `threads` BLAS threads."""
+    src = str(Path(pwlab.__file__).resolve().parents[1])
+    env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "pwlab.cli", *args], env=env, check=True,
+                          capture_output=True, text=True, timeout=600).stdout
+
+
 def reports_at_blas_threads(tmp_path, args: list[str]) -> list[bytes]:
     """The report of `pwlab.cli *args` run in subprocesses at 1 and 2 BLAS threads."""
-    src = str(Path(pwlab.__file__).resolve().parents[1])
     reports = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}.json"
-        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        subprocess.run([sys.executable, "-m", "pwlab.cli", *args, "--out", str(out)],
-                       env=env, check=True, capture_output=True, timeout=600)
+        cli_at_blas_threads(threads, [*args, "--out", str(out)])
         reports.append(out.read_bytes())
     return reports
 
@@ -107,6 +112,17 @@ class TestDispatch:
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
         assert captured.err == "error: Schatten exponent must satisfy p >= 1\n"
+
+    def test_infinite_schatten_exponent_is_failure(self, tmp_path, capsys):
+        out, table = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+        assert run(["nehari-sweep", "--p", "inf", "--out", str(out), "--csv", str(table)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists() and not table.exists()
+        assert captured.err == "error: the sweep needs a finite Schatten exponent, got p = inf\n"
+
+    def test_orthogonality_flag_is_gone(self, capsys):
+        assert run(["nehari-sweep", "--p", "6", "--orthogonality"]) == 2
+        assert "unrecognized arguments: --orthogonality" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
         (["hardy", "--family", "corner_bumps", "--d", "nan"],
@@ -211,14 +227,14 @@ class TestReports:
                                                      "--eps", "0.4,0.3,0.2,0.15"])
         assert reports[0] == reports[1]
 
-    def test_orthogonality_report_independent_of_blas_threads(self, tmp_path):
-        # the union matrix's blocks are bitwise the part matrices and take
-        # the same eigensolve, so the deviation is 0 at any thread count
-        reports = reports_at_blas_threads(tmp_path, ["nehari-sweep", "--p", "6",
-                                                     "--eps", "0.4,0.3,0.2,0.15",
-                                                     "--orthogonality"])
-        assert reports[0] == reports[1]
-        assert json.loads(reports[0])["orthogonality_check"]["max_rel_dev"] == 0.0
+    def test_orthogonal_sum_law_independent_of_blas_threads(self):
+        # criterion 5: the union matrix's blocks are bitwise the part matrices
+        # and take the same eigensolve, so the deviation is 0 at any thread count
+        outputs = [cli_at_blas_threads(t, ["verify", "--suite", "hankel"]) for t in ("1", "2")]
+        untimed = [re.sub(r"\d+(\.\d+)?s\b", "", out) for out in outputs]
+        assert untimed[0] == untimed[1]
+        line, = [ln for ln in untimed[0].splitlines() if "criterion  5:" in ln]
+        assert line.startswith("[PASS]") and "dev 0.0e+00" in line
 
     def test_halfline_report_independent_of_blas_threads(self, tmp_path):
         reports = reports_at_blas_threads(tmp_path, ["hardy", "--family", "halfline_product",
@@ -280,6 +296,17 @@ class TestReports:
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
         assert captured.err == "error: the tent product covers only translates of (0, 1)^n\n"
+
+    @pytest.mark.parametrize("body", ["triangle", "ball2", "cube"])
+    def test_corner_bumps_only_on_the_unit_square(self, tmp_path, capsys, body):
+        # the family is the unit square's whatever the body, so a report
+        # under another body's name would misname what it computed
+        out = tmp_path / "corner.json"
+        assert run(["hardy", "--family", "corner_bumps", "--body", body, "--d", "1.5",
+                    "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == "error: the corner family covers only the unit square\n"
 
     def test_simplicial_report(self, tmp_path, capsys):
         out = tmp_path / "approx.json"

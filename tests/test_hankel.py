@@ -403,6 +403,12 @@ class TestRussoBound:
         with pytest.raises(GeometryError):
             russo_bound_check(disc, centered_bump([0, 0], 0.5), 0.2, 2.0)
 
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_non_finite_p_rejected(self, disc, p):
+        # at p = inf the continuum side reads nan, and nan must not pass as holds
+        with pytest.raises(GeometryError, match=f"got p = {p}"):
+            russo_bound_check(disc, centered_bump([0, 0], 0.5), 0.2, p)
+
 
 class TestOrthogonalSum:
     def test_antipodal_bumps_multiset(self, disc):

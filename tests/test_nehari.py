@@ -64,14 +64,13 @@ class TestPacking:
 
 
 class TestBumpFamily:
-    def build(self, eps=0.2, K=33) -> BumpFamily:
-        return build_bumps(pack_boundary_disc(eps), eps, CAL.containment_c,
-                           CAL.bump_c1, local_grid_points=K)
+    def build(self, eps=0.2) -> BumpFamily:
+        return build_bumps(pack_boundary_disc(eps), eps, CAL.containment_c, CAL.bump_c1)
 
     def test_center_value_one(self):
         fam = self.build()
-        for i in (0, fam.count // 2):
-            assert fam.symbol(i)(fam.freq_centers[i][None, :])[0] == 1.0
+        K = fam.local_grid.npts[0]
+        assert fam.values[K // 2, K // 2] == 1.0
 
     def test_supports_disjoint_and_inside(self):
         fam = self.build()
@@ -82,8 +81,9 @@ class TestBumpFamily:
         np.fill_diagonal(d, np.inf)
         assert d.min() > 2 * R
 
-    def test_grid_resolves_bumps(self):
-        fam = self.build(K=33)
+    def test_grid_resolves_bumps(self, monkeypatch):
+        monkeypatch.setattr(nehari, "LOCAL_GRID_POINTS", 33)
+        fam = self.build()
         assert fam.r > 2 * fam.local_grid.spacing[0]
 
     def test_interaction_regions_disjoint(self):
@@ -132,9 +132,9 @@ def kernel_points(family, count=3000):
 class TestKernels:
     @pytest.mark.parametrize("eps", [0.4, 0.05])
     @pytest.mark.parametrize("K", [69, 68])
-    def test_envelope_matches_complex_sum(self, eps, K):
-        fam = build_bumps(pack_boundary_disc(eps), eps, CAL.containment_c,
-                          CAL.bump_c1, local_grid_points=K)
+    def test_envelope_matches_complex_sum(self, monkeypatch, eps, K):
+        monkeypatch.setattr(nehari, "LOCAL_GRID_POINTS", K)
+        fam = build_bumps(pack_boundary_disc(eps), eps, CAL.containment_c, CAL.bump_c1)
         pts = kernel_points(fam)
         ref = envelope_oracle(pts, fam)
         scale = np.abs(ref).max()
@@ -143,11 +143,11 @@ class TestKernels:
 
     @pytest.mark.parametrize("eps", [0.4, 0.05])
     @pytest.mark.parametrize("K", [69, 68])
-    def test_envelope_rotation_within_rounding(self, eps, K):
+    def test_envelope_rotation_within_rounding(self, monkeypatch, eps, K):
         # the cosines come from a rotation recurrence, whose error grows with
         # the offset index; it must stay at rounding level over the box
-        fam = build_bumps(pack_boundary_disc(eps), eps, CAL.containment_c,
-                          CAL.bump_c1, local_grid_points=K)
+        monkeypatch.setattr(nehari, "LOCAL_GRID_POINTS", K)
+        fam = build_bumps(pack_boundary_disc(eps), eps, CAL.containment_c, CAL.bump_c1)
         pts = kernel_points(fam)
         ref = envelope_oracle(pts, fam)
         assert np.abs(_envelope_at(pts, fam) - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -178,10 +178,10 @@ class TestTwoScaleIntegral:
         # to box 0, and box 1, the last below the alias half period, settles
         assert boxes == [(1358, 1358), (2716, 2716)]
 
-    def test_alias_half_period_raises(self):
+    def test_alias_half_period_raises(self, monkeypatch):
         # a 9-point local grid aliases at about 2.1 envelope units, inside the box
-        fam = build_bumps(pack_boundary_disc(0.4), 0.4, CAL.containment_c,
-                          CAL.bump_c1, local_grid_points=9)
+        monkeypatch.setattr(nehari, "LOCAL_GRID_POINTS", 9)
+        fam = build_bumps(pack_boundary_disc(0.4), 0.4, CAL.containment_c, CAL.bump_c1)
         with pytest.raises(ConvergenceError, match="alias half period"):
             modulated_sum_l1(fam)
 
@@ -297,12 +297,12 @@ class TestRatioRow:
         v = fam.support_radius ** 2 * reference_bump_power_integral(pc)
         assert term <= bump_sup_omega(fam) * v ** (6.0 / pc) * (1 + 1e-9)
 
-    def test_grid_self_consistency(self):
+    def test_grid_self_consistency(self, monkeypatch):
         # the N=1 single-bump ratio reproduces within 1% across resolutions
         vals = []
         for K in (69, 99):
-            fam = build_bumps(pack_boundary_disc(0.4), 0.4, CAL.containment_c,
-                              CAL.bump_c1, K)
+            monkeypatch.setattr(nehari, "LOCAL_GRID_POINTS", K)
+            fam = build_bumps(pack_boundary_disc(0.4), 0.4, CAL.containment_c, CAL.bump_c1)
             l1, _ = modulated_sum_l1(fam, which=np.array([0]), seed=NehariConfig.seed)
             term = denominator_term(fam, 6.0)
             num = fam.support_radius ** 2 * reference_bump_power_integral(2)
@@ -338,6 +338,11 @@ class TestSweep:
         with pytest.raises(GeometryError, match="p >= 1"):
             NehariConfig(p=p)
 
+    def test_infinite_schatten_exponent_rejected(self):
+        # the proxy (N term)^(1/p) would read nan ** 0 = 1 and give a slope
+        with pytest.raises(GeometryError, match="got p = inf"):
+            NehariConfig(p=math.inf)
+
     def test_too_few_rows(self):
         with pytest.raises(GeometryError):
             sweep_and_fit(NehariConfig(p=6.0, epsilons=(0.4, 0.3, 0.2)))
@@ -349,15 +354,6 @@ class TestSweep:
         with pytest.raises(GeometryError, match="at least 4 distinct N"):
             sweep_and_fit(NehariConfig(p=6.0, epsilons=eps))
         assert computed == []
-
-    def test_orthogonality_grid_cap_raises_before_any_row(self, monkeypatch):
-        # at eps = 0.1 the spot check's grid, spacing r/3, has 3536^2 nodes
-        def no_row(*args, **kwargs):
-            raise AssertionError("a sweep row ran")
-        monkeypatch.setattr(nehari, "eq5_ratio", no_row)
-        cfg = NehariConfig(p=6.0, epsilons=(0.1, 0.07, 0.05, 0.04))
-        with pytest.raises(GeometryError, match="12503296 grid nodes, above the cap"):
-            sweep_and_fit(cfg, orthogonality_eps=0.1)
 
     def test_short_sweep_slopes(self):
         eps = (0.4, 0.3, 0.2, 0.15)

@@ -21,7 +21,7 @@ def pinned(value):
 
 def family(eps):
     return nehari.build_bumps(nehari.pack_boundary_disc(eps), eps, CAL.containment_c,
-                              CAL.bump_c1, 69)
+                              CAL.bump_c1)
 
 
 DISC = Ball(np.zeros(2), 1.0)

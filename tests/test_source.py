@@ -389,10 +389,17 @@ def test_import_loads_no_scipy_module_beyond_the_floor():
     assert [m for m in scipy_modules(loaded) if m not in floor] == []
 
 
-def test_calibration_and_a_sweep_row_load_no_scipy_module():
-    # the paper's sweep is numpy throughout
+def test_calibration_and_a_sweep_row_load_no_scipy_module(tmp_path):
+    # the paper's sweep is numpy throughout, from the row to the CLI's
+    # reports; the command's own print is kept off the module list
+    argv = ["nehari-sweep", "--p", "6", "--eps", "0.4,0.3,0.2,0.15",
+            "--out", str(tmp_path / "sweep.json"), "--csv", str(tmp_path / "sweep.csv")]
     loaded = fresh_modules(f"{PWLAB_IMPORT}\nfrom pwlab import nehari\npwlab.calibrate()\n"
-                           "nehari.eq5_ratio(nehari.NehariConfig(p=6.0), 0.4)")
+                           "nehari.eq5_ratio(nehari.NehariConfig(p=6.0), 0.4)\n"
+                           "import contextlib, io\n"
+                           "with contextlib.redirect_stdout(io.StringIO()):\n"
+                           f"    assert pwlab.cli.run({argv!r}) == 0\n")
+    assert (tmp_path / "sweep.json").exists() and (tmp_path / "sweep.csv").exists()
     assert scipy_modules(loaded) == []
 
 
