@@ -110,10 +110,15 @@ def cmd_nehari_sweep(args) -> int:
 
 
 def cmd_hardy(args) -> int:
-    doc: dict = {"family": args.family, "d": args.d, "body": args.body,
-                 "seed": args.seed, "version": __version__}
+    doc: dict = {"family": args.family, "d": args.d, "seed": args.seed,
+                 "version": __version__}
+    body_name = "square" if args.body is None else args.body
+    if args.family != "halfline_product":
+        doc["body"] = body_name
+    elif args.body is not None:
+        raise GeometryError("the half-line family takes no --body")
     if args.family == "tent_product":
-        body = builtin_body(args.body)
+        body = builtin_body(body_name)
         if hardy.unit_box_corner(body) is None:
             raise GeometryError("the tent product covers only translates of (0, 1)^n")
         ratio = hardy.tent_ratio(body.dim, d=args.d)
@@ -137,7 +142,7 @@ def cmd_hardy(args) -> int:
         print(f"half-line: max of {args.trials} random ratios "
               f"{max(ratios):.4f}, extremal {extremal:.4f} (pi = {np.pi:.4f})")
     elif args.family == "corner_bumps":
-        hardy.require_unit_square(builtin_body(args.body))
+        hardy.require_unit_square(builtin_body(body_name))
         res = hardy.corner_family_sweep(args.d)
         doc["t_values"] = list(map(float, res.t_values))
         doc["ratios"] = list(map(float, res.ratios))
@@ -146,11 +151,11 @@ def cmd_hardy(args) -> int:
         print(f"corner family d={args.d}: slope {res.slope:+.4f}, "
               f"max/min {res.max_over_min:.4f}")
     elif args.family == "integrability":
-        body = builtin_body(args.body)
+        body = builtin_body(body_name)
         rows = hardy.adjusted_integrability_report(body, [args.d])
         doc["verdict"] = rows[0].verdict
         doc["evidence"] = rows[0].evidence
-        print(f"{args.body} d={args.d}: {rows[0].verdict}")
+        print(f"{body_name} d={args.d}: {rows[0].verdict}")
     else:
         raise GeometryError(f"unknown family {args.family}")
     if args.out:
@@ -244,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_nehari_sweep)
 
     p = sub.add_parser("hardy", help="Hardy-ratio experiments")
-    p.add_argument("--body", default="square")
+    p.add_argument("--body", help="default: square; not taken by halfline_product")
     p.add_argument("--d", type=float, default=1.0)
     p.add_argument("--family", default="tent_product",
                    choices=["tent_product", "halfline_product", "corner_bumps",

@@ -12,18 +12,23 @@ ratio decays.
 Every discretized bump shares one local frequency grid translated to its
 center 2 x_i, so the synthesized sum factors exactly as psi(t) = E(t) S(t)
 with a common envelope E and the phase sum S(t) = sum_i e^{2 pi i <2 x_i, t>}.
-The L1 norm is integrated by a two-scale rule: cells on the envelope scale,
-and inside each cell seeded uniform samples for the oscillatory |S|, as many
-as the cell's mean |E| calls for (at least one), so the m x N phase sum is
-evaluated where the envelope carries the integral.
+In envelope units u = 2r t the envelope is one function for every eps,
+E(t) = (2r)^2 Ehat(u) with Ehat the envelope of the unit bump, and
+||psi||_1 = int |Ehat(u)| |S(u / 2r)| du.  The L1 norm is integrated by a
+two-scale rule in u: cells on the envelope scale, and inside each cell
+seeded uniform samples for the oscillatory |S|, as many as the cell's mean
+|Ehat| calls for (at least one).  Cells, counts, samples and |Ehat| at the
+samples are the same on every row, so a sweep builds them once
+(`TwoScaleRule`) and each row evaluates only its m x N phase sum.
 
 Both factors are evaluated in real arithmetic.  The local offsets are
 symmetric and the bump is even in each axis, so E is a real cosine sum over
 the non-negative half of the offset grid (off-centre offsets weighted by 2).
 Those offsets are uniform, so each axis's cosines follow from one
 angle-addition rotation per point, and one real matrix product combines the
-two axes.  S is the cosine sum plus i times the sine sum of one real phase
-matrix 2 pi t . 2 x_i.
+two axes.  An even packing holds its points in exact antipodal pairs, so S
+is real there: each pair adds 2 cos of one phase, and only an unmatched
+centre adds cos + i sin.
 """
 
 from __future__ import annotations
@@ -77,7 +82,9 @@ def pack_boundary_disc(eps: float) -> np.ndarray:
     """Equally spaced unit vectors with neighbor chords strictly above 2 eps.
 
     Starts from floor(pi / arcsin(eps)) points and decrements until the chord
-    2 sin(pi/N) clears 2 eps strictly.
+    2 sin(pi/N) clears 2 eps strictly.  For even N the second half is the
+    exact negation of the first, so the phase sum pairs every point with
+    its antipode.
     """
     if not (0 < eps < 1):
         raise GeometryError("packing needs eps in (0, 1)")
@@ -85,7 +92,10 @@ def pack_boundary_disc(eps: float) -> np.ndarray:
     while N > 1 and 2.0 * math.sin(math.pi / N) <= 2.0 * eps:
         N -= 1
     angles = 2.0 * np.pi * np.arange(N) / N
-    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    pts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    if N % 2 == 0:
+        pts[N // 2:] = -pts[:N // 2]
+    return pts
 
 
 @dataclass
@@ -124,11 +134,17 @@ def build_bumps(y_list: np.ndarray, eps: float, C: float, C1: float) -> BumpFami
         np.fill_diagonal(dist, np.inf)
         if dist.min() <= 2.0 * R:
             raise GeometryError("bump supports overlap")
-    n = y.shape[1]
+    grid, values = _local_bump(R, y.shape[1])
+    return BumpFamily(r=r, freq_centers=freq_centers, local_grid=grid, values=values)
+
+
+def _local_bump(R: float, n: int) -> tuple[GridSpec, np.ndarray]:
+    """The local frequency grid of a bump of support radius R, LOCAL_GRID_POINTS
+    nodes a side over SUPPORT_PAD times the support, and the bump on it."""
     grid = GridSpec(lower=[-SUPPORT_PAD * R] * n, upper=[SUPPORT_PAD * R] * n,
                     npts=LOCAL_GRID_POINTS)
     values = bump_profile(np.linalg.norm(grid.nodes(), axis=1) / R).reshape(grid.npts)
-    return BumpFamily(r=r, freq_centers=freq_centers, local_grid=grid, values=values)
+    return grid, values
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +195,41 @@ def _uniform_cosines(angles: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
 
 def _phase_sum_at(points: np.ndarray, freq_centers: np.ndarray) -> np.ndarray:
-    """S(t) = sum_i e^{2 pi i <c_i, t>} from the cosines and sines of one
-    real phase matrix.
+    """S(t) = sum_i e^{2 pi i <c_i, t>} over antipodal pairs and the rest.
 
-    Scaling the points by 2 pi before the product rounds the phases exactly
-    as the complex form exp((2 pi i t) @ c^T) does.
+    A centre whose exact negation is another centre forms a pair with it
+    (`_antipodal_split`), and the pair adds e^{i phi} + e^{-i phi} = 2 cos phi
+    from one phase; each unmatched centre adds cos phi + i sin phi.  A set of
+    centres closed under negation gives a real S with imaginary part exactly
+    0.0, at a quarter of the transcendentals.  Scaling the points by 2 pi
+    before the product rounds the phases exactly as the complex form
+    exp((2 pi i t) @ c^T) does.
     """
-    ph = (2.0 * np.pi * points) @ freq_centers.T
-    return np.cos(ph).sum(axis=1) + 1j * np.sin(ph).sum(axis=1)
+    pairs, single = _antipodal_split(freq_centers)
+    scaled = 2.0 * np.pi * points
+    ph = scaled @ single.T
+    return (2.0 * np.cos(scaled @ pairs.T).sum(axis=1) + np.cos(ph).sum(axis=1)
+            + 1j * np.sin(ph).sum(axis=1))
+
+
+def _antipodal_split(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(one centre of each antipodal pair, the unmatched centres).
+
+    Greedy in index order: each centre pairs with the earliest unmatched
+    earlier centre that is its exact negation, so the match is one to one.
+    A repeated centre, a pair broken by a subset and a centre at the origin
+    (its own negation) stay unmatched.
+    """
+    unmatched: dict[tuple, list[int]] = {}
+    first = []
+    for i, c in enumerate(map(tuple, centers.tolist())):
+        mates = unmatched.get(tuple(-x for x in c))
+        if mates:
+            first.append(mates.pop(0))
+        else:
+            unmatched.setdefault(c, []).append(i)
+    rest = sorted(i for idx in unmatched.values() for i in idx)
+    return centers[first], centers[rest]
 
 
 def _stratum_counts(family: BumpFamily, base: np.ndarray, cell_w: float,
@@ -196,7 +239,8 @@ def _stratum_counts(family: BumpFamily, base: np.ndarray, cell_w: float,
 
     Without a scale, one is chosen so that the counts average
     ENVELOPE_SAMPLES a cell before rounding; returns (counts, scale).  The
-    counts depend on the family alone, never on the draws or on `which`.
+    two-scale rule calls it with the unit bump and cells in envelope units,
+    so the counts are the same for every eps, seed and `which`.
     """
     sub = GridSpec(lower=[0.0, 0.0], upper=[cell_w, cell_w], npts=2).nodes()
     probes = (base[:, None, :] + sub[None, :, :]).reshape(-1, 2)
@@ -206,53 +250,109 @@ def _stratum_counts(family: BumpFamily, base: np.ndarray, cell_w: float,
     return np.maximum(1, np.rint(scale * ebar)).astype(np.int64), scale
 
 
-def modulated_sum_l1(family: BumpFamily, which: np.ndarray | None = None,
-                     seed: int = NehariConfig.seed) -> tuple[float, float]:
-    """L1 norm of the synthesized psi = sum_i phi_i by stratified two-scale
-    quadrature; returns (integral, tail estimate from the last doubling).
+@dataclass
+class _Box:
+    """One box of the two-scale rule, in envelope units: the strata of its
+    cells (all cells of the first box, the shell outside the previous box
+    for the others) and the seeded samples in them."""
 
-    Each cell of a box is a stratum: its mean of |E S| over seeded uniform
-    samples, times its area, summed over cells.  The samples follow the
-    envelope (Neyman allocation with |E| for the spread): the first box
-    fixes the scale that gives its cells ENVELOPE_SAMPLES samples on
-    average, and each doubling shell reuses that scale, so cells where |E|
-    is negligible get one sample.
+    cell_w: float
+    counts: np.ndarray        # samples per cell
+    starts: np.ndarray        # index of each cell's first sample
+    samples: np.ndarray       # (m, 2) u-samples, cell by cell
+    envelope: np.ndarray      # |Ehat| at the samples
 
-    The box halfwidth is measured in envelope units u = 2r t and doubled
-    until the increment drops below fourier.L1_REL_TOL.  The discrete
-    envelope is periodic with period K / (2 pad) in those units, so the box
-    may never exceed the half period K / (4 pad): 16.4 at K = 69 and 23.6 at
-    K = 99.  From ENVELOPE_HALFWIDTH = 8 at most two boxes fit, and
-    ENVELOPE_DOUBLINGS never binds at these grids; a finer local grid buys
-    more room.
+
+class TwoScaleRule:
+    """The eps-independent half of the two-scale L1 rule, for one seed.
+
+    In envelope units u = 2r t every row of a sweep has the same cells, the
+    same stratum counts, the same seeded samples and the same |Ehat| there,
+    with Ehat the envelope of the unit bump (support radius 1).  The rule
+    builds box d, of half-width ENVELOPE_HALFWIDTH 2^d, on first use, each
+    box after the previous one from one `default_rng(seed)`, and keeps it
+    for the next row.  It reads LOCAL_GRID_POINTS when it is made.
     """
-    centers = family.freq_centers if which is None else family.freq_centers[which]
-    spacing_u = family.local_grid.spacing[0] / family.support_radius
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    scale = None
 
-    def box_total(U: float) -> float:
-        nonlocal total, scale
-        T = U / family.support_radius
-        edges = np.linspace(-T, T, ENVELOPE_CELLS + 1)
+    def __init__(self, seed: int):
+        self.seed = seed
+        grid, values = _local_bump(1.0, 2)
+        self.unit = BumpFamily(r=0.5, freq_centers=np.zeros((0, 2)), local_grid=grid,
+                               values=values)
+        # the discrete envelope is periodic with period K / (2 pad) in u
+        self.half_period = 0.5 / float(grid.spacing[0])
+        self._rng = np.random.default_rng(seed)
+        self._scale = None
+        self._boxes: dict[float, _Box] = {}
+
+    def box(self, halfwidth: float) -> _Box:
+        """The box of this half-width, building it and every smaller box of
+        the doubling sequence first; KeyError off the sequence."""
+        while len(self._boxes) <= ENVELOPE_DOUBLINGS and halfwidth not in self._boxes:
+            U = ENVELOPE_HALFWIDTH * 2.0 ** len(self._boxes)
+            self._boxes[U] = self._build(U)
+        return self._boxes[halfwidth]
+
+    def _build(self, U: float) -> _Box:
+        edges = np.linspace(-U, U, ENVELOPE_CELLS + 1)
         cell_w = edges[1] - edges[0]
         lo1, lo2 = np.meshgrid(edges[:-1], edges[:-1], indexing="ij")
         base = np.stack([lo1.ravel(), lo2.ravel()], axis=1)
-        if scale is not None:
+        if self._scale is not None:
             # only the shell outside the previous box; quarters align exactly
-            inner = np.all((base >= -T / 2 - 1e-12 * T)
-                           & (base + cell_w <= T / 2 + 1e-12 * T), axis=1)
+            inner = np.all((base >= -U / 2 - 1e-12 * U)
+                           & (base + cell_w <= U / 2 + 1e-12 * U), axis=1)
             base = base[~inner]
-        counts, scale = _stratum_counts(family, base, cell_w, scale)
-        pts = (np.repeat(base, counts, axis=0)
-               + rng.uniform(0.0, cell_w, size=(int(counts.sum()), 2)))
-        vals = np.abs(_envelope_at(pts, family) * _phase_sum_at(pts, centers))
-        cell_sums = np.add.reduceat(vals, np.cumsum(counts) - counts)
-        total += float(np.sum(cell_sums / counts) * cell_w ** 2)
+        counts, self._scale = _stratum_counts(self.unit, base, cell_w, self._scale)
+        samples = (np.repeat(base, counts, axis=0)
+                   + self._rng.uniform(0.0, cell_w, size=(int(counts.sum()), 2)))
+        return _Box(cell_w=cell_w, counts=counts, starts=np.cumsum(counts) - counts,
+                    samples=samples, envelope=np.abs(_envelope_at(samples, self.unit)))
+
+
+def modulated_sum_l1(family: BumpFamily, which: np.ndarray | None = None,
+                     seed: int = NehariConfig.seed,
+                     rule: TwoScaleRule | None = None) -> tuple[float, float]:
+    """L1 norm of the synthesized psi = sum_i phi_i by stratified two-scale
+    quadrature; returns (integral, tail estimate from the last doubling).
+
+    The integral runs in envelope units u = 2r t, where it reads
+    int |Ehat(u)| |S(u / 2r)| du.  Each cell of a box is a stratum: its mean
+    of |Ehat S| over seeded uniform samples, times its area, summed over
+    cells.  The samples follow the envelope (Neyman allocation with |Ehat|
+    for the spread): the first box fixes the scale that gives its cells
+    ENVELOPE_SAMPLES samples on average, and each doubling shell reuses that
+    scale, so cells where |Ehat| is negligible get one sample.  All of that
+    is the `rule`, made from `seed` when none is given; a sweep passes one
+    rule to every row, so a row evaluates only its phase sum, at the
+    centres scaled by 1 / 2r.
+
+    The box half-width U is doubled from ENVELOPE_HALFWIDTH until the
+    increment drops below fourier.L1_REL_TOL.  The discrete envelope is
+    periodic with period K / (2 pad) in u, so the box may never exceed the
+    half period K / (4 pad): 16.4 at K = 69 and 23.6 at K = 99.  From
+    ENVELOPE_HALFWIDTH = 8 at most two boxes fit, and ENVELOPE_DOUBLINGS
+    never binds at these grids; a finer local grid buys more room.
+    """
+    if rule is None:
+        rule = TwoScaleRule(seed)
+    elif rule.seed != seed:
+        raise GeometryError(f"the rule was drawn with seed {rule.seed}, not {seed}")
+    if rule.unit.local_grid.npts != family.local_grid.npts:
+        raise GeometryError("the rule and the family have different local grids")
+    centers = family.freq_centers if which is None else family.freq_centers[which]
+    scaled = centers / family.support_radius        # S(u / 2r) at centres c / 2r
+    total = 0.0
+
+    def box_total(U: float) -> float:
+        nonlocal total
+        box = rule.box(U)
+        vals = box.envelope * np.abs(_phase_sum_at(box.samples, scaled))
+        cell_sums = np.add.reduceat(vals, box.starts)
+        total += float(np.sum(cell_sums / box.counts) * box.cell_w ** 2)
         return total
 
-    return _l1_by_doubling(box_total, ENVELOPE_HALFWIDTH, 0.5 / spacing_u, ENVELOPE_DOUBLINGS)
+    return _l1_by_doubling(box_total, ENVELOPE_HALFWIDTH, rule.half_period, ENVELOPE_DOUBLINGS)
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +411,14 @@ class SweepRow:
         return asdict(self)
 
 
-def eq5_ratio(config: NehariConfig, eps: float, check_disjointness: bool = True) -> SweepRow:
+def eq5_ratio(config: NehariConfig, eps: float, check_disjointness: bool = True,
+              rule: TwoScaleRule | None = None) -> SweepRow:
     """One row of the counterexample ratio at a given eps.
 
     The numerator uses the exact scaling ||phihat_i||_2^2 = (2r)^n ||phi||_2^2;
-    the L1 norm comes from the two-scale integral of |E S|; the Schatten proxy
-    is (N ||phihat_1 w^(1/p)||_{p'}^p)^(1/p) with all N terms equal by the
+    the L1 norm comes from the two-scale integral of |E S|, on the sweep's
+    `rule` or, alone, on one of its own; the Schatten proxy is
+    (N ||phihat_1 w^(1/p)||_{p'}^p)^(1/p) with all N terms equal by the
     rotational symmetry of the construction.
     """
     cal = DEFAULT_CALIBRATION
@@ -326,7 +428,7 @@ def eq5_ratio(config: NehariConfig, eps: float, check_disjointness: bool = True)
     if check_disjointness:
         check_interaction_disjointness(family)
     numerator = N * family.support_radius ** 2 * reference_bump_power_integral(2)
-    psi_l1, tail = modulated_sum_l1(family, seed=config.seed)
+    psi_l1, tail = modulated_sum_l1(family, seed=config.seed, rule=rule)
     term = denominator_term(family, config.p)
     proxy = (N * term) ** (1.0 / config.p)
     a_max = bump_sup_omega(family)
@@ -376,13 +478,15 @@ def sweep_and_fit(config: NehariConfig, check_disjointness: bool = True) -> Swee
     """Run eq5_ratio over the eps list and fit log ratio against log N.
 
     The fit needs at least 4 distinct N; the packing counts them before any
-    row is computed.
+    row is computed.  Every row shares one two-scale rule, so the sweep
+    evaluates the envelope once per box, not once per box and row.
     """
     counts = sorted({pack_boundary_disc(eps).shape[0] for eps in config.epsilons})
     if len(counts) < 4:
         raise GeometryError(f"need at least 4 distinct N for a slope fit, "
                             f"the eps list gives N in {counts}")
-    rows = [eq5_ratio(config, eps, check_disjointness=check_disjointness)
+    rule = TwoScaleRule(config.seed)
+    rows = [eq5_ratio(config, eps, check_disjointness=check_disjointness, rule=rule)
             for eps in config.epsilons]
     logN = np.log([row.N for row in rows])
     logR = np.log([row.ratio for row in rows])

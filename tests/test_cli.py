@@ -97,6 +97,15 @@ class TestDispatch:
         assert captured.out == ""
         assert captured.err == f"error: --trials must be at least 1, got {trials}\n"
 
+    @pytest.mark.parametrize("body", ["triangle", "no_such_file"])
+    def test_halfline_family_refuses_a_body(self, tmp_path, capsys, body):
+        out = tmp_path / "h.json"
+        assert run(["hardy", "--family", "halfline_product", "--body", body,
+                    "--trials", "1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == "error: the half-line family takes no --body\n"
+
     @pytest.mark.parametrize("eps, counts", [("0.4,0.4,0.4,0.4", "[7]"),
                                              ("0.4,0.39,0.38,0.37", "[7, 8]")])
     def test_sweep_over_fewer_than_four_n_is_failure(self, capsys, eps, counts):

@@ -23,6 +23,7 @@ from pwlab.nehari import (
     ENVELOPE_SAMPLES,
     BumpFamily,
     NehariConfig,
+    TwoScaleRule,
     _envelope_at,
     _phase_sum_at,
     build_bumps,
@@ -61,6 +62,16 @@ class TestPacking:
     def test_eps_range(self):
         with pytest.raises(GeometryError):
             pack_boundary_disc(1.0)
+
+    @pytest.mark.parametrize("eps", NehariConfig(p=6.0).epsilons)
+    def test_matches_angle_formula_with_exact_antipodes(self, eps):
+        y = pack_boundary_disc(eps)
+        N = y.shape[0]
+        angles = 2.0 * np.pi * np.arange(N) / N
+        assert np.abs(y - np.stack([np.cos(angles), np.sin(angles)], axis=1)).max() <= 1e-15
+        if N % 2 == 0:
+            bits = y.view(np.uint64)
+            assert np.array_equal(bits[N // 2:], (-y[:N // 2]).view(np.uint64))
 
 
 class TestBumpFamily:
@@ -120,6 +131,27 @@ def phase_sum_oracle(points, freq_centers):
     return np.exp(2j * np.pi * points @ freq_centers.T).sum(axis=1)
 
 
+def sweep_centers(eps):
+    return build_bumps(pack_boundary_disc(eps), eps, CAL.containment_c,
+                       CAL.bump_c1).freq_centers
+
+
+# centre sets for the antipodal pairing, each with whether it is closed
+# under negation (so that S must be real)
+PHASE_SETS = {
+    "even-N10": lambda: (sweep_centers(0.3), True),
+    "even-N62": lambda: (sweep_centers(0.05), True),
+    "odd-N7": lambda: (sweep_centers(0.4), False),
+    "even-N10-plus-one": lambda: (
+        np.vstack([sweep_centers(0.3), [[0.3, -0.7]]]), False),
+    "repeat-and-negation": lambda: (
+        np.array([[0.5, 0.2], [0.5, 0.2], [-0.5, -0.2], [0.1, 0.9]]), False),
+    "even-N10-and-origin": lambda: (
+        np.vstack([sweep_centers(0.3)[:5], [[0.0, 0.0]], sweep_centers(0.3)[5:]]), True),
+    "subset-splitting-pairs": lambda: (sweep_centers(0.3)[[0, 1, 2, 6, 7, 9]], False),
+}
+
+
 def kernel_points(family, count=3000):
     """Seeded t spread over the largest box modulated_sum_l1 may integrate
     (the alias half period), plus the origin where |E| peaks."""
@@ -152,13 +184,24 @@ class TestKernels:
         ref = envelope_oracle(pts, fam)
         assert np.abs(_envelope_at(pts, fam) - ref).max() <= 1e-13 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("eps", [0.4, 0.05])
+    @pytest.mark.parametrize("eps", [0.4, 0.3, 0.05])
     def test_phase_sum_matches_complex_sum(self, eps):
         fam = build_bumps(pack_boundary_disc(eps), eps, CAL.containment_c, CAL.bump_c1)
         pts = kernel_points(fam)
         ref = phase_sum_oracle(pts, fam.freq_centers)
         assert np.abs(_phase_sum_at(pts, fam.freq_centers) - ref).max() \
             < 1e-10 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("name", sorted(PHASE_SETS))
+    def test_phase_sum_pairs_antipodes_only(self, name):
+        centers, closed = PHASE_SETS[name]()
+        pts = kernel_points(build_bumps(pack_boundary_disc(0.05), 0.05, CAL.containment_c,
+                                        CAL.bump_c1))
+        ref = phase_sum_oracle(pts, centers)
+        got = _phase_sum_at(pts, centers)
+        assert np.abs(got - ref).max() < 1e-10 * np.abs(ref).max()
+        if closed:
+            assert np.all(got.imag == 0.0)
 
 
 class TestTwoScaleIntegral:
@@ -364,6 +407,54 @@ class TestSweep:
         doc = r6.as_dict()
         assert len(doc["rows"]) == 4
         assert "calibration" in doc
+
+
+class TestSharedRule:
+    def test_sweep_evaluates_the_envelope_once_per_box(self, monkeypatch):
+        # two boxes, each with its stratum probes and its samples; a rule
+        # per row made 28 calls
+        calls = []
+        real = nehari._envelope_at
+
+        def spy(points, family):
+            calls.append(points.shape[0])
+            return real(points, family)
+
+        monkeypatch.setattr(nehari, "_envelope_at", spy)
+        sweep_and_fit(NehariConfig(p=6.0))
+        assert len(calls) == 4
+
+    def test_lone_row_equals_the_sweep_row(self):
+        cfg = NehariConfig(p=6.0)
+        report = sweep_and_fit(cfg)
+        for eps in (0.4, 0.3, 0.05):
+            row = next(r for r in report.rows if r.eps == eps)
+            assert eq5_ratio(cfg, eps) == row
+
+    def test_rule_reads_the_local_grid_when_made(self, monkeypatch):
+        monkeypatch.setattr(nehari, "LOCAL_GRID_POINTS", 33)
+        rule = TwoScaleRule(7)
+        monkeypatch.undo()
+        assert rule.unit.local_grid.npts == (33, 33)
+        assert rule.half_period == pytest.approx(33 / (4 * nehari.SUPPORT_PAD), rel=1e-14)
+        # the family's grid is the default one again: the pair is refused
+        fam = build_bumps(pack_boundary_disc(0.4), 0.4, CAL.containment_c, CAL.bump_c1)
+        with pytest.raises(GeometryError, match="different local grids"):
+            modulated_sum_l1(fam, seed=7, rule=rule)
+
+    def test_rule_of_another_seed_refused(self):
+        fam = build_bumps(pack_boundary_disc(0.4), 0.4, CAL.containment_c, CAL.bump_c1)
+        with pytest.raises(GeometryError, match="seed 3, not 7"):
+            modulated_sum_l1(fam, seed=7, rule=TwoScaleRule(3))
+
+    def test_boxes_are_built_once_and_in_order(self):
+        fam = build_bumps(pack_boundary_disc(0.3), 0.3, CAL.containment_c, CAL.bump_c1)
+        rule = TwoScaleRule(5)
+        first = modulated_sum_l1(fam, seed=5, rule=rule)
+        box = rule.box(2 * nehari.ENVELOPE_HALFWIDTH)
+        assert modulated_sum_l1(fam, seed=5, rule=rule) == first
+        assert rule.box(2 * nehari.ENVELOPE_HALFWIDTH) is box
+        assert modulated_sum_l1(fam, seed=5) == first
 
 
 SPREAD_SEEDS = range(1, 9)

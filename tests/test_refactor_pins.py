@@ -52,6 +52,19 @@ def test_modulated_sum_l1():
     assert tail == pinned(0.024610246007489955)
 
 
+@pytest.mark.parametrize("eps, count, total, tail", [
+    (0.3, 10, 6.861813869221148, 0.025638352976756096),
+    (0.05, 62, 16.823206227859213, 0.06835126105023193),
+])
+def test_modulated_sum_l1_even_count(eps, count, total, tail):
+    # an even packing: the phase sum runs over antipodal pairs
+    fam = family(eps)
+    assert fam.count == count
+    got_total, got_tail = nehari.modulated_sum_l1(fam, seed=7)
+    assert got_total == pinned(total)
+    assert got_tail == pinned(tail)
+
+
 def test_hs_identity_check():
     chk = hankel.hs_identity_check(DISC, disc_symbol, 0.05)
     assert chk.frobenius == pinned(1.1401423169411424)

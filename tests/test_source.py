@@ -240,10 +240,10 @@ MESHGRID_CALLERS = {
     # the node-sum lattice 2 lower + (k + l + 1) h: as a GridSpec its nodes
     # round differently and move sigma_1 of a disc matrix by 1e-15
     "hankel._symbol_on_sums",
-    # cell corners from linspace edges, whose end points are exactly -T and
-    # T: GridSpec midpoints less half a cell round differently and would
+    # cell corners from linspace edges, whose end points are exactly -U and
+    # U: GridSpec midpoints less half a cell round differently and would
     # move the seeded samples by ulps
-    "nehari.modulated_sum_l1.box_total",
+    "nehari.TwoScaleRule._build",
 }
 
 
