@@ -6,12 +6,17 @@ singular values, Schatten norms and mixed norms discretize the continuum
 quantities with the quadrature weight folded in once.
 
 `singular_values` first splits a matrix into the blocks its exact zero
-pattern decouples, as for the orthogonal sums of symbols with disjoint
-interaction regions.  Every such matrix is symmetric, so it reads the
+pattern decouples.  Every such matrix is symmetric, so it reads the
 spectrum of a real block from one symmetric eigensolve.  A complex block of
 one phase, a complex constant times a real matrix, is rotated to real first
 and takes the same eigensolve; only a block whose phase varies pays for a
 full SVD.
+
+`orthogonal_sum_check` tests the orthogonality law for symbols with disjoint
+interaction regions.  When the union's matrix is exactly the direct sum of
+the parts' matrices, compared entry for entry, the law holds exactly and no
+spectrum is solved; only a union that is not an exact direct sum has its
+singular values compared with the parts'.
 """
 
 from __future__ import annotations
@@ -54,7 +59,10 @@ def conjugate_exponent(p: float) -> float:
 
 def _inside_mask(body: ConvexBody, spacing: float) -> tuple[np.ndarray, GridSpec]:
     """Strict membership on the bounding-box midpoint grid, shaped like it;
-    a grid of more than MAX_GRID_NODES nodes raises."""
+    a spacing that is not finite and positive, or a grid of more than
+    MAX_GRID_NODES nodes, raises."""
+    if not 0 < spacing < math.inf:      # NaN fails too
+        raise GeometryError(f"grid spacing must be finite and positive, got spacing = {spacing}")
     lo, hi = body.bounding_box()
     npts = tuple(int(math.ceil((hi[i] - lo[i]) / spacing)) for i in range(body.dim))
     if math.prod(npts) > MAX_GRID_NODES:
@@ -318,31 +326,63 @@ def orthogonal_sum_check(body: ConvexBody, symbols: list, supports: list[Ball],
     The body must be a ball, where the interaction region of a support
     B(s, R) is exactly the node set within R + rho of s - c.  All operators
     are assembled on the same node cloud, restricted per symbol to its
-    interaction region; entries below SV_FLOOR_REL * sigma_max are ignored
-    in the comparison.  singular_values splits the union's matrix into
-    blocks that are bitwise the parts' own blocks and solves them by the
-    same calls, so the deviation of an exact sum is 0.0 at any BLAS thread
-    count.  seed is read by nothing, since the disjointness test draws no
-    points; it stays for callers that still pass it.
+    interaction region, and symbols and supports pair one to one.
+
+    The law is first decided as the matrix identity it is (`_is_direct_sum`):
+    when the union's matrix is exactly the direct sum of the parts' matrices,
+    a permutation of one block-diagonal matrix, the two multisets are equal
+    exactly and the deviation is 0.0, with no eigensolve.  Any other union,
+    say of symbols with tails outside their supports, has its spectrum
+    compared with the parts' by singular_values, ignoring values below
+    SV_FLOOR_REL * sigma_max.  seed is read by nothing, since the
+    disjointness test draws no points; it stays for callers that still pass it.
     """
+    if len(symbols) != len(supports) or not symbols:
+        raise GeometryError(f"an orthogonal sum needs one support per symbol and at least "
+                            f"one symbol, got {len(symbols)} symbols and "
+                            f"{len(supports)} supports")
     check_disjoint_interactions(body, supports)
     nodes, _ = grid_nodes_inside(body, spacing)
     block_masks = [np.linalg.norm(nodes - (supp.center - body.center), axis=1)
                    < body.radius + supp.radius for supp in supports]
     union_mask = np.logical_or.reduce(block_masks)
+    sizes = [int(np.count_nonzero(keep)) for keep in block_masks]
+    sizes.append(int(np.count_nonzero(union_mask)))
 
     def total_symbol(pts):
         return sum(np.asarray(s(pts), dtype=complex) for s in symbols)
 
     H_all = HankelMatrix.build(body, spacing, total_symbol, keep=union_mask)
+    H_parts = [HankelMatrix.build(body, spacing, sym, keep=keep)
+               for sym, keep in zip(symbols, block_masks)]
+    where = [np.flatnonzero(keep[union_mask]) for keep in block_masks]
+    if _is_direct_sum(H_all.matrix, [H.matrix for H in H_parts], where):
+        return OrthoCheck(ok=True, max_rel_dev=0.0, block_sizes=sizes)
     sv_all = H_all.significant_singular_values()
-    parts = [HankelMatrix.build(body, spacing, sym, keep=keep).significant_singular_values()
-             for sym, keep in zip(symbols, block_masks)]
-    sizes = [int(np.count_nonzero(keep)) for keep in block_masks]
-    sv_union = np.sort(np.concatenate(parts))[::-1]
+    sv_union = np.sort(np.concatenate([H.significant_singular_values()
+                                       for H in H_parts]))[::-1]
     pad = max(sv_all.size, sv_union.size)
     a, b = (np.pad(sv, (0, pad - sv.size)) for sv in (sv_all, sv_union))
     scale = max(a[0], b[0], np.finfo(float).tiny)
     dev = float(np.max(np.abs(a - b)) / scale)
-    return OrthoCheck(ok=dev <= ORTHO_REL_TOL, max_rel_dev=dev,
-                      block_sizes=sizes + [int(np.count_nonzero(union_mask))])
+    return OrthoCheck(ok=dev <= ORTHO_REL_TOL, max_rel_dev=dev, block_sizes=sizes)
+
+
+def _is_direct_sum(A: np.ndarray, parts: list[np.ndarray], where: list[np.ndarray]) -> bool:
+    """Whether A is exactly the direct sum of the parts, part k on the rows
+    and columns where[k] of A.
+
+    The index sets together cover A's rows.  A is the direct sum when they
+    are disjoint (their sizes add up to A's order), each part has A's
+    dtype and equals A[where[k], where[k]] entry for entry, and the parts
+    hold as many nonzero entries as A, so every entry coupling two index
+    sets is exactly 0.  Permuting A to the index sets then makes it block
+    diagonal with the parts as blocks, and its singular values are the
+    parts' together, exactly.
+    """
+    if sum(w.size for w in where) != A.shape[0]:
+        return False
+    if any(P.dtype != A.dtype or not np.array_equal(A[np.ix_(w, w)], P)
+           for P, w in zip(parts, where)):
+        return False
+    return sum(np.count_nonzero(P) for P in parts) == np.count_nonzero(A)

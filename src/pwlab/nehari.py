@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -105,7 +106,6 @@ class BumpFamily:
     r: float
     freq_centers: np.ndarray      # 2 x_i, with x_i = (1 - C eps^2) y_i
     local_grid: GridSpec          # offsets from a centre, over SUPPORT_PAD times a support
-    values: np.ndarray            # bump samples on the local grid
 
     @property
     def count(self) -> int:
@@ -114,6 +114,14 @@ class BumpFamily:
     @property
     def support_radius(self) -> float:
         return 2.0 * self.r
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The bump on the local grid, evaluated on first use: a sweep
+        reads only the unit family's."""
+        R = self.support_radius
+        grid = self.local_grid
+        return bump_profile(np.linalg.norm(grid.nodes(), axis=1) / R).reshape(grid.npts)
 
     def supports(self) -> list[Ball]:
         return [Ball(c, self.support_radius) for c in self.freq_centers]
@@ -134,17 +142,14 @@ def build_bumps(y_list: np.ndarray, eps: float, C: float, C1: float) -> BumpFami
         np.fill_diagonal(dist, np.inf)
         if dist.min() <= 2.0 * R:
             raise GeometryError("bump supports overlap")
-    grid, values = _local_bump(R, y.shape[1])
-    return BumpFamily(r=r, freq_centers=freq_centers, local_grid=grid, values=values)
+    return BumpFamily(r=r, freq_centers=freq_centers, local_grid=_local_grid(R, y.shape[1]))
 
 
-def _local_bump(R: float, n: int) -> tuple[GridSpec, np.ndarray]:
+def _local_grid(R: float, n: int) -> GridSpec:
     """The local frequency grid of a bump of support radius R, LOCAL_GRID_POINTS
-    nodes a side over SUPPORT_PAD times the support, and the bump on it."""
-    grid = GridSpec(lower=[-SUPPORT_PAD * R] * n, upper=[SUPPORT_PAD * R] * n,
+    nodes a side over SUPPORT_PAD times the support."""
+    return GridSpec(lower=[-SUPPORT_PAD * R] * n, upper=[SUPPORT_PAD * R] * n,
                     npts=LOCAL_GRID_POINTS)
-    values = bump_profile(np.linalg.norm(grid.nodes(), axis=1) / R).reshape(grid.npts)
-    return grid, values
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +281,8 @@ class TwoScaleRule:
 
     def __init__(self, seed: int):
         self.seed = seed
-        grid, values = _local_bump(1.0, 2)
-        self.unit = BumpFamily(r=0.5, freq_centers=np.zeros((0, 2)), local_grid=grid,
-                               values=values)
+        grid = _local_grid(1.0, 2)
+        self.unit = BumpFamily(r=0.5, freq_centers=np.zeros((0, 2)), local_grid=grid)
         # the discrete envelope is periodic with period K / (2 pad) in u
         self.half_period = 0.5 / float(grid.spacing[0])
         self._rng = np.random.default_rng(seed)

@@ -1,15 +1,18 @@
 """Reports regenerated in-process against the committed files in tests/golden/.
 
-Each golden file was written by `pwlab.cli` at one BLAS thread, a JSON report
-by `--out` and a CSV mirror by `--csv`.  Strings, integers, booleans, nulls
-and the shape of a report must match exactly, floats to 1e-12 relative, the
-tolerance of the pins in test_refactor_pins.
+Each golden file was written by `pwlab.cli` at one BLAS thread: a JSON report
+by `--out`, a CSV mirror by `--csv`, and a text file from the standard output
+of a command with no report file, its timings removed (UNTIMED).  Strings,
+integers, booleans, nulls, text lines and the shape of a report must match
+exactly, floats to 1e-12 relative, the tolerance of the pins in
+test_refactor_pins.
 A change that moves a report value on purpose re-records the file and lists
 the moved fields in CHANGES.md.
 """
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,7 @@ from pwlab.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
 FLOAT_REL_TOL = 1e-12
+UNTIMED = re.compile(r"\d+(\.\d+)?s\b")   # a timing such as `0.4s`, struck from text reports
 
 REPORTS = {
     "hardy_halfline_product.json": ["hardy", "--family", "halfline_product",
@@ -33,6 +37,7 @@ REPORTS = {
     "calibrate.json": ["calibrate"],
     "sublevel_triangle.json": ["sublevel", "--body", "triangle", "--samples", "200000"],
     "sublevel_triangle.csv": ["sublevel", "--body", "triangle", "--samples", "200000"],
+    "verify_all.txt": ["verify", "--suite", "all"],
 }
 
 
@@ -49,7 +54,10 @@ def cell(text: str):
 
 def read_report(path: Path):
     """A report file parsed to nested values: a JSON document as it is, a
-    CSV as a list with one {column: value} dict a row."""
+    CSV as a list with one {column: value} dict a row, a text file as its
+    list of lines with the timings struck."""
+    if path.suffix == ".txt":
+        return UNTIMED.sub("", path.read_text()).splitlines()
     if path.suffix == ".csv":
         with open(path, newline="") as fh:
             return [{key: cell(text) for key, text in row.items()}
@@ -105,15 +113,19 @@ def field_name(keys: tuple) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(REPORTS))
-def test_report_matches_golden(tmp_path, name):
+def test_report_matches_golden(tmp_path, capsys, name):
     out = tmp_path / name
-    flag = "--csv" if out.suffix == ".csv" else "--out"
-    assert run(REPORTS[name] + [flag, str(out)]) == 0
+    if out.suffix == ".txt":
+        assert run(REPORTS[name]) == 0
+        out.write_text(capsys.readouterr().out)
+    else:
+        flag = "--csv" if out.suffix == ".csv" else "--out"
+        assert run(REPORTS[name] + [flag, str(out)]) == 0
     found = mismatch(read_report(GOLDEN / name), read_report(out))
     assert found is None, f"{name}: field {found} departs from the golden report"
 
 
-@pytest.mark.parametrize("name", sorted(REPORTS))
+@pytest.mark.parametrize("name", sorted(n for n in REPORTS if not n.endswith(".txt")))
 def test_any_value_moved_by_1e10_fails(name):
     golden = read_report(GOLDEN / name)
     assert mismatch(golden, golden) is None
@@ -127,3 +139,13 @@ def test_any_value_moved_by_1e10_fails(name):
             target = target[key]
         target[keys[-1]] = value * (1.0 + 1e-10) if value else 1e-10
         assert mismatch(golden, moved) == field_name(keys)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in REPORTS if n.endswith(".txt")))
+def test_any_line_changed_fails(name):
+    # text lines compare exactly, so one added character is a mismatch
+    golden = read_report(GOLDEN / name)
+    assert mismatch(golden, golden) is None and len(golden) >= 4
+    for i, line in enumerate(golden):
+        moved = golden[:i] + [line + " "] + golden[i + 1:]
+        assert mismatch(golden, moved) == f"[{i}]"

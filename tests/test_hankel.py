@@ -192,6 +192,18 @@ class TestMatrixBuild:
                                                     r"above the cap of 4194304"):
                 call()
 
+    @pytest.mark.parametrize("spacing", [0.0, -0.1, math.nan, math.inf, -math.inf])
+    def test_refuses_a_spacing_not_finite_and_positive(self, disc, spacing):
+        # every Hankel grid passes _inside_mask, so each entry point names the spacing
+        sym = centered_bump([0.0, 0.0], 0.5)
+        for call in (lambda: grid_nodes_inside(disc, spacing),
+                     lambda: hs_identity_check(disc, sym, spacing),
+                     lambda: HankelMatrix.build(disc, spacing, sym),
+                     lambda: orthogonal_sum_check(disc, [centered_bump([1.8, 0.0], 0.1)],
+                                                  [Ball([1.8, 0.0], 0.1)], spacing)):
+            with pytest.raises(GeometryError, match=f"got spacing = {spacing}"):
+                call()
+
 
 class TestSingularValues:
     @pytest.fixture(scope="class")
@@ -411,18 +423,55 @@ class TestRussoBound:
 
 
 class TestOrthogonalSum:
-    def test_antipodal_bumps_multiset(self, disc):
-        r = 0.08
-        c = np.array([0.9, 0.0])
-        chk = orthogonal_sum_check(
-            disc,
-            [centered_bump(2 * c, 2 * r), centered_bump(-2 * c, 2 * r)],
-            [Ball(2 * c, 2 * r), Ball(-2 * c, 2 * r)],
-            spacing=0.03)
-        assert chk.ok
-        # the union's blocks are bitwise the part matrices, solved alike
-        assert chk.max_rel_dev == 0.0
+    def antipodal_pair(self, tail: float = 0.0):
+        """Bumps of radius 0.16 at +-(1.8, 0) with their supports, each
+        symbol plus tail * exp(-|p|^2), which reaches every node sum."""
+        r, c = 0.08, np.array([0.9, 0.0])
+
+        def symbol(center):
+            bump = centered_bump(center, 2 * r)
+            return lambda p: bump(p) + tail * np.exp(-np.sum(p * p, axis=1))
+        return ([symbol(2 * c), symbol(-2 * c)],
+                [Ball(2 * c, 2 * r), Ball(-2 * c, 2 * r)])
+
+    def test_antipodal_bumps_multiset(self, disc, monkeypatch):
+        # the union's matrix is exactly the parts' direct sum, so the law
+        # holds exactly and no spectrum is solved
+        def solved(A):
+            raise AssertionError("an eigensolve ran")
+
+        monkeypatch.setattr(hankel, "_block_singular_values", solved)
+        chk = orthogonal_sum_check(disc, *self.antipodal_pair(), spacing=0.03)
+        assert chk == hankel.OrthoCheck(ok=True, max_rel_dev=0.0, block_sizes=[320, 324, 644])
+
+    def test_tiny_tails_take_the_spectral_route(self, disc, monkeypatch):
+        # the tails couple the parts, so the union is no exact direct sum
+        calls = []
+        solve = hankel._block_singular_values
+        monkeypatch.setattr(hankel, "_block_singular_values",
+                            lambda A: calls.append(A.shape) or solve(A))
+        chk = orthogonal_sum_check(disc, *self.antipodal_pair(1e-13), spacing=0.03)
+        assert calls
+        assert chk.ok and 0.0 < chk.max_rel_dev <= 1e-12
         assert chk.block_sizes == [320, 324, 644]
+
+    def test_large_tails_break_the_law(self, disc):
+        chk = orthogonal_sum_check(disc, *self.antipodal_pair(1e-3), spacing=0.03)
+        assert not chk.ok and chk.max_rel_dev > hankel.ORTHO_REL_TOL
+
+    @pytest.mark.parametrize("n_symbols, n_supports", [(2, 1), (1, 2), (0, 0)])
+    def test_symbols_and_supports_pair_one_to_one(self, disc, monkeypatch,
+                                                  n_symbols, n_supports):
+        # zip would drop the unpaired ones; refused before any matrix is built
+        def built(*args, **kwargs):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(HankelMatrix, "build", built)
+        symbols, supports = self.antipodal_pair()
+        with pytest.raises(GeometryError, match=f"got {n_symbols} symbols and "
+                                                f"{n_supports} supports"):
+            orthogonal_sum_check(disc, symbols[:n_symbols], supports[:n_supports],
+                                 spacing=0.03)
 
     def test_criterion_five_deviation_is_exactly_zero(self):
         res = checks.criterion_05()
@@ -452,6 +501,12 @@ class TestOrthogonalSum:
         # the first support is too far for its region to meet the disc
         hankel.check_disjoint_interactions(
             disc, [Ball([5.0, 0.0], 0.1), Ball([-1.9, 0.0], 0.05)])
+
+    def test_empty_union_is_an_exact_sum(self, disc):
+        # no node meets the region: both spectra are empty, so the law holds
+        chk = orthogonal_sum_check(disc, [centered_bump([5.0, 0.0], 0.1)],
+                                   [Ball([5.0, 0.0], 0.1)], spacing=0.1)
+        assert chk == hankel.OrthoCheck(ok=True, max_rel_dev=0.0, block_sizes=[0, 0])
 
     def test_non_ball_body_rejected_at_entry(self):
         with pytest.raises(GeometryError, match="ball bodies"):
